@@ -26,14 +26,14 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 from random import Random
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence
 
 from .baf import ExtensionError, extend_tuple, relation
 from .fragments import FragmentElement, ProfiledGroup, canonical_fragment
 from .ordinal import ZERO, CofinalSequence, Ordinal, hat_alpha, nat
 from .ulm import make_G_hat
 
-Level = Union[int, Ordinal]
+Level = int | Ordinal
 
 SentenceCode = tuple  # ("lin", ((position, coeff), ...), "eq" | "ne")
 

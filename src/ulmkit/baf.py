@@ -67,17 +67,6 @@ class ExtensionError(RuntimeError):
 _embed_cache: dict = {}
 
 
-_dims_cache: dict = {}
-
-
-def _tree_invariant_dims(tree: GroupTree) -> list[int]:
-    dims = _dims_cache.get(tree)
-    if dims is None:
-        dims = [tree.p_beta_space(k)[1] for k in range(tree.length() + 1)]
-        _dims_cache[tree] = dims
-    return dims
-
-
 def find_embedding(
     src: GroupTree,
     src_pins: Sequence[GroupElement],
@@ -198,14 +187,11 @@ def _tables_for(dst: GroupTree, bound: int) -> _GroupTables:
 
 
 def _find_embedding_uncached(src, src_pins, dst, dst_pins, onto, bound):
-    ds, dd = _tree_invariant_dims(src), _tree_invariant_dims(dst)
-    for k in range(max(len(ds), len(dd))):
-        a = ds[k] if k < len(ds) else 0
-        b = dd[k] if k < len(dd) else 0
-        if onto and a != b:
-            return None
-        if not onto and a > b:
-            return None
+    # an embedding maps (p^k src)[p] into (p^k dst)[p]; a longer ds fails
+    # at dd's final 0, so zip compares enough
+    ds, dd = src.socle_dims, dst.socle_dims
+    if ds != dd if onto else any(a > b for a, b in zip(ds, dd)):
+        return None
     for x, y in zip(src_pins, dst_pins):
         if x.order() != y.order():
             return None
@@ -451,15 +437,19 @@ def leq_barker(
 ) -> bool:
     """Height/subgroup characterization of <=_beta for tuples in one group.
 
-    Also accepts two carriers with equal invariants; the socle-finiteness
-    case split is read off the left profile. For explicit finite groups
-    every case lands in the finite-socle branch: heights must match
-    entrywise on top of the generated-subgroup correspondence.
+    Also accepts two carriers with equal invariants (two tree groups with
+    unequal ones raise ValueError); the socle-finiteness case split is read
+    off the left profile. For explicit finite groups every case lands in the
+    finite-socle branch: heights must match entrywise on top of the
+    generated-subgroup correspondence.
     """
     if isinstance(beta, int):
         beta = nat(beta)
     if beta < nat(1):
         raise ValueError("the characterization needs beta >= 1")
+    if isinstance(A, GroupTree) and isinstance(B, GroupTree):
+        if A.socle_dims != B.socle_dims:
+            raise ValueError("the characterization needs equal invariants")
     holderA, abar, profileA = _carrier(A, abar)
     holderB, bbar, _ = _carrier(B, bbar)
     if len(abar) > len(bbar):

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .ordinal import INFINITY, HeightValue, Ordinal, nat
-from .pgroup import BoundExceeded, DEFAULT_BOUND, GroupElement, GroupTree
+from .pgroup import BoundExceeded, GroupElement, GroupTree
 from .ulm import OMEGA_VALUE, Profile, invariants_of, value_ge
 
 FRAGMENT_BOUND = 2**13
@@ -367,7 +367,7 @@ def canonical_fragment(
     return pg
 
 
-def from_tree(tree: GroupTree, bound: int = DEFAULT_BOUND) -> ProfiledGroup:
+def from_tree(tree: GroupTree) -> ProfiledGroup:
     """Wrap an explicit tree group as a (non-growable) profiled group."""
     order = sorted(tree.nonroot, key=lambda v: (tree.depth(v), v))
     index = {v: i for i, v in enumerate(order)}
@@ -382,8 +382,7 @@ def from_tree(tree: GroupTree, bound: int = DEFAULT_BOUND) -> ProfiledGroup:
             pimage = tuple(vec)
         gens.append(FragmentGen(v, pimage, nat(tree.rank(v))))
     frag = Fragment(tree.p, tuple(gens))
-    pg = ProfiledGroup(invariants_of(tree, bound), frag, False, tree)
-    return pg
+    return ProfiledGroup(invariants_of(tree), frag, False, tree)
 
 
 def tree_to_fragment_elem(pg: ProfiledGroup, x: GroupElement) -> FragmentElement:

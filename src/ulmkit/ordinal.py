@@ -279,7 +279,7 @@ class _Infinity:
 
 INFINITY = _Infinity()
 
-HeightValue = Union[Ordinal, _Infinity]
+HeightValue = Ordinal | _Infinity
 
 
 def height_min(a: HeightValue, b: HeightValue) -> HeightValue:

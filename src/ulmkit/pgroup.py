@@ -12,13 +12,18 @@ and that span is closed under the carry rewrites, so
 
     h(sum c_v v) = min over the support of rank(v).
 
-``height_of`` uses this rule; ``height_of_by_chain`` recomputes the chain
-membership directly and the test suite checks they agree.
+With N_k the number of non-root nodes of rank >= k, |p^k G| = p^(N_k) and
+dim (p^k G)[p] = N_k - N_(k+1), the count ``socle_dims`` keeps per rank.
+``height_of`` and ``socle_dims`` use these rules; the enumeration methods
+(``elements``, ``socle``, ``pk_chain``, ``p_beta_space``,
+``height_of_by_chain``) recompute them from element arithmetic as the
+independent cross-check, and refuse groups above a bound.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional
 
@@ -136,6 +141,9 @@ class GroupTree:
         for v in sorted(self.nodes, key=lambda u: -self._depth[u]):
             cs = self.children[v]
             self._rank[v] = 1 + max(self._rank[c] for c in cs) if cs else 0
+        # dim (p^k G)[p] for k = 0 .. length; every rank below length occurs
+        ranks = Counter(self._rank[v] for v in self.nonroot)
+        self.socle_dims = tuple(ranks[k] for k in range(len(ranks) + 1))
         self.size: int = p ** len(self.nonroot)
         self._zero = GroupElement(self, ())
 
@@ -150,7 +158,7 @@ class GroupTree:
 
     def length(self) -> int:
         """Least n with p^n G = 0."""
-        return max((self._rank[v] + 1 for v in self.nonroot), default=0)
+        return len(self.socle_dims) - 1
 
     # -- elements ----------------------------------------------------------
 

@@ -1,7 +1,11 @@
 """Ulm invariants: concrete computation and symbolic profiles.
 
 For a tree group, u_beta(G) is the GF(p) dimension of P_beta / P_{beta+1}
-where P_beta = {x : px = 0, h(x) >= beta}; only finite beta occur.
+where P_beta = {x : px = 0, h(x) >= beta}; only finite beta occur. With N_k
+the number of non-root nodes of rank >= k, dim P_k = N_k - N_{k+1}, so
+u_k = N_k - 2 N_{k+1} + N_{k+2} (Kaplansky). ``invariants_of`` reads this off
+``GroupTree.socle_dims`` at any size; ``holds_B`` and ``p_beta_space``
+enumerate elements instead and serve as the independent cross-check.
 
 Infinitely generated groups are described symbolically by a Profile: an
 ordinal length plus an ordered list of first-match rule clauses assigning a
@@ -16,8 +20,9 @@ segment.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 from .ordinal import OMEGA, Ordinal, nat
 from .pgroup import DEFAULT_BOUND, GroupTree
@@ -48,7 +53,7 @@ class _OmegaValue:
 
 OMEGA_VALUE = _OmegaValue()
 
-UValue = Union[int, _OmegaValue]
+UValue = int | _OmegaValue
 
 
 def value_ge(a: UValue, b: UValue) -> bool:
@@ -269,21 +274,18 @@ def band_split_index(P: Profile, thr: Ordinal) -> Optional[int]:
 # -- invariants of explicit trees -------------------------------------------
 
 
-_invariants_cache: dict = {}
+_invariants_memo = weakref.WeakKeyDictionary()  # a profile dies with its tree
 
 
-def invariants_of(tree: GroupTree, bound: int = DEFAULT_BOUND) -> Profile:
-    cached = _invariants_cache.get((tree, bound))
-    if cached is not None:
-        return cached
-    length = tree.length()
-    dims = [tree.p_beta_space(n, bound)[1] for n in range(length + 1)]
-    clauses = tuple(
-        Clause(nat(n), nat(n + 1), "any", dims[n] - dims[n + 1])
-        for n in range(length)
-    )
-    profile = Profile(nat(length), clauses)
-    _invariants_cache[(tree, bound)] = profile
+def invariants_of(tree: GroupTree) -> Profile:
+    profile = _invariants_memo.get(tree)
+    if profile is None:
+        dims, length = tree.socle_dims, tree.length()
+        clauses = tuple(
+            Clause(nat(n), nat(n + 1), "any", dims[n] - dims[n + 1])
+            for n in range(length)
+        )
+        profile = _invariants_memo[tree] = Profile(nat(length), clauses)
     return profile
 
 

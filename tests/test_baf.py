@@ -171,15 +171,15 @@ class TestGameAgainstBarkerSameGroup:
         # carriers with equal invariants). Across genuinely different
         # groups the level-1 game tolerates height inflation where the
         # height clause does not: Z_2 embeds into Z_4 with its socle
-        # generator landing at height 1.
+        # generator landing at height 1. The closed form refuses there.
         z4, z2 = chain(2, 2), chain(2, 1)
         abar = (z4.node("c1"),)  # height 1
         bbar = (z2.node("c1"),)  # height 0
         assert leq_std_game(z4, abar, z2, bbar, 1) is True
-        assert leq_barker(z4, abar, z2, bbar, 1) is False
-        # at level 2 both routes agree again (no isomorphism)
         assert leq_std_game(z4, abar, z2, bbar, 2) is False
-        assert leq_barker(z4, abar, z2, bbar, 2) is False
+        for beta in (1, 2):
+            with pytest.raises(ValueError, match="equal invariants"):
+                leq_barker(z4, abar, z2, bbar, beta)
 
     def test_two_equal_trees_agree_across(self):
         A = chain(2, 2)

@@ -42,6 +42,16 @@ class TestInvariants:
         assert main(["invariants", files("t.json", CHAIN2)]) == 0
         assert capsys.readouterr().out == "u_0=0\nu_1=1\n"
 
+    def test_large_chain_exits_0(self, files, capsys):
+        # Z_{2^16}: beyond what element enumeration allows
+        parent = {"r": None}
+        parent.update({f"c{i}": f"c{i - 1}" if i > 1 else "r" for i in range(1, 17)})
+        path = files("chain16.json", GroupTree(2, parent))
+        assert main(["invariants", path]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "u_15=1"
+        assert main(["iso", path, path]) == 0
+        assert capsys.readouterr().out == "isomorphic\n"
+
     def test_missing_file_exits_2(self, files, capsys, tmp_path):
         assert main(["invariants", str(tmp_path / "nope.json")]) == 2
         assert capsys.readouterr().err.startswith("error:")
@@ -104,6 +114,25 @@ class TestBaf:
             )
             assert code == 0
         assert capsys.readouterr().out == "holds\nholds\n"
+
+    def test_closed_form_refuses_unequal_invariants(self, files, capsys):
+        z4 = files("z4.json", CHAIN2)
+        z2 = files("z2.json", GroupTree(2, {"r": None, "c1": "r"}))
+        code = main(
+            [
+                "baf",
+                "--beta",
+                "2",
+                "--left",
+                f"{z4},c2",
+                "--right",
+                f"{z2},c1",
+                "--method",
+                "closed",
+            ]
+        )
+        assert code == 2
+        assert "equal invariants" in capsys.readouterr().err
 
     def test_game_rejects_infinite_level(self, files, capsys):
         t = files("t.json", CHAIN2)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from ulmkit.ordinal import INFINITY, nat
 from ulmkit.pgroup import BoundExceeded, GroupTree, generated_iso
+from ulmkit.verify import tree_of, tree_shapes
 
 
 def chain(p: int, n: int) -> GroupTree:
@@ -155,6 +156,21 @@ class TestSubspaces:
         _, d1 = t.p_beta_space(1)
         _, d2 = t.p_beta_space(2)
         assert (d0, d1, d2) == (2, 1, 0)
+
+    @pytest.mark.parametrize(
+        "p, vec",
+        [
+            (p, vec)
+            for p, most in ((2, 6), (3, 5))
+            for n in range(most + 1)
+            for vec in tree_shapes(n)
+        ],
+    )
+    def test_socle_dims_match_enumeration(self, p, vec):
+        t = tree_of(p, vec)
+        # pk_chain runs G, pG, ... down to {0}: one entry per k = 0 .. length
+        want = tuple(t.p_beta_space(k)[1] for k in range(len(t.pk_chain())))
+        assert t.socle_dims == want
 
     def test_p_beta_basis_spans(self):
         t = star(3, 3)

@@ -1,6 +1,13 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
+
+import ulmkit
 
 from ulmkit.ordinal import OMEGA, Ordinal, nat, omega_power, parse_ordinal
 from ulmkit.pgroup import GroupTree
@@ -183,6 +190,23 @@ class TestTreeInvariants:
         Q = invariants_of(star)
         assert Q.value_at(nat(0)) == 2
 
+    def test_large_trees_answer_from_node_ranks(self):
+        # far above the enumeration bound (2^16 and 2^20 elements)
+        parent = {"r": None}
+        prev = "r"
+        for i in range(16):
+            parent[f"c{i}"] = prev
+            prev = f"c{i}"
+        P = invariants_of(tree(2, parent))  # Z_{2^16}
+        assert [P.value_at(nat(n)) for n in range(17)] == [0] * 15 + [1, 0]
+        # a chain of 10 with 10 leaves under its end: Z_{2^11} + (Z_2)^9
+        broom = {"r": None, "c1": "r"}
+        broom.update({f"c{i}": f"c{i - 1}" for i in range(2, 11)})
+        broom.update({f"l{i}": "c10" for i in range(10)})
+        Q = invariants_of(tree(2, broom))
+        assert Q.length == nat(11)
+        assert [Q.value_at(nat(n)) for n in range(12)] == [9] + [0] * 9 + [1, 0]
+
     def test_iso_detection_via_profiles(self):
         a = tree(2, {"r": None, "a": "r", "b": "a"})  # Z_4
         b = tree(2, {"r": None, "x": "r", "y": "r"})  # Z_2 x Z_2
@@ -263,3 +287,27 @@ class TestConstructors:
         P = Profile(OMEGA, (Clause(nat(0), OMEGA, "any", 1),))
         with pytest.raises(ValueError):
             realize_finite_profile(P, 2)
+
+
+def test_reimported_package_is_freed():
+    # The benchmark and long-lived callers re-import the package; a module
+    # level typing alias (typing.Union[...]) would keep the first copy alive
+    # through typing's cache. Run in a subprocess so the two copies never
+    # mix in this process.
+    script = textwrap.dedent(
+        """
+        import gc, sys, weakref
+        import ulmkit
+        first = weakref.ref(ulmkit.ulm.Clause)
+        for name in [n for n in sys.modules if n.split(".")[0] == "ulmkit"]:
+            del sys.modules[name]
+        import ulmkit
+        assert ulmkit.ulm.Clause is not first()
+        gc.collect()
+        sys.exit(0 if first() is None else 1)
+        """
+    )
+    src = os.path.dirname(os.path.dirname(ulmkit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script], env=env, timeout=120)
+    assert done.returncode == 0
