@@ -15,8 +15,9 @@ quantifier-free types. Two facts collapse the search:
     directions), carrying the pinned tuple correspondence.
 
 So <=_1 is "B embeds into A with bbar -> abar" and <=_beta for beta >= 2 is
-"A and B are isomorphic with abar -> bbar". `leq_game_reference` keeps the
-literal recursion for cross-validation on tiny groups.
+"A and B are isomorphic with abar -> bbar", both decided by the search in
+`find_embedding`, which builds no whole-group table. `leq_game_reference`
+keeps the literal recursion for cross-validation on tiny groups.
 
 Route two (`leq_barker` for tuples in one group, `leq_paper` for groups
 carrying limit-infinite invariant profiles): closed-form conditions on the
@@ -33,12 +34,12 @@ explicit ones, with machine-checkable records.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 from .fragments import Fragment, FragmentElement, ProfiledGroup, from_tree
 from .ordinal import (
-    INFINITY,
     OMEGA,
     HeightValue,
     Ordinal,
@@ -55,7 +56,7 @@ from .pgroup import (
     GroupTree,
     generated_iso,
 )
-from .ulm import Profile, band_split_index, invariants_of, profiles_agree_on
+from .ulm import Profile, band_split_index, invariants_of, profiles_agree_on, ulm_equal
 
 
 class ExtensionError(RuntimeError):
@@ -77,17 +78,20 @@ def find_embedding(
 ) -> Optional[dict[str, GroupElement]]:
     """Injective homomorphism src -> dst with src_pins[i] -> dst_pins[i].
 
-    Returns the node-image assignment or None. Backtracks over tree nodes
-    (parents first); all pruning conditions are necessary ones: p*image
-    must hit the parent's image, orders are preserved exactly, heights
-    never decrease under an embedding (and are preserved by isomorphisms),
-    and image prefixes must generate subgroups of the right size.
+    Returns the node-image assignment or None. Such a map restricts to the
+    isomorphism <src_pins> -> <dst_pins> and never lowers heights, which is
+    checked on that whole subgroup (at most ``bound`` elements) first. The
+    search then places nodes, parents first, in coordinates of dst's cyclic
+    decomposition: the candidates are the preimages of the parent's image
+    under p (one solution plus socle elements) at the right height, a node
+    completing the support of a pinned-subgroup element gets the image that
+    carries it, and the socle images must stay GF(p)-independent. Raises
+    BoundExceeded when a socle layer the candidates come from has more than
+    ``bound`` elements.
     """
     if src.p != dst.p or len(src_pins) != len(dst_pins):
         return None
-    if onto and src.size != dst.size:
-        return None
-    if src.size > dst.size:
+    if src.size > dst.size or onto and src.size != dst.size:
         return None
     # the pin constraint is the set of (source, target) pairs; order and
     # 0 -> 0 entries do not change it
@@ -109,133 +113,44 @@ def find_embedding(
     return result
 
 
-class _GroupTables:
-    """Integer form of a finite tree group: elements are indexed by their
-    position in the sorted enumeration, with addition / scalar tables so
-    the embedding search runs on ints. Built once per (tree, bound)."""
-
-    def __init__(self, dst: GroupTree, bound: int):
-        self.elems = sorted(dst.elements(bound), key=lambda e: e.coeffs)
-        nonroot = dst.nonroot
-        p = dst.p
-        n = len(nonroot)
-        par = [
-            nonroot.index(dst.parent[v]) if dst.parent[v] != dst.root else -1
-            for v in nonroot
-        ]
-        deep_first = sorted(range(n), key=lambda k: -dst.depth(nonroot[k]))
-
-        def dense(e: GroupElement) -> tuple[int, ...]:
-            got = dict(e.coeffs)
-            return tuple(got.get(v, 0) for v in nonroot)
-
-        vecs = [list(dense(e)) for e in self.elems]
-        self.index = {tuple(v): i for i, v in enumerate(vecs)}
-        self.node_pos = {v: k for k, v in enumerate(nonroot)}
-
-        def norm(vec: list[int]) -> int:
-            for k in deep_first:
-                c = vec[k]
-                if c >= p or c < 0:
-                    q, r = divmod(c, p)
-                    vec[k] = r
-                    j = par[k]
-                    if j >= 0:
-                        vec[j] += q
-            return self.index[tuple(vec)]
-
-        size = len(self.elems)
-        self.add = [[0] * size for _ in range(size)]
-        for i in range(size):
-            for j in range(i, size):
-                s = norm([a + b for a, b in zip(vecs[i], vecs[j])])
-                self.add[i][j] = s
-                self.add[j][i] = s
-        self.neg = [norm([-c for c in v]) for v in vecs]
-        self.smul = [[norm([k * c for c in v]) for v in vecs] for k in range(p)]
-        # scalars 1..p-1 are units, so each smul row is a permutation
-        self.sinv = [[0] * size for _ in range(p)]
-        for k in range(1, p):
-            for i, j in enumerate(self.smul[k]):
-                self.sinv[k][j] = i
-        self.pmul = []
-        for v in vecs:
-            out = [0] * n
-            for k, c in enumerate(v):
-                if c and par[k] >= 0:
-                    out[par[k]] += c
-            self.pmul.append(norm(out))
-        self.height = []
-        for e in self.elems:
-            h = dst.height_of(e)
-            self.height.append(-1 if h is INFINITY else h.as_int())
-
-    def index_of(self, e: GroupElement) -> int:
-        got = dict(e.coeffs)
-        return self.index[tuple(got.get(v, 0) for v in self.node_pos)]
-
-
-_table_cache: dict = {}
-
-
-def _tables_for(dst: GroupTree, bound: int) -> _GroupTables:
-    key = (dst, bound)
-    tab = _table_cache.get(key)
-    if tab is None:
-        tab = _table_cache[key] = _GroupTables(dst, bound)
-    return tab
-
-
 def _find_embedding_uncached(src, src_pins, dst, dst_pins, onto, bound):
     # an embedding maps (p^k src)[p] into (p^k dst)[p]; a longer ds fails
     # at dd's final 0, so zip compares enough
     ds, dd = src.socle_dims, dst.socle_dims
     if ds != dd if onto else any(a > b for a, b in zip(ds, dd)):
         return None
-    for x, y in zip(src_pins, dst_pins):
-        if x.order() != y.order():
-            return None
-        hx, hy = x.height(), y.height()
-        if onto and hx != hy:
-            return None
-        if not onto and not hy >= hx:
-            return None
-
-    # an injective map between groups of equal size is bijective, so the
-    # exact-height filters of the onto search are complete for it too
+    # an embedding never lowers heights, and an injective map between
+    # groups of equal size is bijective, so it keeps them
     exact = onto or src.size == dst.size
 
+    # an embedding carrying the pins restricts to this isomorphism on <pins>
+    pin_map = generated_iso(src, src_pins, dst, dst_pins, bound)
+    if pin_map is None or not all(
+        y.height() == x.height() if exact else y.height() >= x.height()
+        for x, y in pin_map.items()
+    ):
+        return None
+
     # parents before children; within a depth, nodes appearing in pin
-    # supports first, so pin images get fixed (and checked) near the root
-    # of the search tree
+    # supports first, so pin images get fixed near the root of the search
     pinned_sup = {v for x in src_pins for v in x.support}
     order = sorted(
         src.nonroot, key=lambda v: (src.depth(v), v not in pinned_sup, v)
     )
-    tab = _tables_for(dst, bound)
-    add, smul, pmul, hts = tab.add, tab.smul, tab.pmul, tab.height
-    # candidates for a node of rank r with assigned parent image t are the
-    # preimages of t at height exactly r (bijective case) or >= r
-    max_rank = max((src.rank(v) for v in src.nonroot), default=0)
-    by_height: dict[tuple[int, int], list[int]] = {}
-    for y, hk in enumerate(hts):
-        t = pmul[y]
-        for r in range(max_rank + 1):
-            if hk == r if exact else (hk == -1 or hk >= r):
-                by_height.setdefault((t, r), []).append(y)
-    bucket_sets = {key: set(vals) for key, vals in by_height.items()}
-
-    # a pin's image is fixed as soon as its whole support is assigned, so
-    # check it right then instead of at the leaves of the search
     pos = {v: i for i, v in enumerate(order)}
-    due: dict[str, list[tuple[GroupElement, int]]] = {}
-    for x, y in zip(src_pins, dst_pins):
-        if not x.support:
-            if not y.is_zero:
-                return None
-            continue
-        last = max(x.support, key=pos.__getitem__)
-        due.setdefault(last, []).append((x, tab.index_of(y)))
+    dec = dst.decomposition  # images are coordinate tuples
+    p, mods = dst.p, dec.moduli
+
+    # The elements of <pins> on the first i nodes of `order` form a group
+    # that grows at most p-fold per node, as the span of those nodes does.
+    # So forcing f(v) to carry one element x with v last in its support
+    # makes all of <pins> map right by the time its support is placed.
+    forced: dict[str, tuple] = {}
+    for x, y in pin_map.items():
+        if x.coeffs:
+            forced.setdefault(
+                max(x.support, key=pos.__getitem__), (x.coeffs, dec.encode(y))
+            )
 
     # symmetry break: sibling subtrees of identical shape that no pin
     # touches are interchangeable, so force their root images into
@@ -254,67 +169,78 @@ def _find_embedding_uncached(src, src_pins, dst, dst_pins, onto, bound):
             if any(w in pinned_sup for w in subtree[c]):
                 continue
             groups.setdefault(shape(c), []).append(c)
-        for orbit in groups.values():
-            orbit.sort()
+        for orbit in groups.values():  # children come sorted
             for u, v in zip(orbit, orbit[1:]):
                 sym_pred[v] = u
 
-    assign: dict[str, int] = {src.root: 0}
-    span: set[int] = {0}
+    # The y with p*y = t = f(parent v) and h(y) >= r = rank(v) are y0 + s:
+    # y0 = t/p coordinatewise, of height h(t) - 1 >= r, and s in the socle
+    # at height >= r, exactly r in the exact case unless h(t) = r + 1.
+    # f is injective iff it is on the socle. Placing v adds the socle
+    # vector v (parent the root) or v - w (w the first placed sibling), of
+    # image coordinates k_v or k_v - k_w; these must stay independent.
+    first_child: dict[str, str] = {}
+    plan = []
+    for v in order:
+        u, r = src.parent[v], src.rank(v)
+        w = first_child.setdefault(u, v)
+        layer = dec.socle_layer(
+            r, exact and (u == src.root or src.rank(u) > r + 1), bound
+        )
+        added = u if u == src.root else None if w == v else w
+        plan.append((v, u, layer, forced.get(v), added, sym_pred.get(v)))
+    basis: list[tuple[int, list[int]]] = []  # echelon rows, row[pivot] = 1
 
-    def image_of(x: GroupElement) -> int:
-        acc = 0
-        for v, c in x.coeffs:
-            acc = add[acc][smul[c][assign[v]]]
-        return acc
+    def independent(vec: list[int]) -> bool:
+        for piv, row in basis:
+            if vec[piv]:
+                vec = [(a - vec[piv] * b) % p for a, b in zip(vec, row)]
+        for piv, c in enumerate(vec):
+            if c:
+                basis.append((piv, [a * pow(c, -1, p) % p for a in vec]))
+                return True
+        return False
 
-    neg, sinv = tab.neg, tab.sinv
+    assign: dict[str, tuple[int, ...]] = {src.root: dec.zero}
+    socle_k: dict[str, tuple[int, ...]] = {src.root: dec.zero}
 
     def place(i: int) -> bool:
-        if i == len(order):
+        if i == len(plan):
             return True
-        v = order[i]
-        target = assign[src.parent[v]]
-        prev = sym_pred.get(v)
-        floor = assign[prev] if prev is not None else -1
-        key = (target, src.rank(v))
-        cands: Iterable[int] = by_height.get(key, ())
-        pinned_here = due.get(v)
+        v, u, layer, pinned_here, added, prev = plan[i]
+        y0 = tuple(a // p for a in assign[u])
+        cands: Iterable = layer.items()
         if pinned_here:
-            # v is the last unassigned support node of the pin, so its
-            # image is forced: c*image = y - (rest of the pin's image)
-            x, y = pinned_here[0]
-            rest = 0
-            cv = 0
-            for u, c in x.coeffs:
-                if u == v:
-                    cv = c
+            # c * f(v) = f(x) - (image of the rest of x), and c is a unit
+            # modulo the exponent of dst
+            coeffs, acc = pinned_here
+            for w, c in coeffs:
+                if w == v:
+                    inv = pow(c, -1, max(mods))
                 else:
-                    rest = add[rest][smul[c][assign[u]]]
-            forced = sinv[cv][add[y][neg[rest]]]
-            cands = (forced,) if forced in bucket_sets.get(key, ()) else ()
-        for cand in cands:
-            if cand <= floor or cand in span:
-                continue  # order within orbits; prefix subgroup injectivity
-            assign[v] = cand
-            if any(image_of(x) != y for x, y in due.get(v, ())):
-                del assign[v]
-                continue
-            added = [
-                add[s][kc]
-                for k in range(1, src.p)
-                for kc in (smul[k][cand],)
-                for s in span
-            ]
-            span.update(added)
+                    acc = [a - c * b for a, b in zip(acc, assign[w])]
+            s = tuple((a * inv - b) % m for a, b, m in zip(acc, y0, mods))
+            k = tuple(c * p // m for c, m in zip(s, mods))
+            cands = ((k, s),) if layer.get(k) == s else ()
+        for k, s in cands:
+            if prev is not None and k <= socle_k[prev]:
+                continue  # order within orbits (siblings share y0)
+            if added is None:
+                vec = None  # a first child adds no socle vector
+            else:
+                vec = [(a - b) % p for a, b in zip(k, socle_k[added])]
+                if not independent(vec):
+                    continue
+            assign[v] = tuple(map(operator.add, y0, s))
+            socle_k[v] = k
             if place(i + 1):
                 return True
-            del assign[v]
-            span.difference_update(added)
+            if vec is not None:
+                basis.pop()
         return False
 
     if place(0):
-        return {v: tab.elems[i] for v, i in assign.items()}
+        return {v: dec.decode(z) for v, z in assign.items()}
     return None
 
 
@@ -437,9 +363,9 @@ def leq_barker(
 ) -> bool:
     """Height/subgroup characterization of <=_beta for tuples in one group.
 
-    Also accepts two carriers with equal invariants (two tree groups with
-    unequal ones raise ValueError); the socle-finiteness case split is read
-    off the left profile. For explicit finite groups every case lands in the
+    Also accepts two carriers with equal invariants (unequal ones raise
+    ValueError); the socle-finiteness case split is read off the left
+    profile. For explicit finite groups every case lands in the
     finite-socle branch: heights must match entrywise on top of the
     generated-subgroup correspondence.
     """
@@ -447,11 +373,11 @@ def leq_barker(
         beta = nat(beta)
     if beta < nat(1):
         raise ValueError("the characterization needs beta >= 1")
-    if isinstance(A, GroupTree) and isinstance(B, GroupTree):
-        if A.socle_dims != B.socle_dims:
-            raise ValueError("the characterization needs equal invariants")
     holderA, abar, profileA = _carrier(A, abar)
-    holderB, bbar, _ = _carrier(B, bbar)
+    holderB, bbar, profileB = _carrier(B, bbar)
+    trees = isinstance(A, GroupTree) and isinstance(B, GroupTree)
+    if A.socle_dims != B.socle_dims if trees else not ulm_equal(profileA, profileB):
+        raise ValueError("the characterization needs equal invariants")
     if len(abar) > len(bbar):
         return False
     bbar = bbar[: len(abar)]

@@ -26,11 +26,12 @@ trees.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .ordinal import INFINITY, HeightValue, Ordinal, nat
-from .pgroup import BoundExceeded, GroupElement, GroupTree
+from .pgroup import BoundExceeded, GroupElement, GroupTree, subgroup_elements
 from .ulm import OMEGA_VALUE, Profile, invariants_of, value_ge
 
 FRAGMENT_BOUND = 2**13
@@ -206,21 +207,7 @@ class Fragment:
     def subgroup(
         self, gens: Iterable[FragmentElement], bound: int = FRAGMENT_BOUND
     ) -> frozenset[FragmentElement]:
-        gens = list(gens)
-        closure = {self.zero()}
-        frontier = [self.zero()]
-        while frontier:
-            fresh = []
-            for x in frontier:
-                for g in gens:
-                    y = x + g
-                    if y not in closure:
-                        if len(closure) >= bound:
-                            raise BoundExceeded(f"subgroup exceeds {bound}")
-                        closure.add(y)
-                        fresh.append(y)
-            frontier = fresh
-        return frozenset(closure)
+        return frozenset(subgroup_elements(self.zero(), gens, operator.add, bound))
 
     # -- growth ----------------------------------------------------------------
 

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import random
+import time
+
 import pytest
 
 from ulmkit.baf import (
@@ -14,6 +17,7 @@ from ulmkit.baf import (
     leq_game_reference,
     leq_paper,
     leq_std_game,
+    relation,
 )
 from ulmkit.fragments import (
     Fragment,
@@ -23,8 +27,9 @@ from ulmkit.fragments import (
     from_tree,
 )
 from ulmkit.ordinal import OMEGA, canonical_cofinal, nat, parse_ordinal
-from ulmkit.pgroup import GroupTree
+from ulmkit.pgroup import BoundExceeded, GroupTree
 from ulmkit.ulm import OMEGA_VALUE, Clause, Profile, band_split_index, make_G_hat
+from ulmkit.verify import corpus_trees
 
 
 def chain(p: int, n: int) -> GroupTree:
@@ -78,9 +83,167 @@ class TestFindEmbedding:
         z2, z4 = chain(2, 1), chain(2, 2)
         assert find_embedding(z2, [z2.node("c1")], z4, [z4.node("c2")]) is None
 
+    def test_groups_beyond_the_element_bound(self):
+        # 2^16 to 2^20 elements, above DEFAULT_BOUND: only the pinned
+        # subgroup and socle elements are enumerated, never the group
+        a, b = chain(2, 16), chain(2, 17)
+        found = find_embedding(a, [a.node("c3")], b, [b.node("c3")])
+        assert found is not None and found["c3"] == b.node("c3")
+        parent = {"r": None, **{f"l{i}": "r" for i in range(9)}}
+        parent.update({f"c{i}": f"c{i - 1}" if i > 1 else "r" for i in range(1, 12)})
+        broom = GroupTree(2, parent)  # Z_(2^11) + (Z_2)^9
+        l0, l1, c1 = broom.node("l0"), broom.node("l1"), broom.node("c1")
+        found = find_embedding(broom, [l0], broom, [l1], onto=True)
+        assert found is not None and found["l0"] == l1
+        assert find_embedding(broom, [l0], broom, [c1]) is None  # height 0 -> 10
+
+    def test_large_socle_is_refused(self):
+        # (Z_2)^30: every candidate layer is the whole group
+        big = star(2, 30)
+        start = time.perf_counter()
+        with pytest.raises(BoundExceeded):
+            find_embedding(big, [], big, [], onto=True)
+        with pytest.raises(BoundExceeded):
+            leq_std_game(big, [], big, [], 1)
+        assert time.perf_counter() - start < 1.0
+
     def test_result_is_cached(self):
         a, b = chain(2, 2), chain(2, 3)
         assert find_embedding(a, [], b, []) is find_embedding(a, [], b, [])
+
+
+def brute_force_embeddings(src: GroupTree, dst: GroupTree) -> list[tuple[int, ...]]:
+    """Every injective homomorphism src -> dst, by trying all node images.
+
+    Integer tables of dst keep this independent of the search under test.
+    A map is the tuple of dst-element indices of the src elements in
+    `sorted(src.elements(), key=coeffs)` order; a node prefix whose
+    images already collide is dropped.
+    """
+    elems = sorted(dst.elements(), key=lambda e: e.coeffs)
+    index = {e: i for i, e in enumerate(elems)}
+    add = [[index[a + b] for b in elems] for a in elems]
+    pmul = [index[e.times_p()] for e in elems]
+    order = sorted(src.nonroot, key=src.depth)
+    p, found = src.p, []
+
+    def extend(i: int, images: list[int], node_img: dict) -> None:
+        if len(set(images)) < len(images):
+            return
+        if i == len(order):
+            found.append(images)
+            return
+        v = order[i]
+        target = node_img.get(src.parent[v], 0)  # the root maps to zero
+        for y in range(len(elems)):
+            if pmul[y] == target:
+                multiples = [0]
+                for _ in range(p - 1):
+                    multiples.append(add[multiples[-1]][y])
+                node_img[v] = y
+                extend(i + 1, [add[a][m] for a in images for m in multiples], node_img)
+        node_img.pop(v, None)
+
+    extend(0, [0], {})
+    # images[j] belongs to the element with digit c_k (k-th node of
+    # `order`) in place p^(n-1-k); reindex by sorted src elements
+    digit_pos = {v: p ** (len(order) - 1 - k) for k, v in enumerate(order)}
+    src_elems = sorted(src.elements(), key=lambda e: e.coeffs)
+    slot = [sum(c * digit_pos[v] for v, c in x.coeffs) for x in src_elems]
+    return [tuple(m[j] for j in slot) for m in found]
+
+
+def check_witness(src, src_pins, dst, dst_pins, f) -> None:
+    assert f[src.root] == dst.zero()
+    for v in src.nonroot:
+        assert f[v].times_p() == f[src.parent[v]]
+    images = {}
+    for x in src.elements():
+        y = dst.zero()
+        for v, c in x.coeffs:
+            y = y + c * f[v]
+        images[x] = y
+    assert len(set(images.values())) == src.size
+    assert all(images[x] == y for x, y in zip(src_pins, dst_pins))
+
+
+class TestEmbeddingAgainstBruteForce:
+    """find_embedding against all injective maps, on every pair of trees
+    with p = 2 and at most 4 nodes or p = 3 and at most 3 nodes: distinct
+    trees with equal invariants, with unequal ones, and each tree against
+    itself, with 0-2 pins drawn from all elements."""
+
+    @pytest.mark.parametrize("p, max_nodes", [(2, 4), (3, 3)])
+    def test_answers_and_witnesses(self, p, max_nodes):
+        rng = random.Random(f"brute-force/{p}")
+        trees = corpus_trees(max_nodes, (p,))
+        checked = 0
+        for src in trees:
+            src_elems = sorted(src.elements(), key=lambda e: e.coeffs)
+            slot = {x: j for j, x in enumerate(src_elems)}
+            for dst in trees:
+                maps = brute_force_embeddings(src, dst)
+                dst_elems = sorted(dst.elements(), key=lambda e: e.coeffs)
+                queries = []
+                for k in (0, 1, 2):
+                    for _ in range(2):
+                        xs = tuple(rng.choice(src_elems) for _ in range(k))
+                        queries.append((xs, tuple(rng.choice(dst_elems) for _ in xs)))
+                        if maps:  # the pins of an existing embedding
+                            m = rng.choice(maps)
+                            queries.append((xs, tuple(dst_elems[m[slot[x]]] for x in xs)))
+                for xs, ys in queries:
+                    want = any(
+                        all(dst_elems[m[slot[x]]] == y for x, y in zip(xs, ys))
+                        for m in maps
+                    )
+                    for onto in (False, True):
+                        got = find_embedding(src, xs, dst, ys, onto=onto)
+                        expect = want and (not onto or src.size == dst.size)
+                        assert (got is not None) == expect, (src.parent, dst.parent, xs, ys, onto)
+                        if got is not None:
+                            check_witness(src, xs, dst, ys, got)
+                        checked += 1
+        assert checked > 1000
+
+
+class TestFormerlySlowQueries:
+    """Answers recorded with the earlier whole-group-table search, which
+    took seconds on the first three; each is now a small search."""
+
+    def test_broom_with_three_twigs_at_level_four(self):
+        t = GroupTree(3, {"r": None, "n1": "r", "n2": "r", "n3": "n1", "n4": "n1", "n5": "n1"})
+        a = (t.element({"n1": 1, "n2": 1, "n3": 2, "n4": 1, "n5": 1}),)
+        b = (t.element({"n1": 1, "n2": 1, "n3": 2}),)
+        assert leq_std_game(t, a, t, b, 4) is True
+
+    def test_z9_plus_three_z3(self):
+        t = GroupTree(3, {"r": None, "n1": "r", "n2": "r", "n3": "r", "n4": "r", "n5": "n1"})
+        a = (t.element({"n1": 1, "n2": 2, "n3": 2, "n5": 1}),)
+        b = (t.element({"n1": 1, "n3": 1, "n4": 1, "n5": 2}),)
+        assert leq_std_game(t, a, t, b, 1) is True
+        a = (
+            t.element({"n1": 1, "n2": 2, "n3": 1, "n4": 1, "n5": 2}),
+            t.element({"n1": 1, "n2": 1, "n3": 1, "n4": 1, "n5": 1}),
+        )
+        b = (
+            t.element({"n1": 1, "n2": 1, "n3": 2, "n5": 1}),
+            t.element({"n1": 1, "n2": 2, "n5": 1}),
+        )
+        assert leq_std_game(t, a, t, b, 4) is False
+
+    def test_pinned_z9_z9_z3_pair(self):
+        # a2 - a1 = n3 has height 0 while b2 - b1 = 2*n1 + 2*n2 has height 1
+        t = GroupTree(3, {"r": None, "n1": "r", "n2": "r", "n3": "r", "n4": "n1", "n5": "n2"})
+        a = (
+            t.element({"n1": 1, "n3": 1, "n4": 2, "n5": 2}),
+            t.element({"n1": 1, "n3": 2, "n4": 2, "n5": 2}),
+        )
+        b = (
+            t.element({"n1": 2, "n3": 2, "n5": 2}),
+            t.element({"n1": 1, "n2": 2, "n3": 2, "n5": 2}),
+        )
+        assert leq_std_game(t, a, t, b, 2) is False
 
 
 # Micro corpus: every group here is generated by at most 2 elements, so
@@ -180,6 +343,17 @@ class TestGameAgainstBarkerSameGroup:
         for beta in (1, 2):
             with pytest.raises(ValueError, match="equal invariants"):
                 leq_barker(z4, abar, z2, bbar, beta)
+
+    def test_profiled_carriers_with_unequal_invariants_are_refused(self):
+        # the game says Z_2 embeds into Z_4 here; the closed form must not
+        # answer, whichever carrier type holds the groups
+        z4, z2 = from_tree(chain(2, 2)), from_tree(chain(2, 1))
+        abar = (z4.fragment.gen_named("c1"),)
+        bbar = (z2.fragment.gen_named("c1"),)
+        with pytest.raises(ValueError, match="equal invariants"):
+            relation(z4, abar, z2, bbar, 1)
+        with pytest.raises(ValueError, match="equal invariants"):
+            leq_barker(z4, abar, z2, bbar, 2)
 
     def test_two_equal_trees_agree_across(self):
         A = chain(2, 2)
@@ -481,6 +655,15 @@ class TestExtendExplicit:
         B = from_tree(chain(2, 2))
         d = B.fragment.gen_named("c2")
         with pytest.raises(ExtensionError, match="cannot answer below"):
+            extend_tuple(A, (), B, (), 1, 0, [d], check_hypothesis=False)
+
+    def test_hypothesis_check_refuses_unequal_invariants(self):
+        # star and chain have different invariants, outside the closed
+        # form's domain, so the hypothesis cannot be decided
+        A = from_tree(star(2, 2))
+        B = from_tree(chain(2, 2))
+        d = B.fragment.gen_named("c2")
+        with pytest.raises(ValueError, match="equal invariants"):
             extend_tuple(A, (), B, (), 1, 0, [d])
 
 

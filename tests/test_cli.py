@@ -134,6 +134,15 @@ class TestBaf:
         assert code == 2
         assert "equal invariants" in capsys.readouterr().err
 
+    def test_game_refuses_a_large_socle(self, files, capsys):
+        star = GroupTree(2, {"r": None, **{f"l{i}": "r" for i in range(30)}})
+        t = files("star30.json", star)
+        code = main(
+            ["baf", "--beta", "1", "--left", t, "--right", t, "--method", "game"]
+        )
+        assert code == 2
+        assert "exceeds" in capsys.readouterr().err
+
     def test_game_rejects_infinite_level(self, files, capsys):
         t = files("t.json", CHAIN2)
         code = main(

@@ -1,13 +1,15 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ulmkit.fragments import from_tree, tree_to_fragment_elem
 from ulmkit.ordinal import INFINITY, nat
 from ulmkit.pgroup import BoundExceeded, GroupTree, generated_iso
-from ulmkit.verify import tree_of, tree_shapes
+from ulmkit.verify import corpus_trees, tree_of, tree_shapes
 
 
 def chain(p: int, n: int) -> GroupTree:
@@ -225,3 +227,71 @@ class TestGeneratedIso:
     def test_cross_prime_rejected_by_orders(self):
         t1, t2 = chain(2, 1), chain(3, 1)
         assert generated_iso(t1, [t1.node("c1")], t2, [t2.node("c1")]) is None
+
+
+class TestCyclicDecomposition:
+    @pytest.mark.parametrize("p, max_nodes", [(2, 5), (3, 4)])
+    def test_coordinates_are_an_isomorphism(self, p, max_nodes):
+        # bijective, additive, inverted by decode, heights as valuations,
+        # and one summand Z/p^(k+1) per invariant u_k
+        for t in corpus_trees(max_nodes, (p,)):
+            d = t.decomposition
+            counts = [sum(1 for e in d.exponents if e == k + 1) for k in range(t.length())]
+            assert counts == [a - b for a, b in zip(t.socle_dims, t.socle_dims[1:])]
+            elems = list(t.elements())
+            coords = {x: d.encode(x) for x in elems}
+            assert len(set(coords.values())) == t.size
+            for x in elems:
+                assert d.decode(coords[x]) == x
+                vals = [
+                    min(k for k in range(e) if z % p ** (k + 1))
+                    for z, e in zip(coords[x], d.exponents)
+                    if z
+                ]
+                assert t.height_of(x) == (nat(min(vals)) if vals else INFINITY)
+            for x, y in itertools.islice(itertools.product(elems, elems), 0, None, 7):
+                want = tuple((a + b) % m for a, b, m in zip(coords[x], coords[y], d.moduli))
+                assert coords[x + y] == want
+
+    def test_socle_layers(self):
+        for t in corpus_trees(5, (2,)) + corpus_trees(4, (3,)):
+            d, p, dims = t.decomposition, t.p, t.socle_dims
+            for r in range(t.length()):
+                for exact in (False, True):
+                    layer = d.socle_layer(r, exact)
+                    size = p ** dims[r] - (p ** dims[r + 1] if exact else 0)
+                    assert len(layer) == size
+                    for s in layer.values():
+                        x = d.decode(s)
+                        assert x.times_p().is_zero
+                        h = t.height_of(x)
+                        assert h == nat(r) if exact else (x.is_zero or h >= nat(r))
+
+
+class TestGeneratedIsoRoutes:
+    def test_tree_coordinates_agree_with_fragment_arithmetic(self):
+        # trees go through decomposition coordinates, fragments through
+        # element addition; the same pins must give the same answer
+        rng = random.Random("generated-iso-routes")
+        trees = corpus_trees(4, (2, 3))
+        for _ in range(400):
+            A = rng.choice(trees)
+            B = rng.choice([t for t in trees if t.p == A.p])
+            k = rng.randint(0, 2)
+            abar = [rng.choice(list(A.elements())) for _ in range(k)]
+            bbar = [rng.choice(list(B.elements())) for _ in range(k)]
+            if rng.random() < 0.3:  # a correspondence that always extends
+                B, bbar = A, abar
+            fa, fb = from_tree(A), from_tree(B)
+            got = generated_iso(A, abar, B, bbar)
+            frag = generated_iso(
+                fa.fragment,
+                [tree_to_fragment_elem(fa, x) for x in abar],
+                fb.fragment,
+                [tree_to_fragment_elem(fb, y) for y in bbar],
+            )
+            assert (got is None) == (frag is None), (A.parent, abar, B.parent, bbar)
+            if got is not None:
+                assert len(got) == len(frag)
+                for x, y in got.items():
+                    assert frag[tree_to_fragment_elem(fa, x)] == tree_to_fragment_elem(fb, y)
