@@ -28,5 +28,5 @@ print("two spellings of Z4+Z2:", ulm_equal(invariants_of(z4_z2), invariants_of(o
 # heights: how often an element can be divided by p
 # in the chain r -> a -> b the relation reads 2*b = a, so a is divisible
 a, c = z4_z2.node("a"), z4_z2.node("c")
-print(f"\nheight of a in Z4+Z2:   {z4_z2.height_of(a)} (a = 2b)")
-print(f"height of a+c:          {z4_z2.height_of(a + c)} (adding the leaf c spoils divisibility)")
+print(f"\nheight of a in Z4+Z2:   {a.height()} (a = 2b)")
+print(f"height of a+c:          {(a + c).height()} (adding the leaf c spoils divisibility)")

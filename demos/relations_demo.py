@@ -39,8 +39,8 @@ for beta in (1, 2, 3, 4):
 print()
 print("What the closed form checks here:")
 print(f"  (c) vs (y):   <c> has order 8, <y> order 4, no correspondence at all")
-print(f"  (y) vs (y+z): y -> y+z extends to <y> ~ <y+z>, heights {G.height_of(y)} = {G.height_of(y + z)}")
-print(f"  (z) vs (2y):  both give Z2, but heights {G.height_of(z)} != {G.height_of(y.times_p())}")
+print(f"  (y) vs (y+z): y -> y+z extends to <y> ~ <y+z>, heights {y.height()} = {(y + z).height()}")
+print(f"  (z) vs (2y):  both give Z2, but heights {z.height()} != {y.times_p().height()}")
 print()
 print("Inside a single finite group the verdict is the same at every level:")
 print("one round of the game can already name the whole carrier, so the")

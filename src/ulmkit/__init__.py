@@ -20,7 +20,7 @@ from .ordinal import (
     nat,
     parse_ordinal,
 )
-from .pgroup import GroupTree, GroupElement, generated_iso
+from .pgroup import GroupTree, generated_iso
 from .ulm import (
     OMEGA_VALUE,
     Clause,
@@ -62,7 +62,6 @@ from .alpha import (
     code_true_in,
     extend_run_letter,
     find_run,
-    instantiate_group_system,
     instruction_from_g,
     run_to_text,
     validate_run,
@@ -92,7 +91,6 @@ __all__ = [
     "nat",
     "parse_ordinal",
     "GroupTree",
-    "GroupElement",
     "generated_iso",
     "Clause",
     "Profile",
@@ -131,7 +129,6 @@ __all__ = [
     "code_true_in",
     "extend_run_letter",
     "find_run",
-    "instantiate_group_system",
     "instruction_from_g",
     "run_to_text",
     "validate_run",

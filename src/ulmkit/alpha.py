@@ -276,12 +276,6 @@ class AlphaSystem:
         return sigma, u, list(zip(chain_letters, descent))
 
 
-def instantiate_group_system(
-    alpha: Ordinal, seq: CofinalSequence, p: int = 2
-) -> AlphaSystem:
-    return AlphaSystem(alpha, seq, p)
-
-
 @functools.lru_cache(maxsize=8)
 def _pool_runs_for(sys: AlphaSystem) -> tuple[Run, ...]:
     """Short reference runs (one quiet, one flipped) reused by the samplers."""

@@ -36,9 +36,9 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .fragments import Fragment, FragmentElement, ProfiledGroup, from_tree
+from .fragments import ProfiledGroup
 from .ordinal import (
     OMEGA,
     HeightValue,
@@ -52,7 +52,7 @@ from .ordinal import (
 from .pgroup import (
     DEFAULT_BOUND,
     BoundExceeded,
-    GroupElement,
+    FragmentElement,
     GroupTree,
     generated_iso,
 )
@@ -70,12 +70,12 @@ _embed_cache: dict = {}
 
 def find_embedding(
     src: GroupTree,
-    src_pins: Sequence[GroupElement],
+    src_pins: Sequence[FragmentElement],
     dst: GroupTree,
-    dst_pins: Sequence[GroupElement],
+    dst_pins: Sequence[FragmentElement],
     onto: bool = False,
     bound: int = DEFAULT_BOUND,
-) -> Optional[dict[str, GroupElement]]:
+) -> Optional[dict[str, FragmentElement]]:
     """Injective homomorphism src -> dst with src_pins[i] -> dst_pins[i].
 
     Returns the node-image assignment or None. Such a map restricts to the
@@ -101,7 +101,7 @@ def find_embedding(
         frozenset(
             (x.coeffs, y.coeffs)
             for x, y in zip(src_pins, dst_pins)
-            if x.coeffs or y.coeffs
+            if not (x.is_zero and y.is_zero)
         ),
         onto,
     )
@@ -133,7 +133,7 @@ def _find_embedding_uncached(src, src_pins, dst, dst_pins, onto, bound):
 
     # parents before children; within a depth, nodes appearing in pin
     # supports first, so pin images get fixed near the root of the search
-    pinned_sup = {v for x in src_pins for v in x.support}
+    pinned_sup = {v for x in src_pins for v, _ in x.terms()}
     order = sorted(
         src.nonroot, key=lambda v: (src.depth(v), v not in pinned_sup, v)
     )
@@ -147,28 +147,28 @@ def _find_embedding_uncached(src, src_pins, dst, dst_pins, onto, bound):
     # makes all of <pins> map right by the time its support is placed.
     forced: dict[str, tuple] = {}
     for x, y in pin_map.items():
-        if x.coeffs:
-            forced.setdefault(
-                max(x.support, key=pos.__getitem__), (x.coeffs, dec.encode(y))
-            )
+        terms = x.terms()
+        if terms:
+            last = max((v for v, _ in terms), key=pos.__getitem__)
+            forced.setdefault(last, (terms, dec.encode(y)))
 
     # symmetry break: sibling subtrees of identical shape that no pin
     # touches are interchangeable, so force their root images into
-    # increasing order and search one representative per orbit
-    subtree: dict[str, list[str]] = {}
-    for v in sorted(src.nonroot, key=lambda u: -src.depth(u)):
-        subtree[v] = [v] + [w for c in src.children[v] for w in subtree[c]]
-
-    def shape(v: str) -> str:
-        return "(" + "".join(sorted(shape(c) for c in src.children[v])) + ")"
-
+    # increasing order and search one representative per orbit. Shapes
+    # are numbered and pin contact flagged bottom-up, deepest first.
+    shape: dict[str, int] = {}
+    shapes: dict[tuple, int] = {}
+    touched: dict[str, bool] = {}
+    for v in sorted(src.nodes, key=lambda u: -src.depth(u)):
+        cs = src.children[v]
+        shape[v] = shapes.setdefault(tuple(sorted(shape[c] for c in cs)), len(shapes))
+        touched[v] = v in pinned_sup or any(touched[c] for c in cs)
     sym_pred: dict[str, str] = {}
     for parent_node in src.nodes:
-        groups: dict[str, list[str]] = {}
+        groups: dict[int, list[str]] = {}
         for c in src.children[parent_node]:
-            if any(w in pinned_sup for w in subtree[c]):
-                continue
-            groups.setdefault(shape(c), []).append(c)
+            if not touched[c]:
+                groups.setdefault(shape[c], []).append(c)
         for orbit in groups.values():  # children come sorted
             for u, v in zip(orbit, orbit[1:]):
                 sym_pred[v] = u
@@ -204,17 +204,16 @@ def _find_embedding_uncached(src, src_pins, dst, dst_pins, onto, bound):
     assign: dict[str, tuple[int, ...]] = {src.root: dec.zero}
     socle_k: dict[str, tuple[int, ...]] = {src.root: dec.zero}
 
-    def place(i: int) -> bool:
-        if i == len(plan):
-            return True
+    def tries(i: int) -> Iterator[bool]:
+        """Place node plan[i] at each candidate in turn, undoing on resume."""
         v, u, layer, pinned_here, added, prev = plan[i]
         y0 = tuple(a // p for a in assign[u])
         cands: Iterable = layer.items()
         if pinned_here:
             # c * f(v) = f(x) - (image of the rest of x), and c is a unit
             # modulo the exponent of dst
-            coeffs, acc = pinned_here
-            for w, c in coeffs:
+            terms, acc = pinned_here
+            for w, c in terms:
                 if w == v:
                     inv = pow(c, -1, max(mods))
                 else:
@@ -233,15 +232,20 @@ def _find_embedding_uncached(src, src_pins, dst, dst_pins, onto, bound):
                     continue
             assign[v] = tuple(map(operator.add, y0, s))
             socle_k[v] = k
-            if place(i + 1):
-                return True
+            yield True
             if vec is not None:
                 basis.pop()
-        return False
 
-    if place(0):
-        return {v: dec.decode(z) for v, z in assign.items()}
-    return None
+    # depth-first over plan with an explicit stack, so deep trees do not
+    # hit the recursion limit
+    stack: list[Iterator[bool]] = []
+    while len(stack) < len(plan):
+        stack.append(tries(len(stack)))
+        while not next(stack[-1], False):
+            stack.pop()
+            if not stack:
+                return None
+    return {v: dec.decode(z) for v, z in assign.items()}
 
 
 # -- the standard relations on explicit groups -------------------------------
@@ -249,9 +253,9 @@ def _find_embedding_uncached(src, src_pins, dst, dst_pins, onto, bound):
 
 def leq_std_game(
     A: GroupTree,
-    abar: Sequence[GroupElement],
+    abar: Sequence[FragmentElement],
     B: GroupTree,
-    bbar: Sequence[GroupElement],
+    bbar: Sequence[FragmentElement],
     beta: int,
     bound: int = DEFAULT_BOUND,
 ) -> bool:
@@ -273,9 +277,9 @@ def leq_std_game(
 
 def leq_game_reference(
     A: GroupTree,
-    abar: Sequence[GroupElement],
+    abar: Sequence[FragmentElement],
     B: GroupTree,
-    bbar: Sequence[GroupElement],
+    bbar: Sequence[FragmentElement],
     beta: int,
     max_ext: Optional[int] = None,
     _memo: Optional[dict] = None,
@@ -399,16 +403,14 @@ def _carrier(G, tup):
     raise TypeError(f"expected a tree or profiled group, got {type(G)!r}")
 
 
-_geniso_cache: dict = {}
-
-
 def _corresponds(B, bbar, A, abar) -> bool:
-    # memoize only immutable carriers; fragments grow between calls
+    # memoize only immutable carriers, on B so the memo dies with it;
+    # fragments grow between calls
     if isinstance(A, GroupTree) and isinstance(B, GroupTree):
-        key = (B, tuple(y.coeffs for y in bbar), A, tuple(x.coeffs for x in abar))
-        hit = _geniso_cache.get(key)
+        key = (A, tuple(y.coeffs for y in bbar), tuple(x.coeffs for x in abar))
+        hit = B.iso_memo.get(key)
         if hit is None:
-            hit = _geniso_cache[key] = generated_iso(B, bbar, A, abar) is not None
+            hit = B.iso_memo[key] = generated_iso(B, bbar, A, abar) is not None
         return hit
     return generated_iso(B, bbar, A, abar) is not None
 

@@ -11,7 +11,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from .alpha import find_run, instantiate_group_system, instruction_from_g, run_to_text
+from .alpha import AlphaSystem, find_run, instruction_from_g, run_to_text
 from .baf import ExtensionError, leq_barker, leq_std_game
 from .construct import run_construction
 from .formats import (
@@ -169,7 +169,7 @@ def _cofinal_for(alpha, spec: str) -> CofinalSequence:
 def cmd_alpha_run(args) -> int:
     alpha = parse_ordinal(args.alpha)
     seq = _cofinal_for(alpha, args.cofinal)
-    system = instantiate_group_system(alpha, seq)
+    system = AlphaSystem(alpha, seq)
     src, row = load_instruction(args.g)
     run = find_run(system, instruction_from_g(src, row), args.steps)
     sys.stdout.write(run_to_text(run))

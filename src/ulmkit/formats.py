@@ -14,7 +14,7 @@ from typing import Optional, Union
 from .alpha import InstructionSource
 from .construct import PredicateTable
 from .ordinal import Ordinal, parse_ordinal
-from .pgroup import GroupElement, GroupTree
+from .pgroup import FragmentElement, GroupTree
 from .ulm import Clause, OMEGA_VALUE, Profile
 
 
@@ -84,7 +84,7 @@ def save_tree(tree: GroupTree, path: str) -> None:
 # -- element expressions ---------------------------------------------------------
 
 
-def parse_element(tree: GroupTree, text: str) -> GroupElement:
+def parse_element(tree: GroupTree, text: str) -> FragmentElement:
     """Node-sum expressions: `a`, `2*b`, `a+2*b+c`; `0` is the identity."""
     text = text.strip()
     if text == "0":
@@ -109,10 +109,10 @@ def parse_element(tree: GroupTree, text: str) -> GroupElement:
     return tree.element(raw)
 
 
-def element_to_text(x: GroupElement) -> str:
+def element_to_text(x: FragmentElement) -> str:
     if x.is_zero:
         return "0"
-    parts = [v if c == 1 else f"{c}*{v}" for v, c in x.coeffs]
+    parts = [v if c == 1 else f"{c}*{v}" for v, c in x.terms()]
     return "+".join(parts)
 
 

@@ -1,24 +1,40 @@
-"""Finite abelian p-groups presented by rooted trees.
+"""Finite abelian p-groups: height-decorated fragments, and trees as named ones.
+
+A Fragment is built by iterated one-generator extensions: generator i comes
+with a prescribed height (an ordinal) and a p-image, an element over the
+earlier generators. Elements are coefficient vectors in [0, p)^r; carries
+replace p*g_i by its p-image, which only touches lower coordinates, so
+normal forms are unique. The height of a nonzero normal form is the minimum
+generator height over its support; h(0) = infinity.
+
+That min rule is a valuation provided every creation obeys
+h(pimage) >= height + 1, which the constructor enforces:
+
+  * h(x + y) >= min(h(x), h(y)): support(x + y) is contained in
+    support(x) | support(y) together with generators a carry lands on, and
+    a carry only moves mass into a p-image, whose height exceeds that of
+    the generator it came from; and
+  * h(px) >= h(x) + 1: multiplying by p rewrites each supported generator
+    into its p-image, whose height exceeds the generator's.
 
 A rooted tree T with prime label p presents the group G(T) generated by the
-nodes, subject to p*v = parent(v) for every node and root = 0. Every element
-has a unique normal form as a sum of non-root nodes with coefficients in
-1..p-1, so |G(T)| = p^(number of non-root nodes) and a chain of n nodes under
-the root presents Z_{p^n}.
-
-Heights: h(x) is the largest k with x in p^k G(T), h(0) = infinity. For tree
-groups p^k G(T) is spanned by the nodes whose subtree depth (rank) is >= k,
-and that span is closed under the carry rewrites, so
-
-    h(sum c_v v) = min over the support of rank(v).
+nodes, subject to p*v = parent(v) for every node and root = 0. It is the
+fragment ``GroupTree.fragment``: one generator per non-root node, in
+(depth, name) order, with p-image its parent and height its rank (subtree
+depth), so |G(T)| = p^(number of non-root nodes) and a chain of n nodes
+under the root presents Z_{p^n}. Tree elements are that fragment's
+elements; there is no second element type. The min rule gives the true
+divisibility height h(x), the largest k with x in p^k G(T), because
+p^k G(T) is spanned by the nodes of rank >= k and that span is closed under
+the carries.
 
 With N_k the number of non-root nodes of rank >= k, |p^k G| = p^(N_k) and
 dim (p^k G)[p] = N_k - N_(k+1), the count ``socle_dims`` keeps per rank.
-``height_of`` and ``socle_dims`` use these rules; the enumeration methods
-(``elements``, ``socle``, ``pk_chain``, ``p_beta_space``,
-``height_of_by_chain``) recompute them from element arithmetic as the
-independent cross-check, and refuse groups above a bound. Searches and
-``generated_iso`` add in the coordinates of ``CyclicDecomposition``.
+The enumeration methods (``elements``, ``socle``, ``pk_chain``,
+``p_beta_space``, ``height_of_by_chain``) recompute these from element
+arithmetic as the independent cross-check, and refuse groups above a
+bound. Searches and ``generated_iso`` add in the coordinates of
+``CyclicDecomposition``.
 """
 
 from __future__ import annotations
@@ -28,11 +44,12 @@ import itertools
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .ordinal import INFINITY, HeightValue, nat
+from .ordinal import INFINITY, HeightValue, Ordinal, nat
 
 DEFAULT_BOUND = 3**10
+FRAGMENT_BOUND = 2**13
 
 
 class BoundExceeded(RuntimeError):
@@ -49,48 +66,254 @@ def _is_prime(n: int) -> bool:
 
 
 @dataclass(frozen=True)
-class GroupElement:
-    tree: "GroupTree"
-    coeffs: tuple[tuple[str, int], ...]  # sorted by node id, values in 1..p-1
+class FragmentGen:
+    name: str
+    pimage: tuple[int, ...]  # normalized coefficients over earlier generators
+    height: Ordinal
+
+
+@dataclass(frozen=True)
+class FragmentElement:
+    fragment: "Fragment"
+    coeffs: tuple[int, ...]
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not any(self.coeffs)
 
-    @property
-    def support(self) -> tuple[str, ...]:
-        return tuple(v for v, _ in self.coeffs)
+    def __add__(self, other: "FragmentElement") -> "FragmentElement":
+        if other.fragment is not self.fragment:
+            raise ValueError("elements live in different fragments")
+        return self.fragment.element(
+            [a + b for a, b in zip(self.coeffs, other.coeffs)]
+        )
 
-    def __add__(self, other: "GroupElement") -> "GroupElement":
-        if other.tree is not self.tree:
-            raise ValueError("elements live in different trees")
-        raw = dict(self.coeffs)
-        for v, c in other.coeffs:
-            raw[v] = raw.get(v, 0) + c
-        return self.tree.element(raw)
+    def __neg__(self) -> "FragmentElement":
+        return self.fragment.element([-a for a in self.coeffs])
 
-    def __neg__(self) -> "GroupElement":
-        return self.tree.element({v: -c for v, c in self.coeffs})
-
-    def __sub__(self, other: "GroupElement") -> "GroupElement":
+    def __sub__(self, other: "FragmentElement") -> "FragmentElement":
         return self + (-other)
 
-    def __rmul__(self, k: int) -> "GroupElement":
-        return self.tree.element({v: k * c for v, c in self.coeffs})
+    def __rmul__(self, k: int) -> "FragmentElement":
+        return self.fragment.element([k * a for a in self.coeffs])
 
-    def times_p(self) -> "GroupElement":
-        return self.tree.times_p(self)
+    def times_p(self) -> "FragmentElement":
+        return self.fragment.element([self.fragment.p * a for a in self.coeffs])
 
     def order(self) -> int:
-        return self.tree.order_of(self)
+        k, x = 0, self
+        while not x.is_zero:
+            x = x.times_p()
+            k += 1
+        return self.fragment.p**k
 
     def height(self) -> HeightValue:
-        return self.tree.height_of(self)
+        return self.fragment.height_of(self)
+
+    def terms(self) -> tuple[tuple[str, int], ...]:
+        """(generator name, coefficient) over the support, sorted by name."""
+        gens = self.fragment.gens
+        return tuple(sorted((gens[i].name, c) for i, c in enumerate(self.coeffs) if c))
+
+    def stable_key(self) -> tuple:
+        """Enumeration key preserved by fragment extension (zero padding)."""
+        top = max((i + 1 for i, c in enumerate(self.coeffs) if c), default=0)
+        return (top, self.coeffs[:top])
 
     def __str__(self) -> str:
-        if not self.coeffs:
+        if self.is_zero:
             return "0"
-        return "+".join(v if c == 1 else f"{c}*{v}" for v, c in self.coeffs)
+        gens = self.fragment.gens
+        return "+".join(
+            gens[i].name if c == 1 else f"{c}*{gens[i].name}"
+            for i, c in enumerate(self.coeffs)
+            if c
+        )
+
+    __repr__ = __str__
+
+
+class Fragment:
+    def __init__(self, p: int, gens: Sequence[FragmentGen] = ()):
+        self.p = p
+        self.gens: tuple[FragmentGen, ...] = tuple(gens)
+        self.rank = len(self.gens)
+        self.size = p**self.rank
+        self.index = {g.name: i for i, g in enumerate(self.gens)}
+        if len(self.index) != self.rank:
+            raise ValueError("generator names must be distinct")
+        self._carries = []  # nonzero p-image entries
+        for i, g in enumerate(self.gens):
+            self._carries.append([(j, c) for j, c in enumerate(g.pimage) if c])
+            if len(g.pimage) > i:
+                raise ValueError(f"pimage of {g.name} uses later generators")
+            if not isinstance(g.height, Ordinal):
+                raise ValueError(f"height of {g.name} must be an ordinal")
+            if any(c < 0 or c >= p for _, c in self._carries[i]):
+                raise ValueError(f"pimage of {g.name} is not normalized")
+        # the first supported generator in this order has the least height
+        self._by_height = sorted(
+            ((i, g.height) for i, g in enumerate(self.gens)), key=lambda e: e[1]
+        )
+        for g in self.gens:
+            zh = self._height_of_vec(self._pad(g.pimage, self.rank))
+            if not zh >= g.height + 1:
+                raise ValueError(
+                    f"creating {g.name} at height {g.height} needs its "
+                    f"p-image at height >= {g.height + 1}, got {zh}"
+                )
+        self._zero = FragmentElement(self, (0,) * self.rank)
+
+    # -- vectors -------------------------------------------------------------
+
+    @staticmethod
+    def _pad(vec: Sequence[int], n: int) -> tuple[int, ...]:
+        return tuple(vec) + (0,) * (n - len(vec))
+
+    def _height_of_vec(self, vec: Sequence[int]) -> HeightValue:
+        for i, h in self._by_height:
+            if vec[i]:
+                return h
+        return INFINITY
+
+    def _normalize(self, vec: list[int]) -> tuple[int, ...]:
+        p = self.p
+        for i in range(len(vec) - 1, -1, -1):
+            q, c = divmod(vec[i], p)
+            vec[i] = c
+            if q:
+                for j, zc in self._carries[i]:
+                    vec[j] += q * zc
+        return tuple(vec)
+
+    # -- elements --------------------------------------------------------------
+
+    def zero(self) -> FragmentElement:
+        return self._zero
+
+    def gen(self, i: int) -> FragmentElement:
+        vec = [0] * self.rank
+        vec[i] = 1
+        return FragmentElement(self, tuple(vec))
+
+    def gen_named(self, name: str) -> FragmentElement:
+        return self.gen(self.index[name])
+
+    def element(self, vec: Sequence[int]) -> FragmentElement:
+        if len(vec) != self.rank:
+            raise ValueError(f"need {self.rank} coefficients, got {len(vec)}")
+        return FragmentElement(self, self._normalize(list(vec)))
+
+    def height_of(self, x: FragmentElement) -> HeightValue:
+        return self._height_of_vec(x.coeffs)
+
+    def elements(self, bound: int = FRAGMENT_BOUND) -> Iterator[FragmentElement]:
+        if self.size > bound:
+            raise BoundExceeded(f"fragment size {self.size} exceeds {bound}")
+        for vec in itertools.product(range(self.p), repeat=self.rank):
+            yield FragmentElement(self, vec)
+
+    def elements_stable(
+        self, bound: int = FRAGMENT_BOUND
+    ) -> Iterator[FragmentElement]:
+        """Enumeration in an order preserved by fragment extension: elements
+        supported on the first m generators come before any element that
+        touches generator m."""
+        if self.size > bound:
+            raise BoundExceeded(f"fragment size {self.size} exceeds {bound}")
+        yield self.zero()
+        for top in range(self.rank):
+            for head in itertools.product(range(self.p), repeat=top):
+                for last in range(1, self.p):
+                    vec = head + (last,) + (0,) * (self.rank - top - 1)
+                    yield FragmentElement(self, vec)
+
+    def first_elements(self, n: int) -> list[FragmentElement]:
+        if n > self.size:
+            raise BoundExceeded(
+                f"asked for {n} elements of a fragment of size {self.size}"
+            )
+        return list(itertools.islice(self.elements_stable(), n))
+
+    def socle(self, bound: int = FRAGMENT_BOUND) -> list[FragmentElement]:
+        return [x for x in self.elements(bound) if x.times_p().is_zero]
+
+    def subgroup(
+        self, gens: Iterable[FragmentElement], bound: int = FRAGMENT_BOUND
+    ) -> frozenset[FragmentElement]:
+        return frozenset(subgroup_elements(self.zero(), gens, operator.add, bound))
+
+    # -- growth ----------------------------------------------------------------
+
+    def extend(
+        self,
+        pimage: FragmentElement,
+        height: Ordinal,
+        name: Optional[str] = None,
+    ) -> "Fragment":
+        if pimage.fragment is not self:
+            raise ValueError("p-image must live in this fragment")
+        if name is None:
+            name = f"g{self.rank}"
+        gen = FragmentGen(name, pimage.coeffs, height)
+        return Fragment(self.p, self.gens + (gen,))
+
+    def is_prefix_of(self, other: "Fragment") -> bool:
+        return (
+            self.p == other.p
+            and other.gens[: self.rank] == self.gens
+        )
+
+    def migrate(self, x: FragmentElement) -> FragmentElement:
+        """Reinterpret an element of a prefix fragment here."""
+        if x.fragment is self:
+            return x
+        if not x.fragment.is_prefix_of(self):
+            raise ValueError("element does not come from a prefix fragment")
+        return FragmentElement(self, self._pad(x.coeffs, self.rank))
+
+    # -- self-checks -------------------------------------------------------------
+
+    def check_valuation(self, bound: int = 2**10) -> None:
+        """Exhaustively verify the three valuation laws (small fragments)."""
+        xs = list(self.elements(bound))
+        for x in xs:
+            hx = x.height()
+            px = x.times_p()
+            if not px.height() >= (hx + 1 if hx is not INFINITY else hx):
+                raise AssertionError(f"h(p*{x}) < h({x})+1")
+            for k in range(2, self.p):
+                if (k * x).height() != hx:
+                    raise AssertionError(f"h({k}*{x}) != h({x})")
+        for x, y in itertools.product(xs, repeat=2):
+            lower = min(x.height(), y.height())
+            if not (x + y).height() >= lower:
+                raise AssertionError(f"h({x}+{y}) < min of heights")
+
+    def socle_height_dims(
+        self, bound: int = FRAGMENT_BOUND
+    ) -> dict[Ordinal, int]:
+        """dim(S_beta / S_{beta+}) per realized height beta, S = order-p part."""
+        socle = self.socle(bound)
+        heights = sorted(
+            {x.height() for x in socle if not x.is_zero}, reverse=True
+        )
+        dims: dict[Ordinal, int] = {}
+        above = 0  # log_p |S_{> current}|
+        for beta in heights:
+            at = [x for x in socle if not x.is_zero and x.height() >= beta]
+            size = len(at) + 1  # plus zero
+            d = 0
+            while self.p**d < size:
+                d += 1
+            if self.p**d != size:
+                raise AssertionError(f"S_{beta} is not a subspace")
+            dims[beta] = d - above
+            above = d
+        return dims
+
+    def __str__(self) -> str:
+        return f"Fragment(p={self.p}, rank={self.rank})"
 
     __repr__ = __str__
 
@@ -131,17 +354,19 @@ class GroupTree:
         self.children: dict[str, tuple[str, ...]] = {
             v: tuple(sorted(cs)) for v, cs in children.items()
         }
-        # deepest first, so a node comes after all of its descendants
-        self._deep_first = tuple(sorted(self.nodes, key=lambda u: -self._depth[u]))
         self._rank: dict[str, int] = {}
-        for v in self._deep_first:
+        # deepest first, so a node comes after all of its descendants
+        for v in sorted(self.nodes, key=lambda u: -self._depth[u]):
             cs = self.children[v]
             self._rank[v] = 1 + max(self._rank[c] for c in cs) if cs else 0
         # dim (p^k G)[p] for k = 0 .. length; every rank below length occurs
         ranks = Counter(self._rank[v] for v in self.nonroot)
         self.socle_dims = tuple(ranks[k] for k in range(len(ranks) + 1))
         self.size: int = p ** len(self.nonroot)
-        self._zero = GroupElement(self, ())
+        self._chain: Optional[list[frozenset[FragmentElement]]] = None
+        # baf._corresponds answers keyed by (other tree, tuples), so they
+        # die with this tree
+        self.iso_memo: dict = {}
 
     # -- basic structure ---------------------------------------------------
 
@@ -160,75 +385,42 @@ class GroupTree:
     def decomposition(self) -> "CyclicDecomposition":
         return CyclicDecomposition(self)
 
+    @functools.cached_property
+    def fragment(self) -> Fragment:
+        """G(T) as a fragment: the non-root nodes in (depth, name) order,
+        each with p-image its parent and height its rank."""
+        order = sorted(self.nonroot, key=lambda v: (self._depth[v], v))
+        index = {v: i for i, v in enumerate(order)}
+        gens = []
+        for v in order:
+            u = self.parent[v]
+            pimage = () if u == self.root else (0,) * index[u] + (1,)
+            gens.append(FragmentGen(v, pimage, nat(self._rank[v])))
+        return Fragment(self.p, gens)
+
     # -- elements ----------------------------------------------------------
 
-    def zero(self) -> GroupElement:
-        return self._zero
+    def zero(self) -> FragmentElement:
+        return self.fragment.zero()
 
-    def node(self, v: str) -> GroupElement:
-        if v == self.root:
-            return self._zero
-        if v not in self.parent:
-            raise KeyError(v)
-        return GroupElement(self, ((v, 1),))
+    def node(self, v: str) -> FragmentElement:
+        return self.zero() if v == self.root else self.fragment.gen_named(v)
 
-    def element(self, raw: Mapping[str, int]) -> GroupElement:
-        """Normalize an integer combination of nodes (carries run upward)."""
-        p, parent = self.p, self.parent
-        acc = {v: int(c) for v, c in raw.items() if c}
-        for v in acc:
-            if v not in parent:
-                raise KeyError(v)
-        # deepest first, so a carry lands on a node not yet processed
-        for v in self._deep_first:
-            c = acc.get(v)
-            if c is None or 0 <= c < p:
-                continue
-            q, acc[v] = divmod(c, p)
-            u = parent[v]
-            if u is not None:
-                acc[u] = acc.get(u, 0) + q
-        acc.pop(self.root, None)
-        return GroupElement(
-            self, tuple(sorted((v, c) for v, c in acc.items() if c))
-        )
+    def element(self, raw: Mapping[str, int]) -> FragmentElement:
+        """Normalize an integer combination of nodes; the root is 0."""
+        frag = self.fragment
+        vec = [0] * frag.rank
+        for v, c in raw.items():
+            if v != self.root:
+                vec[frag.index[v]] += c
+        return frag.element(vec)
 
-    def elements(self, bound: int = DEFAULT_BOUND) -> Iterator[GroupElement]:
+    def elements(self, bound: int = DEFAULT_BOUND) -> Iterator[FragmentElement]:
         """All elements, in coefficient-vector lex order."""
-        if self.size > bound:
-            raise BoundExceeded(f"|G| = {self.size} exceeds bound {bound}")
-        for vec in itertools.product(range(self.p), repeat=len(self.nonroot)):
-            yield GroupElement(
-                self,
-                tuple(
-                    (v, c) for v, c in zip(self.nonroot, vec) if c
-                ),
-            )
-
-    # -- operations ---------------------------------------------------------
-
-    def times_p(self, x: GroupElement) -> GroupElement:
-        raw: dict[str, int] = {}
-        for v, c in x.coeffs:
-            u = self.parent[v]
-            if u is not None:
-                raw[u] = raw.get(u, 0) + c
-        return self.element(raw)
-
-    def order_of(self, x: GroupElement) -> int:
-        k = 0
-        while not x.is_zero:
-            x = self.times_p(x)
-            k += 1
-        return self.p**k
-
-    def height_of(self, x: GroupElement) -> HeightValue:
-        if x.is_zero:
-            return INFINITY
-        return nat(min(self._rank[v] for v, _ in x.coeffs))
+        return self.fragment.elements(bound)
 
     def height_of_by_chain(
-        self, x: GroupElement, bound: int = DEFAULT_BOUND
+        self, x: FragmentElement, bound: int = DEFAULT_BOUND
     ) -> HeightValue:
         if x.is_zero:
             return INFINITY
@@ -238,38 +430,37 @@ class GroupTree:
             k += 1
         return nat(k)
 
-    def pk_chain(self, bound: int = DEFAULT_BOUND) -> list[frozenset[GroupElement]]:
+    def pk_chain(self, bound: int = DEFAULT_BOUND) -> list[frozenset[FragmentElement]]:
         """[G, pG, p^2 G, ...] down to {0} (inclusive)."""
-        cached = getattr(self, "_chain", None)
-        if cached is not None:
-            return cached
-        layer = frozenset(self.elements(bound))
-        chain = [layer]
-        while len(layer) > 1:
-            layer = frozenset(self.times_p(x) for x in layer)
-            chain.append(layer)
-        self._chain = chain
-        return chain
+        if self.size > bound:
+            raise BoundExceeded(f"|G| = {self.size} exceeds bound {bound}")
+        if self._chain is None:
+            layer = frozenset(self.elements(bound))
+            self._chain = [layer]
+            while len(layer) > 1:
+                layer = frozenset(x.times_p() for x in layer)
+                self._chain.append(layer)
+        return self._chain
 
-    def pk_subgroup(self, k: int, bound: int = DEFAULT_BOUND) -> frozenset[GroupElement]:
+    def pk_subgroup(self, k: int, bound: int = DEFAULT_BOUND) -> frozenset[FragmentElement]:
         chain = self.pk_chain(bound)
         return chain[k] if k < len(chain) else chain[-1]
 
-    def socle(self, bound: int = DEFAULT_BOUND) -> list[GroupElement]:
+    def socle(self, bound: int = DEFAULT_BOUND) -> list[FragmentElement]:
         """Elements of order dividing p, in lex order."""
-        return [x for x in self.elements(bound) if x.times_p().is_zero]
+        return self.fragment.socle(bound)
 
     def p_beta_space(
         self, beta: int, bound: int = DEFAULT_BOUND
-    ) -> tuple[list[GroupElement], int]:
+    ) -> tuple[list[FragmentElement], int]:
         """GF(p) basis and dimension of {x : px = 0, h(x) >= beta}."""
         space = [
             x
             for x in self.socle(bound)
-            if x.is_zero or self.height_of(x) >= nat(beta)
+            if x.is_zero or x.height() >= nat(beta)
         ]
-        basis: list[GroupElement] = []
-        span = {self._zero}
+        basis: list[FragmentElement] = []
+        span = {self.zero()}
         for x in space:
             if x in span:
                 continue
@@ -280,9 +471,9 @@ class GroupTree:
         return basis, len(basis)
 
     def subgroup(
-        self, gens: Iterable[GroupElement], bound: int = DEFAULT_BOUND
-    ) -> frozenset[GroupElement]:
-        return frozenset(subgroup_elements(self._zero, gens, operator.add, bound))
+        self, gens: Iterable[FragmentElement], bound: int = DEFAULT_BOUND
+    ) -> frozenset[FragmentElement]:
+        return self.fragment.subgroup(gens, bound)
 
     def __str__(self) -> str:
         return f"GroupTree(p={self.p}, nodes={len(self.nodes)})"
@@ -315,14 +506,16 @@ class CyclicDecomposition:
         self.moduli = tuple(p**e for e in self.exponents)
         self.zero = (0,) * len(tops)
         index = {t: j for j, t in enumerate(tops)}
-        self._coords: dict[str, list[tuple[int, int]]] = {}  # sparse
-        for v in tree.nonroot:
-            self._coords[v] = out = []
-            a = v
-            while a != tree.root:
-                if a in index:
-                    out.append((index[a], p ** (rank(a) - depth(v) + depth(a))))
-                a = parent[a]
+        frag = tree.fragment  # parents come before their children
+        self._coords: list[list[tuple[int, int]]] = []  # sparse, per generator
+        for g in frag.gens:
+            u = parent[g.name]
+            out = [] if u == tree.root else [
+                (j, a // p) for j, a in self._coords[frag.index[u]]
+            ]
+            if g.name in index:
+                out.append((index[g.name], p ** rank(g.name)))
+            self._coords.append(out)
 
         def bottom(v: str, steps: int) -> str:
             for _ in range(steps):
@@ -332,12 +525,13 @@ class CyclicDecomposition:
         # summand j is generated by its leaf minus the node at that depth
         # on the heavy path below the heavy sibling of t_j, if t_j has one
         self._gens = [
-            (bottom(t, rank(t)),
-             None if parent[t] == tree.root else bottom(heavy[parent[t]], rank(t)))
+            (frag.index[bottom(t, rank(t))],
+             None if parent[t] == tree.root
+             else frag.index[bottom(heavy[parent[t]], rank(t))])
             for t in tops
         ]
         # memos that die with the tree, each at most one entry per element
-        self._decoded: dict[tuple[int, ...], GroupElement] = {}
+        self._decoded: dict[tuple[int, ...], FragmentElement] = {}
         self._layers: dict[tuple[int, bool], dict] = {}
 
     def socle_layer(self, r: int, exact: bool, bound: int = DEFAULT_BOUND) -> dict:
@@ -355,24 +549,26 @@ class CyclicDecomposition:
                     got[k] = tuple(c * m // p for c, m in zip(k, self.moduli))
         return got
 
-    def encode(self, x: GroupElement) -> tuple[int, ...]:
-        if x.tree is not self.tree:
-            raise ValueError("elements live in different trees")
+    def encode(self, x: FragmentElement) -> tuple[int, ...]:
+        if x.fragment is not self.tree.fragment:
+            raise ValueError("element does not belong to this tree")
         acc = [0] * len(self.moduli)
-        for v, c in x.coeffs:
-            for j, a in self._coords[v]:
-                acc[j] += c * a
+        for i, c in enumerate(x.coeffs):
+            if c:
+                for j, a in self._coords[i]:
+                    acc[j] += c * a
         return tuple(a % m for a, m in zip(acc, self.moduli))
 
-    def decode(self, z: tuple[int, ...]) -> GroupElement:
+    def decode(self, z: tuple[int, ...]) -> FragmentElement:
         x = self._decoded.get(z)
         if x is None:
-            raw: dict[str, int] = {}
+            frag = self.tree.fragment
+            vec = [0] * frag.rank
             for (leaf, partner), c in zip(self._gens, z):
-                raw[leaf] = raw.get(leaf, 0) + c
+                vec[leaf] += c
                 if partner is not None:
-                    raw[partner] = raw.get(partner, 0) - c
-            x = self._decoded[z] = self.tree.element(raw)
+                    vec[partner] -= c
+            x = self._decoded[z] = frag.element(vec)
         return x
 
 

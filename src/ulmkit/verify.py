@@ -17,12 +17,12 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from .alpha import (
+    AlphaSystem,
     InstructionSource,
     accumulate_E,
     check_axioms,
     code_true_in,
     find_run,
-    instantiate_group_system,
     instruction_from_g,
     validate_run,
 )
@@ -131,7 +131,7 @@ def _game_closed_agreement(seed: int) -> tuple[bool, str]:
 
     # exhaustive over all element tuples where the groups are tiny
     for tree in corpus_trees(3, (2,)):
-        elems = sorted(tree.elements(), key=lambda e: e.coeffs)
+        elems = sorted(tree.elements(), key=lambda e: e.terms())
         q, b = _agreement_on(tree, elems, betas)
         q_elem += q
         bad += b
@@ -139,7 +139,7 @@ def _game_closed_agreement(seed: int) -> tuple[bool, str]:
     # seeded random element tuples over the remainder
     for _ in range(2000):
         tree = rng.choice(full)
-        elems = sorted(tree.elements(), key=lambda e: e.coeffs)
+        elems = sorted(tree.elements(), key=lambda e: e.terms())
         L = rng.randint(0, 2)
         abar = tuple(rng.choice(elems) for _ in range(L))
         bbar = tuple(rng.choice(elems) for _ in range(L))
@@ -375,7 +375,7 @@ def _construction_dichotomy(seed: int) -> tuple[bool, str]:
 
 def _system_conformance(seed: int) -> tuple[bool, str]:
     alpha = parse_ordinal("w*2")
-    sys_ = instantiate_group_system(alpha, canonical_cofinal(alpha))
+    sys_ = AlphaSystem(alpha, canonical_cofinal(alpha))
     report = check_axioms(sys_, 1000, seed=seed)
     detail = (
         f"1000 samples, {report.checks} checks, {len(report.failures)} violations"
@@ -390,7 +390,7 @@ def _system_conformance(seed: int) -> tuple[bool, str]:
 
 def _run_dichotomy(seed: int) -> tuple[bool, str]:
     alpha = parse_ordinal("w*2")
-    sys_ = instantiate_group_system(alpha, canonical_cofinal(alpha))
+    sys_ = AlphaSystem(alpha, canonical_cofinal(alpha))
     problems: list[str] = []
 
     def recheck(run, q, expect_bits):

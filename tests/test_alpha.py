@@ -14,7 +14,6 @@ from ulmkit.alpha import (
     E_of,
     extend_run_letter,
     find_run,
-    instantiate_group_system,
     instruction_from_g,
     run_to_text,
     signed_sentences,
@@ -35,7 +34,7 @@ from ulmkit.ulm import OMEGA_VALUE
 @pytest.fixture(scope="module")
 def sys2():
     alpha = parse_ordinal("w*2")
-    return instantiate_group_system(alpha, canonical_cofinal(alpha))
+    return AlphaSystem(alpha, canonical_cofinal(alpha))
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +54,7 @@ def sysw2():
     # second instance with a genuinely limit level budget
     alpha = parse_ordinal("w^2")
     seq = CofinalSequence(alpha, lambda i: omega_times(nat(i)), "w*i")
-    return instantiate_group_system(alpha, seq)
+    return AlphaSystem(alpha, seq)
 
 
 class TestLetter:
@@ -120,7 +119,7 @@ class TestSentences:
 class TestSystem:
     def test_alpha_must_be_limit(self):
         with pytest.raises(ValueError):
-            instantiate_group_system(nat(5), canonical_cofinal(parse_ordinal("w*2")))
+            AlphaSystem(nat(5), canonical_cofinal(parse_ordinal("w*2")))
 
     def test_sequence_must_match(self):
         w2 = parse_ordinal("w*2")

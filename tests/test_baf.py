@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import gc
 import random
 import time
+import weakref
 
 import pytest
 
@@ -117,10 +119,10 @@ def brute_force_embeddings(src: GroupTree, dst: GroupTree) -> list[tuple[int, ..
 
     Integer tables of dst keep this independent of the search under test.
     A map is the tuple of dst-element indices of the src elements in
-    `sorted(src.elements(), key=coeffs)` order; a node prefix whose
+    `sorted(src.elements(), key=terms)` order; a node prefix whose
     images already collide is dropped.
     """
-    elems = sorted(dst.elements(), key=lambda e: e.coeffs)
+    elems = sorted(dst.elements(), key=lambda e: e.terms())
     index = {e: i for i, e in enumerate(elems)}
     add = [[index[a + b] for b in elems] for a in elems]
     pmul = [index[e.times_p()] for e in elems]
@@ -148,8 +150,8 @@ def brute_force_embeddings(src: GroupTree, dst: GroupTree) -> list[tuple[int, ..
     # images[j] belongs to the element with digit c_k (k-th node of
     # `order`) in place p^(n-1-k); reindex by sorted src elements
     digit_pos = {v: p ** (len(order) - 1 - k) for k, v in enumerate(order)}
-    src_elems = sorted(src.elements(), key=lambda e: e.coeffs)
-    slot = [sum(c * digit_pos[v] for v, c in x.coeffs) for x in src_elems]
+    src_elems = sorted(src.elements(), key=lambda e: e.terms())
+    slot = [sum(c * digit_pos[v] for v, c in x.terms()) for x in src_elems]
     return [tuple(m[j] for j in slot) for m in found]
 
 
@@ -160,7 +162,7 @@ def check_witness(src, src_pins, dst, dst_pins, f) -> None:
     images = {}
     for x in src.elements():
         y = dst.zero()
-        for v, c in x.coeffs:
+        for v, c in x.terms():
             y = y + c * f[v]
         images[x] = y
     assert len(set(images.values())) == src.size
@@ -179,11 +181,11 @@ class TestEmbeddingAgainstBruteForce:
         trees = corpus_trees(max_nodes, (p,))
         checked = 0
         for src in trees:
-            src_elems = sorted(src.elements(), key=lambda e: e.coeffs)
+            src_elems = sorted(src.elements(), key=lambda e: e.terms())
             slot = {x: j for j, x in enumerate(src_elems)}
             for dst in trees:
                 maps = brute_force_embeddings(src, dst)
-                dst_elems = sorted(dst.elements(), key=lambda e: e.coeffs)
+                dst_elems = sorted(dst.elements(), key=lambda e: e.terms())
                 queries = []
                 for k in (0, 1, 2):
                     for _ in range(2):
@@ -253,7 +255,7 @@ MICRO = [chain(2, 1), chain(2, 2), star(2, 2)]
 
 
 def micro_tuples(G: GroupTree):
-    elems = sorted(G.elements(), key=lambda e: e.coeffs)
+    elems = sorted(G.elements(), key=lambda e: e.terms())
     yield ()
     for e in elems:
         yield (e,)
@@ -343,6 +345,15 @@ class TestGameAgainstBarkerSameGroup:
         for beta in (1, 2):
             with pytest.raises(ValueError, match="equal invariants"):
                 leq_barker(z4, abar, z2, bbar, beta)
+
+    def test_a_tree_used_once_is_freed(self):
+        # the closed form's generated-subgroup memo lives on the carrier
+        t = chain(2, 2)
+        assert leq_barker(t, [t.node("c1")], t, [t.node("c1")], 1)
+        ref = weakref.ref(t)
+        del t
+        gc.collect()
+        assert ref() is None
 
     def test_profiled_carriers_with_unequal_invariants_are_refused(self):
         # the game says Z_2 embeds into Z_4 here; the closed form must not

@@ -1,13 +1,16 @@
 """Command-line behavior: verbs, exit codes, deterministic output."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ulmkit.alpha import (
+    AlphaSystem,
     InstructionSource,
     find_run,
-    instantiate_group_system,
     instruction_from_g,
     run_to_text,
 )
@@ -155,11 +158,63 @@ class TestBaf:
         t = files("t.json", CHAIN2)
         assert main(["baf", "--beta", "3", "--left", t, "--right", t]) == 0
 
+    def test_game_on_a_chain_past_the_recursion_limit(self, files, capsys):
+        # 1,100 nodes: deeper than Python's default recursion limit of 1,000
+        parent = {"r": None}
+        parent.update({f"c{i}": f"c{i - 1}" if i > 1 else "r" for i in range(1, 1101)})
+        t = files("chain1100.json", GroupTree(2, parent))
+        code = main(
+            ["baf", "--beta", "1", "--left", t, "--right", t, "--method", "game"]
+        )
+        assert code == 0
+        assert capsys.readouterr().out == "holds\n"
+
     def test_unknown_node_exits_2(self, files, capsys):
         t = files("t.json", CHAIN2)
         code = main(["baf", "--beta", "1", "--left", f"{t},zz", "--right", t])
         assert code == 2
         assert "zz" in capsys.readouterr().err
+
+
+UNKNOWN = st.text("abcxz", min_size=1, max_size=3)  # no digits: never c1 or c2
+GOOD_TERM = st.sampled_from(["c1", "c2", "2*c1", "3*c2", " c2 "])
+BAD_TERM = st.one_of(
+    st.just(""),  # an empty term, as in c1++c2
+    UNKNOWN,
+    st.builds("{}*{}".format, st.text("x.!", max_size=2), st.sampled_from(["c1", "c2"])),
+    st.builds("{}*{}".format, st.integers(-3, 3), UNKNOWN),
+)
+
+
+@pytest.fixture(scope="module")
+def chain_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("trees") / "chain.json"
+    save_tree(CHAIN2, str(path))
+    return str(path)
+
+
+class TestBafExitCodes:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(GOOD_TERM, max_size=3),
+        BAD_TERM,
+        st.integers(0, 3),
+        st.booleans(),
+        st.sampled_from(["game", "closed", "both"]),
+    )
+    def test_malformed_elements_exit_2(self, chain_file, good, bad, at, left, method):
+        terms = good[:at] + [bad] + good[at:]
+        assume(terms != [""])  # "tree," alone is the empty tuple
+        side = f"{chain_file},{'+'.join(terms)}"
+        plain = f"{chain_file},c1"
+        argv = ["baf", "--beta", "1", "--method", method]
+        argv += ["--left", side, "--right", plain] if left else ["--left", plain, "--right", side]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        assert code == 2, (terms, out.getvalue())
+        assert err.getvalue().startswith("error:")
+        assert "Traceback" not in err.getvalue()
 
 
 class TestConstruct:
@@ -184,7 +239,7 @@ class TestAlphaRun:
         )
         assert code == 0
         alpha = parse_ordinal("w*2")
-        system = instantiate_group_system(alpha, canonical_cofinal(alpha))
+        system = AlphaSystem(alpha, canonical_cofinal(alpha))
         run = find_run(system, instruction_from_g(InstructionSource({1: 2}), 1), 3)
         assert capsys.readouterr().out == run_to_text(run)
 

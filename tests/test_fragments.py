@@ -3,17 +3,16 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ulmkit.fragments import (
     Fragment,
     FragmentGen,
     ProfiledGroup,
     canonical_fragment,
-    fragment_to_tree_elem,
     from_tree,
-    tree_to_fragment_elem,
 )
-from ulmkit.ordinal import INFINITY, OMEGA, nat
+from ulmkit.ordinal import INFINITY, OMEGA, Ordinal, nat
 from ulmkit.pgroup import GroupTree, generated_iso
 from ulmkit.ulm import OMEGA_VALUE, Clause, Profile
 
@@ -82,6 +81,45 @@ class TestConstruction:
         f.check_valuation()
 
 
+HEIGHTS = [nat(0), nat(1), nat(2), nat(3), OMEGA, OMEGA + 1, OMEGA + 2]
+
+
+@st.composite
+def fragment_specs(draw, max_gens: int):
+    """(p, gens): each generator gets a random height and a random p-image
+    over the earlier generators of height at least its own plus one."""
+    p = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, max_gens if p == 2 else max_gens - 2))
+    gens: list[FragmentGen] = []
+    for i in range(n):
+        h = draw(st.sampled_from(HEIGHTS))
+        high = [j for j, g in enumerate(gens) if g.height >= h + 1]
+        vec = [0] * i
+        for j in high:
+            vec[j] = draw(st.integers(0, p - 1))
+        gens.append(FragmentGen(f"g{i}", tuple(vec), h))
+    return p, gens
+
+
+class TestValuationProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(fragment_specs(6))
+    def test_random_valid_fragments_are_valuations(self, spec):
+        p, gens = spec
+        Fragment(p, gens).check_valuation()
+
+    @settings(max_examples=40, deadline=None)
+    @given(fragment_specs(5), st.data())
+    def test_a_p_image_too_low_is_refused(self, spec, data):
+        p, gens = spec
+        j = data.draw(st.integers(0, len(gens) - 1))
+        # the p-image g_j sits at h(g_j), below the required height + 1
+        height: Ordinal = gens[j].height
+        pimage = (0,) * j + (1,)
+        with pytest.raises(ValueError, match="needs its p-image"):
+            Fragment(p, gens + [FragmentGen("new", pimage, height)])
+
+
 class TestStableEnumeration:
     def test_order_and_completeness(self):
         f = flat(2, [nat(0), nat(1)])
@@ -120,27 +158,23 @@ class TestTreeRoundTrip:
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_fragment_heights_match_tree(self, p):
+        # tree elements are the elements of from_tree's fragment, and the
+        # min rule gives the heights the p^k G chain gives
         for shape in self.SHAPES:
             t = GroupTree(p, shape)
             pg = from_tree(t)
+            assert pg.fragment is t.fragment
+            assert [g.name for g in pg.fragment.gens] == sorted(
+                t.nonroot, key=lambda v: (t.depth(v), v)
+            )
             for x in t.elements():
-                fx = tree_to_fragment_elem(pg, x)
-                assert fx.height() == t.height_of(x), (p, shape, x)
-                assert fragment_to_tree_elem(pg, fx) == x
-
-    def test_addition_commutes_with_conversion(self):
-        t = GroupTree(2, self.SHAPES[1])
-        pg = from_tree(t)
-        xs = list(t.elements())
-        for x, y in itertools.product(xs, repeat=2):
-            lhs = tree_to_fragment_elem(pg, x + y)
-            rhs = tree_to_fragment_elem(pg, x) + tree_to_fragment_elem(pg, y)
-            assert lhs == rhs
+                assert x.fragment is pg.fragment
+                assert x.height() == t.height_of_by_chain(x), (p, shape, x)
 
     def test_generated_iso_works_on_fragments(self):
         t = GroupTree(2, self.SHAPES[1])
         pg = from_tree(t)
-        a = tree_to_fragment_elem(pg, t.node("b"))
+        a = t.node("b")
         f = generated_iso(pg.fragment, [a], pg.fragment, [a])
         assert f is not None and len(f) == 4
 

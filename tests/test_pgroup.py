@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ulmkit.fragments import from_tree, tree_to_fragment_elem
+from ulmkit.fragments import from_tree
 from ulmkit.ordinal import INFINITY, nat
 from ulmkit.pgroup import BoundExceeded, GroupTree, generated_iso
 from ulmkit.verify import corpus_trees, tree_of, tree_shapes
@@ -57,7 +57,7 @@ class TestNormalForm:
     def test_chain_is_cyclic(self):
         t = chain(2, 3)
         g = t.node("c3")
-        assert t.order_of(g) == 8
+        assert g.order() == 8
         acc = t.zero()
         seen = set()
         for _ in range(8):
@@ -128,7 +128,7 @@ class TestOrdersHeights:
             for shape in shapes:
                 t = GroupTree(p, shape)
                 for x in t.elements():
-                    assert t.height_of(x) == t.height_of_by_chain(x), (
+                    assert x.height() == t.height_of_by_chain(x), (
                         p,
                         shape,
                         x,
@@ -136,12 +136,35 @@ class TestOrdersHeights:
 
     def test_height_of_zero(self):
         t = chain(2, 1)
-        assert t.height_of(t.zero()) is INFINITY
+        assert t.zero().height() is INFINITY
 
     def test_length(self):
         assert chain(2, 4).length() == 4
         assert star(3, 2).length() == 1
         assert GroupTree(2, {"r": None}).length() == 0
+
+    def test_pk_chain_checks_the_bound_on_every_call(self):
+        t = GroupTree(2, MIXED | {"d": "c"})  # 16 elements
+        assert len(t.pk_chain(bound=100)) == 3
+        with pytest.raises(BoundExceeded):
+            t.pk_chain(bound=4)
+        with pytest.raises(BoundExceeded):
+            t.height_of_by_chain(t.node("a"), bound=4)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([2, 3]),
+        st.lists(st.integers(0, 5), min_size=1, max_size=5),
+        st.lists(st.integers(-9, 9), min_size=5, max_size=5),
+    )
+    def test_height_rule_matches_chain_on_random_trees(self, p, picks, coeffs):
+        # node i + 1 hangs below node (picks[i] mod (i + 1)); 0 is the root
+        parent = {"n0": None}
+        for i, k in enumerate(picks):
+            parent[f"n{i + 1}"] = f"n{k % (i + 1)}"
+        t = GroupTree(p, parent)
+        x = t.element({f"n{i + 1}": c for i, c in zip(range(len(picks)), coeffs)})
+        assert x.height() == t.height_of_by_chain(x)
 
     def test_pk_chain_shrinks_to_zero(self):
         t = GroupTree(2, MIXED)
@@ -248,7 +271,7 @@ class TestCyclicDecomposition:
                     for z, e in zip(coords[x], d.exponents)
                     if z
                 ]
-                assert t.height_of(x) == (nat(min(vals)) if vals else INFINITY)
+                assert x.height() == (nat(min(vals)) if vals else INFINITY)
             for x, y in itertools.islice(itertools.product(elems, elems), 0, None, 7):
                 want = tuple((a + b) % m for a, b, m in zip(coords[x], coords[y], d.moduli))
                 assert coords[x + y] == want
@@ -264,14 +287,15 @@ class TestCyclicDecomposition:
                     for s in layer.values():
                         x = d.decode(s)
                         assert x.times_p().is_zero
-                        h = t.height_of(x)
+                        h = x.height()
                         assert h == nat(r) if exact else (x.is_zero or h >= nat(r))
 
 
 class TestGeneratedIsoRoutes:
     def test_tree_coordinates_agree_with_fragment_arithmetic(self):
-        # trees go through decomposition coordinates, fragments through
-        # element addition; the same pins must give the same answer
+        # two trees go through decomposition coordinates, their from_tree
+        # carriers through element pairs; the same pins must give the same
+        # answer
         rng = random.Random("generated-iso-routes")
         trees = corpus_trees(4, (2, 3))
         for _ in range(400):
@@ -284,14 +308,9 @@ class TestGeneratedIsoRoutes:
                 B, bbar = A, abar
             fa, fb = from_tree(A), from_tree(B)
             got = generated_iso(A, abar, B, bbar)
-            frag = generated_iso(
-                fa.fragment,
-                [tree_to_fragment_elem(fa, x) for x in abar],
-                fb.fragment,
-                [tree_to_fragment_elem(fb, y) for y in bbar],
-            )
+            frag = generated_iso(fa.fragment, abar, fb.fragment, bbar)
             assert (got is None) == (frag is None), (A.parent, abar, B.parent, bbar)
             if got is not None:
                 assert len(got) == len(frag)
                 for x, y in got.items():
-                    assert frag[tree_to_fragment_elem(fa, x)] == tree_to_fragment_elem(fb, y)
+                    assert frag[x] == y
