@@ -234,7 +234,7 @@ class AlphaSystem:
     # -- sampling hooks for the axiom checker ---------------------------------
 
     def sample_letters(self, rng: Random) -> list[Letter]:
-        runs = self._pool_runs()
+        runs = self._pool_runs
         pool: list[Letter] = [self.hat_letter()]
         for j in (1, 2):
             pool.append(Letter(j, (), self.fresh_group(j)))
@@ -242,13 +242,19 @@ class AlphaSystem:
             pool.extend(run.letters()[1:])
         return pool
 
+    @functools.cached_property
     def _pool_runs(self) -> tuple["Run", ...]:
-        return _pool_runs_for(self)
+        """Short reference runs (one quiet, one flipped) reused by the
+        samplers; they live and die with the system."""
+        src = InstructionSource({0: None, 1: 2})
+        quiet = find_run(self, instruction_from_g(src, 0), 3)
+        flipped = find_run(self, instruction_from_g(src, 1), 3)
+        return (quiet, flipped)
 
     def axiom4_case(self, rng: Random):
         """One extension-axiom instance from the operating envelope: a run
         prefix, a next bit, and a descending chain along that run."""
-        run = rng.choice(self._pool_runs())
+        run = rng.choice(self._pool_runs)
         letters = run.letters()
         bits = run.bits()
         # sigma ends at letter index m; the chain climbs the run from there
@@ -274,15 +280,6 @@ class AlphaSystem:
         if descent[-1] < 0:
             chain_letters, descent = chain_letters[:1], [top]
         return sigma, u, list(zip(chain_letters, descent))
-
-
-@functools.lru_cache(maxsize=8)
-def _pool_runs_for(sys: AlphaSystem) -> tuple[Run, ...]:
-    """Short reference runs (one quiet, one flipped) reused by the samplers."""
-    src = InstructionSource({0: None, 1: 2})
-    quiet = find_run(sys, instruction_from_g(src, 0), 3)
-    flipped = find_run(sys, instruction_from_g(src, 1), 3)
-    return (quiet, flipped)
 
 
 # -- instruction sources ------------------------------------------------------

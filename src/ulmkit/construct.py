@@ -19,6 +19,22 @@ invariant to come out infinite, and a row that is true unboundedly often
 sums of already-listed pairs; audit requirements record the truth of
 "x + y = z" for listed triples. The listed set generates the group, so
 invariant estimates read off the chain-depth histogram.
+
+A stage does only new work. It relies on four pieces of bookkeeping:
+
+  * a cursor per row over its true columns: a treatment uses the least
+    fresh true cell, so the used columns Y[e] are a prefix of the row's
+    sorted true columns and the next one is found without a rescan;
+  * a watch list per row equal to X[e] - Xt[e], grown with X[e] and
+    emptied when the row is treated;
+  * a depth histogram kept in step with `chains` (every write goes
+    through `_set_depth`), which `estimates` reads;
+  * settled closure rows: once both operands are listed the sum is
+    listed too, and since chains only deepen and extras only grow, the
+    row has nothing more to do and is dropped.
+
+Decoded elements are memoized on the state. Audits still re-evaluate
+every listed triple at every stage, so a flipped diagram fact is caught.
 """
 
 from __future__ import annotations
@@ -202,9 +218,19 @@ class ConstructionState:
         self.Xt: dict[int, set[PElement]] = {}
         self.T: dict[int, set[int]] = {}
         self._free = 0  # slots are allocated in increasing order
+        self._true_cols: dict[int, list[int]] = {}  # row -> true columns < bound
+        for e, y in sorted(table.trues):
+            self._true_cols.setdefault(e, []).append(y)
+        self._watch: dict[int, set[PElement]] = {}  # row -> X[e] - Xt[e]
+        self._hist: dict[int, int] = {}  # depth -> number of chains
+        self._elems: dict[int, PElement] = {}
+        self._open_closures: list[int] = []  # closure rows not yet settled
 
     def elem(self, m: int) -> PElement:
-        return decode_elem(m, self.p)
+        x = self._elems.get(m)
+        if x is None:
+            x = self._elems[m] = decode_elem(m, self.p)
+        return x
 
     def contains(self, x: PElement) -> bool:
         """Listed so far: chain generators 1/p^j plus closure sums."""
@@ -221,22 +247,44 @@ class ConstructionState:
             self._free += 1
         return self._free
 
+    def _set_depth(self, k: int, depth: int) -> None:
+        old = self.chains.get(k)
+        if old is not None:
+            self._hist[old] -= 1
+        self.chains[k] = depth
+        self._hist[depth] = self._hist.get(depth, 0) + 1
+
+    def _next_true(self, e: int) -> Optional[int]:
+        """Least true column of row e not yet used, or None; the used
+        columns Y[e] are a prefix of the row's true columns."""
+        cols = self._true_cols.get(e, ())
+        n = len(self.Y[e])
+        if n < len(cols):
+            return cols[n]
+        if e in self.table.cofinal_rows:
+            return self.table.bound + n - len(cols)
+        return None
+
     # -- one stage ---------------------------------------------------------
 
     def advance(self) -> None:
         s = self.stage
+        if s:
+            e = s - 1  # the row first attended at this stage
+            self.Y[e], self.X[e], self.Xt[e] = set(), set(), set()
+            self._watch[e] = set()
+            self._open_closures.append(e)
         for e in range(s):
             self._attend_growth(e, s)
-        for e in range(s):
-            self._attend_closure(e)
+        self._open_closures = [e for e in self._open_closures if not self._attend_closure(e)]
         for e in range(s):
             self._attend_audit(e)
         self.stage = s + 1
 
     def _attend_growth(self, e: int, s: int) -> None:
-        used_y = self.Y.setdefault(e, set())
-        watch = self.X.setdefault(e, set()) - self.Xt.setdefault(e, set())
-        fresh = [y for y in range(s) if y not in used_y and self.table.R(e, y)]
+        y = self._next_true(e)
+        fresh = y is not None and y < s
+        watch = self._watch[e]
         if fresh and watch:
             r = 1
             taken = self.T.setdefault(e, set())
@@ -244,22 +292,29 @@ class ConstructionState:
                 r += 1
             for x in watch:
                 k = x.parts[0][0]
-                self.chains[k] = max(self.chains[k], e + r + 1)
+                self._set_depth(k, max(self.chains[k], e + r + 1))
             taken.add(r)
             self.Xt[e] |= watch
-            used_y.add(fresh[0])
+            watch.clear()
+            self.Y[e].add(y)
         elif not fresh:
             k = self.next_slot()
-            self.chains[k] = e + 1
-            self.X[e].add(PElement(self.p, ((k, 1, 1),)))
+            self._set_depth(k, e + 1)
+            x = PElement(self.p, ((k, 1, 1),))
+            self.X[e].add(x)
+            watch.add(x)
 
-    def _attend_closure(self, e: int) -> None:
+    def _attend_closure(self, e: int) -> bool:
+        """List the sum of a listed pair; True once both operands are
+        listed, after which the row can do nothing more."""
         m1, m2 = cantor_unpair(e)
         a, b = self.elem(m1), self.elem(m2)
-        if self.contains(a) and self.contains(b):
-            c = a + b
-            if not c.is_zero and not self.contains(c):
-                self.extras.add(c)
+        if not (self.contains(a) and self.contains(b)):
+            return False
+        c = a + b
+        if not c.is_zero and not self.contains(c):
+            self.extras.add(c)
+        return True
 
     def _attend_audit(self, e: int) -> None:
         i, j, k = decode_triple(e)
@@ -275,10 +330,7 @@ class ConstructionState:
 
     def estimates(self, window: int) -> list[int]:
         """u_e of the group generated by the listing, from chain depths."""
-        hist: dict[int, int] = {}
-        for depth in self.chains.values():
-            hist[depth] = hist.get(depth, 0) + 1
-        return [hist.get(e + 1, 0) for e in range(window)]
+        return [self._hist.get(e + 1, 0) for e in range(window)]
 
     def as_group_tree(self, bound: int = DEFAULT_BOUND) -> GroupTree:
         """Explicit tree for the chain part of the listing (closure sums

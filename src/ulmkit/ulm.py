@@ -264,11 +264,16 @@ def band_split_index(P: Profile, thr: Ordinal) -> Optional[int]:
     ceiling = max(offsets) + 1
     if socle_infinite_above(P, thr + ceiling):
         return None
-    k = None
-    for j in range(ceiling + 1):
-        if socle_infinite_above(P, thr + j):
-            k = j
-    return k if k is not None else -1
+    # the tail mass only shrinks as the offset rises, so bisect for the
+    # last infinite offset: lo is infinite (or -1), hi is finite
+    lo, hi = -1, ceiling
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if socle_infinite_above(P, thr + mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 # -- invariants of explicit trees -------------------------------------------

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -403,6 +406,15 @@ class TestCheckAxioms:
         report = check_axioms(sys2, 250, seed=11)
         assert report.checks == 250
         assert report.ok, report.failures[:3]
+
+    def test_reference_runs_die_with_their_system(self):
+        alpha = parse_ordinal("w*2")
+        system = AlphaSystem(alpha, canonical_cofinal(alpha))
+        assert check_axioms(system, 20, seed=1).ok
+        ref = weakref.ref(system)
+        del system
+        gc.collect()
+        assert ref() is None
 
     def test_planted_defect_is_found(self):
         report = check_axioms(_ShrinkingE(), 200, seed=3)

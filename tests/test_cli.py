@@ -2,6 +2,7 @@
 
 import io
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -166,6 +167,21 @@ class TestBaf:
         code = main(
             ["baf", "--beta", "1", "--left", t, "--right", t, "--method", "game"]
         )
+        assert code == 0
+        assert capsys.readouterr().out == "holds\n"
+
+    def test_closed_form_on_a_300_node_chain_is_fast(self, files, capsys):
+        # the band split bisects over offsets; a scan of every offset took
+        # about 16 s here
+        parent = {"r": None}
+        parent.update({f"c{i}": f"c{i - 1}" if i > 1 else "r" for i in range(1, 301)})
+        t = files("chain300.json", GroupTree(2, parent))
+        start = time.perf_counter()
+        code = main(
+            ["baf", "--beta", "1", "--method", "closed",
+             "--left", f"{t},c3", "--right", f"{t},c3"]
+        )
+        assert time.perf_counter() - start < 5.0
         assert code == 0
         assert capsys.readouterr().out == "holds\n"
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -190,3 +192,115 @@ class TestReadingTheGroup:
         run = run_construction(ALL_FALSE, 12)
         with pytest.raises(BoundExceeded):
             run.state.as_group_tree(bound=2**10)
+
+
+class RescanStepper(ConstructionState):
+    """The construction as first written: every stage rescans each row for
+    fresh true cells, rebuilds its watch set, decodes every closure and
+    audit operand again and recounts the depth histogram. Kept only as a
+    cross-check of the incremental stages."""
+
+    def advance(self) -> None:
+        s = self.stage
+        for e in range(s):
+            used_y = self.Y.setdefault(e, set())
+            watch = self.X.setdefault(e, set()) - self.Xt.setdefault(e, set())
+            fresh = [y for y in range(s) if y not in used_y and self.table.R(e, y)]
+            if fresh and watch:
+                r = 1
+                taken = self.T.setdefault(e, set())
+                while r in taken:
+                    r += 1
+                for x in watch:
+                    k = x.parts[0][0]
+                    self.chains[k] = max(self.chains[k], e + r + 1)
+                taken.add(r)
+                self.Xt[e] |= watch
+                used_y.add(fresh[0])
+            elif not fresh:
+                k = self.next_slot()
+                self.chains[k] = e + 1
+                self.X[e].add(PElement(self.p, ((k, 1, 1),)))
+        for e in range(s):
+            a, b = (decode_elem(m, self.p) for m in cantor_unpair(e))
+            if self.contains(a) and self.contains(b):
+                c = a + b
+                if not c.is_zero and not self.contains(c):
+                    self.extras.add(c)
+        for e in range(s):
+            i, j, k = decode_triple(e)
+            a, b, c = (decode_elem(m, self.p) for m in (i, j, k))
+            if self.contains(a) and self.contains(b) and self.contains(c):
+                self.D[("sum", i, j, k)] = a + b == c
+        self.stage = s + 1
+
+    def estimates(self, window: int) -> list[int]:
+        return recount(self, window)
+
+
+def recount(state: ConstructionState, window: int) -> list[int]:
+    depths = list(state.chains.values())
+    return [depths.count(e + 1) for e in range(window)]
+
+
+def mixed_table(seed: int, rows: int = 64, bound: int = 24) -> PredicateTable:
+    """All-false, cofinal and sparse rows in seeded order."""
+    rng = random.Random(seed)
+    kinds = ["false", "false", "cofinal", "sparse"] * (rows // 4)
+    rng.shuffle(kinds)
+    trues, cofinal = set(), set()
+    for e, kind in enumerate(kinds):
+        if kind == "cofinal":
+            cofinal.add(e)
+            trues |= {(e, y) for y in rng.sample(range(bound), rng.randint(0, bound))}
+        elif kind == "sparse":
+            trues |= {(e, y) for y in rng.sample(range(bound), rng.randint(1, 3))}
+    return PredicateTable(bound, trues, cofinal)
+
+
+def state_of(st_: ConstructionState) -> tuple:
+    return (st_.chains, st_.extras, st_.D, st_.X, st_.Xt, st_.Y, st_.T)
+
+
+class TestIncrementalStages:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_state_equals_the_rescan_stepper_after_every_stage(self, seed):
+        table = mixed_table(seed)
+        fast, slow = ConstructionState(table), RescanStepper(table)
+        for _ in range(60):
+            fast.advance()
+            slow.advance()
+            assert state_of(fast) == state_of(slow)
+            assert fast.estimates(10) == slow.estimates(10)
+
+    @pytest.mark.parametrize(
+        "table",
+        [PredicateTable(1), PredicateTable(64, {(0, y) for y in range(64)}, {0})],
+        ids=["all-false", "cofinal-row-0"],
+    )
+    def test_estimates_equal_a_recount_at_every_stage(self, table):
+        # the two tables of the construction-dichotomy suite
+        state = ConstructionState(table)
+        for _ in range(200):
+            state.advance()
+            assert state.estimates(6) == recount(state, 6)
+
+    def test_a_cofinal_row_uses_columns_past_the_bound(self):
+        # row 0 is true at 1 and at every column from the bound 3 on; its
+        # chains from stages 1 and 3 are treated with columns 1 and 3
+        table = PredicateTable(3, {(0, 1)}, {0})
+        fast, slow = ConstructionState(table), RescanStepper(table)
+        for _ in range(12):
+            fast.advance()
+            slow.advance()
+        assert state_of(fast) == state_of(slow)
+        assert fast.Y[0] == {1, 3}
+
+    def test_a_flipped_diagram_fact_is_still_caught(self):
+        state = ConstructionState(ALL_FALSE)
+        for _ in range(4):
+            state.advance()
+        key = next(k for k, v in state.D.items() if v)
+        state.D[key] = False
+        with pytest.raises(AssertionError, match="flipped"):
+            state.advance()

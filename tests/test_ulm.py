@@ -6,6 +6,7 @@ import sys
 import textwrap
 
 import pytest
+from hypothesis import given, strategies as st
 
 import ulmkit
 
@@ -26,7 +27,8 @@ from ulmkit.ulm import (
     socle_mass_above,
     ulm_equal,
 )
-from ulmkit.ordinal import CofinalSequence
+from ulmkit.ordinal import CofinalSequence, canonical_cofinal
+from ulmkit.verify import corpus_trees
 
 
 def tree(p, parent):
@@ -172,6 +174,47 @@ class TestSocleMass:
             ),
         )
         assert band_split_index(half, OMEGA) is None
+
+    def test_band_split_bisection_matches_a_scan_on_the_corpus(self):
+        profiles = [invariants_of(t) for t in corpus_trees(4, (2, 3))]
+        for text in ("w*2", "w*3", "w^2"):
+            alpha = parse_ordinal(text)
+            profiles += [make_G_hat(alpha, canonical_cofinal(alpha), i) for i in range(4)]
+        for k in range(1, 6):  # infinite below w+k, then three finite slots
+            top = OMEGA + k
+            profiles.append(
+                Profile(top + 3, (Clause(nat(0), top, "any", OMEGA_VALUE), Clause(top, top + 3, "any", 1)))
+            )
+        thresholds = [nat(n) for n in range(6)]
+        thresholds += [parse_ordinal(x) for x in ("w", "w+1", "w+4", "w*2", "w*2+3")]
+        for P in profiles:
+            for thr in thresholds:
+                assert band_split_index(P, thr) == scan_band_split(P, thr), (P, thr)
+
+    @given(
+        st.lists(st.sampled_from([0, 1, 2, OMEGA_VALUE]), min_size=1, max_size=12),
+        st.integers(0, 13),
+    )
+    def test_band_split_bisection_matches_a_scan_on_finite_profiles(self, values, thr):
+        P = Profile(
+            nat(len(values)),
+            tuple(Clause(n, n + 1, "any", v) for n, v in enumerate(values)),
+        )
+        assert band_split_index(P, nat(thr)) == scan_band_split(P, nat(thr))
+
+
+def scan_band_split(P: Profile, thr: Ordinal):
+    """band_split_index by testing every offset up to the last boundary."""
+    offsets = [0] + [
+        pt.finite_part - thr.finite_part
+        for pt in P.boundaries()
+        if thr <= pt < thr + OMEGA and pt.limit_part == thr.limit_part
+    ]
+    ceiling = max(offsets) + 1
+    if socle_infinite_above(P, thr + ceiling):
+        return None
+    infinite = [j for j in range(ceiling + 1) if socle_infinite_above(P, thr + j)]
+    return infinite[-1] if infinite else -1
 
 
 class TestTreeInvariants:
