@@ -25,11 +25,8 @@ from .ulm import (
     OMEGA_VALUE,
     Clause,
     Profile,
-    holds_B,
     invariants_of,
     make_G_hat,
-    profile_omega_shift,
-    realize_finite_profile,
     ulm_equal,
 )
 from .fragments import Fragment, FragmentElement, ProfiledGroup, canonical_fragment, from_tree
@@ -38,9 +35,7 @@ from .baf import (
     check_extension,
     extend_tuple,
     find_embedding,
-    is_proper,
     leq_barker,
-    leq_game_reference,
     leq_paper,
     leq_std_game,
     relation,
@@ -70,11 +65,9 @@ from .formats import (
     FormatError,
     element_to_text,
     export_dot,
-    load_profile,
     load_table,
     load_tree,
     parse_element,
-    save_profile,
     save_table,
     save_tree,
 )
@@ -94,11 +87,8 @@ __all__ = [
     "generated_iso",
     "Clause",
     "Profile",
-    "holds_B",
     "invariants_of",
     "make_G_hat",
-    "profile_omega_shift",
-    "realize_finite_profile",
     "ulm_equal",
     "Fragment",
     "FragmentElement",
@@ -109,9 +99,7 @@ __all__ = [
     "check_extension",
     "extend_tuple",
     "find_embedding",
-    "is_proper",
     "leq_barker",
-    "leq_game_reference",
     "leq_paper",
     "leq_std_game",
     "relation",
@@ -135,11 +123,9 @@ __all__ = [
     "FormatError",
     "element_to_text",
     "export_dot",
-    "load_profile",
     "load_table",
     "load_tree",
     "parse_element",
-    "save_profile",
     "save_table",
     "save_tree",
     "CriterionResult",

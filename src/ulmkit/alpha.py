@@ -31,6 +31,7 @@ from typing import Callable, Iterator, Optional, Sequence
 from .baf import ExtensionError, extend_tuple, relation
 from .fragments import FragmentElement, ProfiledGroup, canonical_fragment
 from .ordinal import ZERO, CofinalSequence, Ordinal, hat_alpha, nat
+from .pgroup import _is_prime
 from .ulm import make_G_hat
 
 Level = int | Ordinal
@@ -86,10 +87,9 @@ def signed_sentences(letter: Letter) -> Iterator[SentenceCode]:
             yield ("lin", pairs, sign)
 
 
-def E_of(letter: Letter, budget: Optional[int] = None) -> frozenset:
+def E_of(letter: Letter) -> frozenset:
     """The first len(images) true signed sentences, in the fixed order."""
-    k = len(letter.images) if budget is None else budget
-    return frozenset(itertools.islice(signed_sentences(letter), k))
+    return frozenset(itertools.islice(signed_sentences(letter), len(letter.images)))
 
 
 def code_true_in(code: SentenceCode, letter: Letter) -> bool:
@@ -126,8 +126,8 @@ class AlphaSystem:
             raise ValueError(f"alpha must be a limit ordinal, got {self.alpha}")
         if self.seq.limit != self.alpha:
             raise ValueError("cofinal sequence must converge to alpha")
-        if self.p < 2:
-            raise ValueError("p must be at least 2")
+        if not _is_prime(self.p):
+            raise ValueError(f"{self.p} is not prime")
 
     @property
     def alpha_hat(self) -> Ordinal:
@@ -199,13 +199,13 @@ class AlphaSystem:
 
     # -- cross-index pulls ----------------------------------------------------
 
-    def find_pull_index(self, beta0: Level, j_limit: int = 16) -> Optional[int]:
-        """Least nonzero j whose cofinal stage exceeds beta0 AND whose empty
+    def find_pull_index(self, beta0: Level) -> Optional[int]:
+        """Least j in 1..15 whose cofinal stage exceeds beta0 AND whose empty
         letter verifiably sits below index 0 at level beta0 + 1."""
         if isinstance(beta0, int):
             beta0 = nat(beta0)
         empty0 = self.hat_letter()
-        for j in range(1, j_limit):
+        for j in range(1, 16):
             if not self.seq.at(j) > beta0:
                 continue
             cand = Letter(j, (), self.fresh_group(j))
@@ -213,19 +213,14 @@ class AlphaSystem:
                 return j
         return None
 
-    def verified_pull(
-        self, probe: Optional[int] = None, j_limit: int = 16
-    ) -> tuple[int, int]:
-        """Largest level within the probe range admitting a verified pull,
-        paired with its index. Raises when no probed level works."""
-        if probe is None:
-            ah = self.alpha_hat
-            probe = ah.as_int() if ah.is_finite else 6
-        for b0 in reversed(range(probe)):
-            j = self.find_pull_index(b0, j_limit)
+    def verified_pull(self) -> tuple[int, int]:
+        """Largest sample level admitting a verified pull, paired with its
+        index. Raises when no sample level works."""
+        for b0 in reversed(self.sample_levels()):
+            j = self.find_pull_index(b0)
             if j is not None:
                 return b0, j
-        raise ExtensionError("no verified cross-index pull at any probed level")
+        raise ExtensionError("no verified cross-index pull at any sample level")
 
     def sample_levels(self) -> list[int]:
         ah = self.alpha_hat
@@ -295,19 +290,6 @@ class InstructionSource:
             if n < 0 or (s is not None and s < 0):
                 raise ValueError(f"bad rule for row {n}")
         self._rules = dict(rules)
-
-    @classmethod
-    def from_bits(cls, n: int, bits: Sequence[int]) -> "InstructionSource":
-        """Row from an explicit bit prefix; the last bit persists."""
-        switch = None
-        for s, b in enumerate(bits):
-            if b not in (0, 1):
-                raise ValueError(f"bit at stage {s} must be 0 or 1")
-            if switch is not None and b == 0:
-                raise ValueError(f"row {n} drops back to 0 at stage {s}")
-            if b == 1 and switch is None:
-                switch = s
-        return cls({n: switch})
 
     @classmethod
     def from_spec(cls, spec: dict) -> "InstructionSource":
@@ -473,7 +455,6 @@ def find_run(
     sys: AlphaSystem,
     q: Callable,
     steps: int,
-    pull_probe: Optional[int] = None,
 ) -> Run:
     """Drive the instruction function for `steps` letters.
 
@@ -483,6 +464,8 @@ def find_run(
     re-validated against the admissibility clauses and the instruction
     answers; an inconsistent result raises instead of being returned.
     """
+    if steps < 0:
+        raise ValueError("steps must be non-negative")
     entries: list = [sys.hat_letter()]
     prov = ["start: index 0, empty list"]
     for m in range(1, steps + 1):
@@ -492,7 +475,7 @@ def find_run(
             raise ValueError(f"instruction answered {u!r} at step {m}")
         first_flip = u == 1 and 1 not in entries[1::2]
         if first_flip:
-            beta0, jstar = sys.verified_pull(pull_probe)
+            beta0, jstar = sys.verified_pull()
             ell = extend_run_letter(sys, sigma, u, [(entries[-1], beta0)])
             prov.append(
                 f"step {m}: flip; pulled into index {jstar} at level "

@@ -16,8 +16,7 @@ quantifier-free types. Two facts collapse the search:
 
 So <=_1 is "B embeds into A with bbar -> abar" and <=_beta for beta >= 2 is
 "A and B are isomorphic with abar -> bbar", both decided by the search in
-`find_embedding`, which builds no whole-group table. `leq_game_reference`
-keeps the literal recursion for cross-validation on tiny groups.
+`find_embedding`, which builds no whole-group table.
 
 Route two (`leq_barker` for tuples in one group, `leq_paper` for groups
 carrying limit-infinite invariant profiles): closed-form conditions on the
@@ -33,7 +32,6 @@ explicit ones, with machine-checkable records.
 
 from __future__ import annotations
 
-import itertools
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Union
@@ -50,7 +48,6 @@ from .ordinal import (
     parity_split,
 )
 from .pgroup import (
-    DEFAULT_BOUND,
     BoundExceeded,
     FragmentElement,
     GroupTree,
@@ -74,20 +71,19 @@ def find_embedding(
     dst: GroupTree,
     dst_pins: Sequence[FragmentElement],
     onto: bool = False,
-    bound: int = DEFAULT_BOUND,
 ) -> Optional[dict[str, FragmentElement]]:
     """Injective homomorphism src -> dst with src_pins[i] -> dst_pins[i].
 
     Returns the node-image assignment or None. Such a map restricts to the
     isomorphism <src_pins> -> <dst_pins> and never lowers heights, which is
-    checked on that whole subgroup (at most ``bound`` elements) first. The
+    checked on that whole subgroup (at most DEFAULT_BOUND elements) first. The
     search then places nodes, parents first, in coordinates of dst's cyclic
     decomposition: the candidates are the preimages of the parent's image
     under p (one solution plus socle elements) at the right height, a node
     completing the support of a pinned-subgroup element gets the image that
     carries it, and the socle images must stay GF(p)-independent. Raises
     BoundExceeded when a socle layer the candidates come from has more than
-    ``bound`` elements.
+    DEFAULT_BOUND elements.
     """
     if src.p != dst.p or len(src_pins) != len(dst_pins):
         return None
@@ -108,12 +104,12 @@ def find_embedding(
     if key in _embed_cache:
         return _embed_cache[key]
 
-    result = _find_embedding_uncached(src, src_pins, dst, dst_pins, onto, bound)
+    result = _find_embedding_uncached(src, src_pins, dst, dst_pins, onto)
     _embed_cache[key] = result
     return result
 
 
-def _find_embedding_uncached(src, src_pins, dst, dst_pins, onto, bound):
+def _find_embedding_uncached(src, src_pins, dst, dst_pins, onto):
     # an embedding maps (p^k src)[p] into (p^k dst)[p]; a longer ds fails
     # at dd's final 0, so zip compares enough
     ds, dd = src.socle_dims, dst.socle_dims
@@ -124,7 +120,7 @@ def _find_embedding_uncached(src, src_pins, dst, dst_pins, onto, bound):
     exact = onto or src.size == dst.size
 
     # an embedding carrying the pins restricts to this isomorphism on <pins>
-    pin_map = generated_iso(src, src_pins, dst, dst_pins, bound)
+    pin_map = generated_iso(src, src_pins, dst, dst_pins)
     if pin_map is None or not all(
         y.height() == x.height() if exact else y.height() >= x.height()
         for x, y in pin_map.items()
@@ -185,7 +181,7 @@ def _find_embedding_uncached(src, src_pins, dst, dst_pins, onto, bound):
         u, r = src.parent[v], src.rank(v)
         w = first_child.setdefault(u, v)
         layer = dec.socle_layer(
-            r, exact and (u == src.root or src.rank(u) > r + 1), bound
+            r, exact and (u == src.root or src.rank(u) > r + 1)
         )
         added = u if u == src.root else None if w == v else w
         plan.append((v, u, layer, forced.get(v), added, sym_pred.get(v)))
@@ -257,7 +253,6 @@ def leq_std_game(
     B: GroupTree,
     bbar: Sequence[FragmentElement],
     beta: int,
-    bound: int = DEFAULT_BOUND,
 ) -> bool:
     """Game back-and-forth relation (A, abar) <=_beta (B, bbar), beta >= 1.
 
@@ -271,69 +266,8 @@ def leq_std_game(
         return False
     bbar = bbar[: len(abar)]
     if beta == 1:
-        return find_embedding(B, bbar, A, abar, onto=False, bound=bound) is not None
-    return find_embedding(A, abar, B, bbar, onto=True, bound=bound) is not None
-
-
-def leq_game_reference(
-    A: GroupTree,
-    abar: Sequence[FragmentElement],
-    B: GroupTree,
-    bbar: Sequence[FragmentElement],
-    beta: int,
-    max_ext: Optional[int] = None,
-    _memo: Optional[dict] = None,
-) -> bool:
-    """Literal recursive game, for cross-validating the collapsed form.
-
-    Challenge tuples dbar range over all tuples of B-elements of length at
-    most max_ext (default |B|, at which point the relation has saturated).
-    Exponential; only for micro groups.
-    """
-    abar, bbar = tuple(abar), tuple(bbar)
-    if max_ext is None:
-        max_ext = B.size
-    if _memo is None:
-        _memo = {}
-    if len(abar) > len(bbar):
-        return False
-    bbar = bbar[: len(abar)]
-    key = (A, abar, B, bbar, beta, max_ext)
-    if key in _memo:
-        return _memo[key]
-    if beta == 0:
-        out = generated_iso(A, abar, B, bbar) is not None
-        _memo[key] = out
-        return out
-    _memo[key] = True  # provisional, cycles cannot occur (beta decreases)
-    a_elems = list(A.elements())
-    b_elems = list(B.elements())
-    out = True
-    for gamma in range(beta):
-        for n in range(max_ext + 1):
-            for dbar in itertools.product(b_elems, repeat=n):
-                hit = False
-                for cbar in itertools.product(a_elems, repeat=n):
-                    if leq_game_reference(
-                        B,
-                        bbar + dbar,
-                        A,
-                        abar + cbar,
-                        gamma,
-                        max_ext,
-                        _memo,
-                    ):
-                        hit = True
-                        break
-                if not hit:
-                    out = False
-                    break
-            if not out:
-                break
-        if not out:
-            break
-    _memo[key] = out
-    return out
+        return find_embedding(B, bbar, A, abar, onto=False) is not None
+    return find_embedding(A, abar, B, bbar, onto=True) is not None
 
 
 # -- closed forms --------------------------------------------------------------
@@ -465,7 +399,7 @@ def leq_paper(
     return True
 
 
-# -- properness and constructive extension ------------------------------------
+# -- constructive extension ------------------------------------
 
 
 def relation(
@@ -494,15 +428,6 @@ def relation(
     ):
         return leq_paper(A, abar, B, bbar, beta)
     return leq_barker(A, abar, B, bbar, beta)
-
-
-def is_proper(x, S: Iterable) -> bool:
-    """x has maximal height in its coset x + <S-elements-listed>."""
-    S = list(S)
-    if any(x == s for s in S):
-        raise ValueError("properness is asked of elements outside the subgroup")
-    hx = x.height()
-    return all(hx >= (x + s).height() for s in S)
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from math import isqrt
 from typing import Optional
 
-from .pgroup import DEFAULT_BOUND, BoundExceeded, GroupTree
+from .pgroup import GroupTree, _is_prime
 
 
 def cantor_pair(a: int, b: int) -> int:
@@ -205,8 +205,8 @@ class ConstructionState:
     """Mutable state of one construction: chains, listed sums, diagram."""
 
     def __init__(self, table: PredicateTable, p: int = 2):
-        if p < 2:
-            raise ValueError("p must be at least 2")
+        if not _is_prime(p):
+            raise ValueError(f"{p} is not prime")
         self.table = table
         self.p = p
         self.stage = 0
@@ -332,12 +332,9 @@ class ConstructionState:
         """u_e of the group generated by the listing, from chain depths."""
         return [self._hist.get(e + 1, 0) for e in range(window)]
 
-    def as_group_tree(self, bound: int = DEFAULT_BOUND) -> GroupTree:
+    def as_group_tree(self) -> GroupTree:
         """Explicit tree for the chain part of the listing (closure sums
-        generate nothing beyond it)."""
-        total = sum(self.chains.values())
-        if self.p**total > bound:
-            raise BoundExceeded(f"tree would have p^{total} elements")
+        generate nothing beyond it); one node per unit of chain depth."""
         parent: dict[str, Optional[str]] = {"r": None}
         for k, depth in sorted(self.chains.items()):
             prev = "r"
@@ -360,6 +357,8 @@ def run_construction(
     window: int = 8,
 ) -> ConstructionRun:
     """Run `stages` stages and record the invariant estimates after each."""
+    if stages < 0 or window < 0:
+        raise ValueError("stages and window must be non-negative")
     state = ConstructionState(table, p)
     history = []
     for _ in range(stages):

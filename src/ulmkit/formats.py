@@ -1,4 +1,4 @@
-"""On-disk formats: trees, tables, profiles, instruction rows, DOT export.
+"""On-disk formats: trees, tables, instruction rows, DOT export.
 
 Loaders raise FormatError with a path-qualified message on any problem so
 a command front end can map every input fault to a single exit path.
@@ -9,13 +9,11 @@ newline, so repeated exports of the same object are byte-identical.
 from __future__ import annotations
 
 import json
-from typing import Optional, Union
+from typing import Optional
 
 from .alpha import InstructionSource
 from .construct import PredicateTable
-from .ordinal import Ordinal, parse_ordinal
 from .pgroup import FragmentElement, GroupTree
-from .ulm import Clause, OMEGA_VALUE, Profile
 
 
 class FormatError(ValueError):
@@ -157,78 +155,6 @@ def load_table(path: str) -> PredicateTable:
 
 def save_table(table: PredicateTable, path: str) -> None:
     _dump_json(table_to_dict(table), path)
-
-
-# -- invariant profiles ------------------------------------------------------------
-
-
-def _value_to_json(v) -> Union[int, str]:
-    return "w" if v is OMEGA_VALUE else v
-
-
-def _value_from_json(v, where: str):
-    if v == "w":
-        return OMEGA_VALUE
-    if isinstance(v, int) and v >= 0:
-        return v
-    raise FormatError(f"{where}: invariant values are naturals or 'w'")
-
-
-def profile_to_dict(profile: Profile) -> dict:
-    return {
-        "length": str(profile.length),
-        "clauses": [
-            {
-                "lo": str(c.lo),
-                "hi": str(c.hi),
-                "parity": c.parity,
-                "value": _value_to_json(c.value),
-            }
-            for c in profile.clauses
-        ],
-    }
-
-
-def _ordinal_from_text(text, where: str) -> Ordinal:
-    if not isinstance(text, str):
-        raise FormatError(f"{where}: ordinals are written as text")
-    try:
-        return parse_ordinal(text)
-    except ValueError as exc:
-        raise FormatError(f"{where}: {exc}") from exc
-
-
-def profile_from_dict(obj, where: str = "profile") -> Profile:
-    if not isinstance(obj, dict) or "length" not in obj:
-        raise FormatError(f"{where}: expected an object with 'length' and 'clauses'")
-    length = _ordinal_from_text(obj["length"], where)
-    clauses = []
-    for k, c in enumerate(obj.get("clauses", [])):
-        if not isinstance(c, dict):
-            raise FormatError(f"{where}: clause {k} must be an object")
-        try:
-            clauses.append(
-                Clause(
-                    _ordinal_from_text(c.get("lo", "0"), where),
-                    _ordinal_from_text(c["hi"], where),
-                    c.get("parity", "any"),
-                    _value_from_json(c.get("value", 0), where),
-                )
-            )
-        except (KeyError, ValueError) as exc:
-            raise FormatError(f"{where}: clause {k}: {exc}") from exc
-    try:
-        return Profile(length, tuple(clauses))
-    except ValueError as exc:
-        raise FormatError(f"{where}: {exc}") from exc
-
-
-def load_profile(path: str) -> Profile:
-    return profile_from_dict(_load_json(path), where=path)
-
-
-def save_profile(profile: Profile, path: str) -> None:
-    _dump_json(profile_to_dict(profile), path)
 
 
 # -- instruction rows ---------------------------------------------------------------

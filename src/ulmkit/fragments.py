@@ -16,7 +16,6 @@ from typing import Optional, Sequence
 
 from .ordinal import Ordinal
 from .pgroup import (
-    FRAGMENT_BOUND,
     Fragment,
     FragmentElement,
     FragmentGen,
@@ -41,9 +40,9 @@ class ProfiledGroup:
     def zero(self) -> FragmentElement:
         return self.fragment.zero()
 
-    def validate_capacity(self, bound: int = FRAGMENT_BOUND) -> None:
+    def validate_capacity(self) -> None:
         """Realized socle dimensions must fit under the profile."""
-        for beta, d in self.fragment.socle_height_dims(bound).items():
+        for beta, d in self.fragment.socle_height_dims().items():
             if not beta < self.profile.length:
                 raise ValueError(
                     f"fragment realizes height {beta} at or beyond the "

@@ -286,10 +286,6 @@ def height_min(a: HeightValue, b: HeightValue) -> HeightValue:
     return a if a <= b else b
 
 
-def parse_height(text: str) -> HeightValue:
-    return INFINITY if text.strip() == "inf" else parse_ordinal(text)
-
-
 # -- cofinal sequences -----------------------------------------------------
 
 

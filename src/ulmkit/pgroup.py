@@ -30,10 +30,10 @@ the carries.
 
 With N_k the number of non-root nodes of rank >= k, |p^k G| = p^(N_k) and
 dim (p^k G)[p] = N_k - N_(k+1), the count ``socle_dims`` keeps per rank.
-The enumeration methods (``elements``, ``socle``, ``pk_chain``,
-``p_beta_space``, ``height_of_by_chain``) recompute these from element
-arithmetic as the independent cross-check, and refuse groups above a
-bound. Searches and ``generated_iso`` add in the coordinates of
+Every enumeration of elements (whole groups, socles, generated subgroups,
+socle layers) refuses to go past ``DEFAULT_BOUND`` elements; ``verify``
+recomputes the counts and heights from it as the independent cross-check.
+Searches and ``generated_iso`` add in the coordinates of
 ``CyclicDecomposition``.
 """
 
@@ -49,7 +49,6 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 from .ordinal import INFINITY, HeightValue, Ordinal, nat
 
 DEFAULT_BOUND = 3**10
-FRAGMENT_BOUND = 2**13
 
 
 class BoundExceeded(RuntimeError):
@@ -135,6 +134,8 @@ class FragmentElement:
 
 class Fragment:
     def __init__(self, p: int, gens: Sequence[FragmentGen] = ()):
+        if not _is_prime(p):
+            raise ValueError(f"{p} is not prime")
         self.p = p
         self.gens: tuple[FragmentGen, ...] = tuple(gens)
         self.rank = len(self.gens)
@@ -207,20 +208,18 @@ class Fragment:
     def height_of(self, x: FragmentElement) -> HeightValue:
         return self._height_of_vec(x.coeffs)
 
-    def elements(self, bound: int = FRAGMENT_BOUND) -> Iterator[FragmentElement]:
-        if self.size > bound:
-            raise BoundExceeded(f"fragment size {self.size} exceeds {bound}")
+    def elements(self) -> Iterator[FragmentElement]:
+        if self.size > DEFAULT_BOUND:
+            raise BoundExceeded(f"fragment size {self.size} exceeds {DEFAULT_BOUND}")
         for vec in itertools.product(range(self.p), repeat=self.rank):
             yield FragmentElement(self, vec)
 
-    def elements_stable(
-        self, bound: int = FRAGMENT_BOUND
-    ) -> Iterator[FragmentElement]:
+    def elements_stable(self) -> Iterator[FragmentElement]:
         """Enumeration in an order preserved by fragment extension: elements
         supported on the first m generators come before any element that
         touches generator m."""
-        if self.size > bound:
-            raise BoundExceeded(f"fragment size {self.size} exceeds {bound}")
+        if self.size > DEFAULT_BOUND:
+            raise BoundExceeded(f"fragment size {self.size} exceeds {DEFAULT_BOUND}")
         yield self.zero()
         for top in range(self.rank):
             for head in itertools.product(range(self.p), repeat=top):
@@ -235,13 +234,12 @@ class Fragment:
             )
         return list(itertools.islice(self.elements_stable(), n))
 
-    def socle(self, bound: int = FRAGMENT_BOUND) -> list[FragmentElement]:
-        return [x for x in self.elements(bound) if x.times_p().is_zero]
+    def socle(self) -> list[FragmentElement]:
+        """Elements of order dividing p, in lex order."""
+        return [x for x in self.elements() if x.times_p().is_zero]
 
-    def subgroup(
-        self, gens: Iterable[FragmentElement], bound: int = FRAGMENT_BOUND
-    ) -> frozenset[FragmentElement]:
-        return frozenset(subgroup_elements(self.zero(), gens, operator.add, bound))
+    def subgroup(self, gens: Iterable[FragmentElement]) -> frozenset[FragmentElement]:
+        return frozenset(subgroup_elements(self.zero(), gens, operator.add))
 
     # -- growth ----------------------------------------------------------------
 
@@ -272,29 +270,9 @@ class Fragment:
             raise ValueError("element does not come from a prefix fragment")
         return FragmentElement(self, self._pad(x.coeffs, self.rank))
 
-    # -- self-checks -------------------------------------------------------------
-
-    def check_valuation(self, bound: int = 2**10) -> None:
-        """Exhaustively verify the three valuation laws (small fragments)."""
-        xs = list(self.elements(bound))
-        for x in xs:
-            hx = x.height()
-            px = x.times_p()
-            if not px.height() >= (hx + 1 if hx is not INFINITY else hx):
-                raise AssertionError(f"h(p*{x}) < h({x})+1")
-            for k in range(2, self.p):
-                if (k * x).height() != hx:
-                    raise AssertionError(f"h({k}*{x}) != h({x})")
-        for x, y in itertools.product(xs, repeat=2):
-            lower = min(x.height(), y.height())
-            if not (x + y).height() >= lower:
-                raise AssertionError(f"h({x}+{y}) < min of heights")
-
-    def socle_height_dims(
-        self, bound: int = FRAGMENT_BOUND
-    ) -> dict[Ordinal, int]:
+    def socle_height_dims(self) -> dict[Ordinal, int]:
         """dim(S_beta / S_{beta+}) per realized height beta, S = order-p part."""
-        socle = self.socle(bound)
+        socle = self.socle()
         heights = sorted(
             {x.height() for x in socle if not x.is_zero}, reverse=True
         )
@@ -363,7 +341,6 @@ class GroupTree:
         ranks = Counter(self._rank[v] for v in self.nonroot)
         self.socle_dims = tuple(ranks[k] for k in range(len(ranks) + 1))
         self.size: int = p ** len(self.nonroot)
-        self._chain: Optional[list[frozenset[FragmentElement]]] = None
         # baf._corresponds answers keyed by (other tree, tuples), so they
         # die with this tree
         self.iso_memo: dict = {}
@@ -415,48 +392,15 @@ class GroupTree:
                 vec[frag.index[v]] += c
         return frag.element(vec)
 
-    def elements(self, bound: int = DEFAULT_BOUND) -> Iterator[FragmentElement]:
+    def elements(self) -> Iterator[FragmentElement]:
         """All elements, in coefficient-vector lex order."""
-        return self.fragment.elements(bound)
+        return self.fragment.elements()
 
-    def height_of_by_chain(
-        self, x: FragmentElement, bound: int = DEFAULT_BOUND
-    ) -> HeightValue:
-        if x.is_zero:
-            return INFINITY
-        chain = self.pk_chain(bound)
-        k = 0
-        while k + 1 < len(chain) and x in chain[k + 1]:
-            k += 1
-        return nat(k)
-
-    def pk_chain(self, bound: int = DEFAULT_BOUND) -> list[frozenset[FragmentElement]]:
-        """[G, pG, p^2 G, ...] down to {0} (inclusive)."""
-        if self.size > bound:
-            raise BoundExceeded(f"|G| = {self.size} exceeds bound {bound}")
-        if self._chain is None:
-            layer = frozenset(self.elements(bound))
-            self._chain = [layer]
-            while len(layer) > 1:
-                layer = frozenset(x.times_p() for x in layer)
-                self._chain.append(layer)
-        return self._chain
-
-    def pk_subgroup(self, k: int, bound: int = DEFAULT_BOUND) -> frozenset[FragmentElement]:
-        chain = self.pk_chain(bound)
-        return chain[k] if k < len(chain) else chain[-1]
-
-    def socle(self, bound: int = DEFAULT_BOUND) -> list[FragmentElement]:
-        """Elements of order dividing p, in lex order."""
-        return self.fragment.socle(bound)
-
-    def p_beta_space(
-        self, beta: int, bound: int = DEFAULT_BOUND
-    ) -> tuple[list[FragmentElement], int]:
+    def p_beta_space(self, beta: int) -> tuple[list[FragmentElement], int]:
         """GF(p) basis and dimension of {x : px = 0, h(x) >= beta}."""
         space = [
             x
-            for x in self.socle(bound)
+            for x in self.fragment.socle()
             if x.is_zero or x.height() >= nat(beta)
         ]
         basis: list[FragmentElement] = []
@@ -469,11 +413,6 @@ class GroupTree:
                 s + (k * x) for s in span for k in range(self.p)
             }
         return basis, len(basis)
-
-    def subgroup(
-        self, gens: Iterable[FragmentElement], bound: int = DEFAULT_BOUND
-    ) -> frozenset[FragmentElement]:
-        return self.fragment.subgroup(gens, bound)
 
     def __str__(self) -> str:
         return f"GroupTree(p={self.p}, nodes={len(self.nodes)})"
@@ -534,13 +473,13 @@ class CyclicDecomposition:
         self._decoded: dict[tuple[int, ...], FragmentElement] = {}
         self._layers: dict[tuple[int, bool], dict] = {}
 
-    def socle_layer(self, r: int, exact: bool, bound: int = DEFAULT_BOUND) -> dict:
+    def socle_layer(self, r: int, exact: bool) -> dict:
         """Socle elements of height >= r (exactly r when `exact`), keyed by
         their GF(p) coordinates k: coordinate j is k_j * p^(e_j - 1).
-        Refuses a layer drawn from more than `bound` socle elements."""
+        Refuses a layer drawn from more than DEFAULT_BOUND socle elements."""
         p, exps = self.tree.p, self.exponents
-        if p ** sum(e > r for e in exps) > bound:
-            raise BoundExceeded(f"socle layer at height {r} exceeds {bound}")
+        if p ** sum(e > r for e in exps) > DEFAULT_BOUND:
+            raise BoundExceeded(f"socle layer at height {r} exceeds {DEFAULT_BOUND}")
         got = self._layers.get((r, exact))
         if got is None:
             got = self._layers[(r, exact)] = {}
@@ -572,7 +511,7 @@ class CyclicDecomposition:
         return x
 
 
-def subgroup_elements(zero, gens, add, bound: int = DEFAULT_BOUND, key=None):
+def subgroup_elements(zero, gens, add, key=None):
     """The subgroup generated by gens in an abelian group, zero first.
 
     A tower: S_i = S_(i-1) + <g_i> is the union of the cosets S_(i-1) +
@@ -591,15 +530,15 @@ def subgroup_elements(zero, gens, add, bound: int = DEFAULT_BOUND, key=None):
                 if old != first:
                     return None
                 break
-            if len(elems) + len(coset) > bound:
-                raise BoundExceeded(f"subgroup exceeds {bound}")
+            if len(elems) + len(coset) > DEFAULT_BOUND:
+                raise BoundExceeded(f"subgroup exceeds {DEFAULT_BOUND}")
             coset = [first] + [add(x, g) for x in coset[1:]]
             seen.update((key(x), x) for x in coset)
             elems += coset
     return elems
 
 
-def generated_iso(A, abar, B, bbar, bound: int = DEFAULT_BOUND):
+def generated_iso(A, abar, B, bbar):
     """Try to extend abar[i] -> bbar[i] to an isomorphism <abar> -> <bbar>.
 
     A and B only need ``zero()`` plus element ``+``; tree groups and
@@ -625,7 +564,7 @@ def generated_iso(A, abar, B, bbar, bound: int = DEFAULT_BOUND):
             return tuple([(a + b) % m for a, b, m in zip(x, y, mods)])
 
         gens = [da.encode(x) + db.encode(y) for x, y in zip(abar, bbar)]
-        zs = subgroup_elements(da.zero + db.zero, gens, add, bound, lambda z: z[:cut])
+        zs = subgroup_elements(da.zero + db.zero, gens, add, lambda z: z[:cut])
         if zs is None:
             return None
         pairs = [(da.decode(z[:cut]), db.decode(z[cut:])) for z in zs]
@@ -634,7 +573,6 @@ def generated_iso(A, abar, B, bbar, bound: int = DEFAULT_BOUND):
             (A.zero(), B.zero()),
             list(zip(abar, bbar)),
             lambda x, y: (x[0] + y[0], x[1] + y[1]),
-            bound,
             lambda x: x[0],
         )
     if pairs is None or len({y for _, y in pairs}) != len(pairs):

@@ -4,8 +4,8 @@ For a tree group, u_beta(G) is the GF(p) dimension of P_beta / P_{beta+1}
 where P_beta = {x : px = 0, h(x) >= beta}; only finite beta occur. With N_k
 the number of non-root nodes of rank >= k, dim P_k = N_k - N_{k+1}, so
 u_k = N_k - 2 N_{k+1} + N_{k+2} (Kaplansky). ``invariants_of`` reads this off
-``GroupTree.socle_dims`` at any size; ``holds_B`` and ``p_beta_space``
-enumerate elements instead and serve as the independent cross-check.
+``GroupTree.socle_dims`` at any size; ``verify`` counts the same dimensions
+by enumerating elements, as the independent cross-check.
 
 Infinitely generated groups are described symbolically by a Profile: an
 ordinal length plus an ordered list of first-match rule clauses assigning a
@@ -19,13 +19,12 @@ segment.
 
 from __future__ import annotations
 
-import itertools
 import weakref
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .ordinal import OMEGA, Ordinal, nat
-from .pgroup import DEFAULT_BOUND, GroupTree
+from .pgroup import GroupTree
 
 
 class _OmegaValue:
@@ -294,40 +293,6 @@ def invariants_of(tree: GroupTree) -> Profile:
     return profile
 
 
-def holds_B(tree: GroupTree, n: int, beta: int, bound: int = DEFAULT_BOUND) -> bool:
-    """Test for n independent order-p elements of height >= beta.
-
-    Deliberately avoids the invariant machinery: memberships come from the
-    literal p^k G chain and independence over G_{beta+1} is checked on all
-    nontrivial combinations. Greedy extension is complete here because
-    linear independence over a subspace is a matroid.
-    """
-    if n == 0:
-        return True
-    chain = tree.pk_chain(bound)
-    G_beta = chain[beta] if beta < len(chain) else chain[-1]
-    G_next = chain[beta + 1] if beta + 1 < len(chain) else chain[-1]
-    P_beta = [x for x in G_beta if x.times_p().is_zero and not x.is_zero]
-    picked: list = []
-    for x in P_beta:
-        ok = True
-        for combo in itertools.product(range(tree.p), repeat=len(picked)):
-            for b in range(1, tree.p):
-                cand = b * x
-                for coef, y in zip(combo, picked):
-                    cand = cand + coef * y
-                if cand in G_next:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            picked.append(x)
-            if len(picked) >= n:
-                return True
-    return False
-
-
 # -- profile constructors ----------------------------------------------------
 
 
@@ -351,54 +316,3 @@ def make_G_hat(alpha: Ordinal, seq, i: int) -> Profile:
             Clause(nat(0), alpha, "any", 0),
         ),
     )
-
-
-def profile_omega_shift(P: Profile) -> Profile:
-    """Invariants of Z_{p^inf-free prefix}: omega on [0, w), then P shifted by w.
-
-    Models gluing a length-w part with all invariants omega below a copy of
-    P living on [w, w + len(P)); finite parts are unchanged so clause
-    parities carry over.
-    """
-    shifted = tuple(
-        Clause(OMEGA + cl.lo, OMEGA + cl.hi, cl.parity, cl.value)
-        for cl in P.clauses
-    )
-    head = Clause(nat(0), OMEGA, "any", OMEGA_VALUE)
-    return Profile(OMEGA + P.length, (head,) + shifted)
-
-
-@dataclass(frozen=True)
-class RealizedProfile:
-    tree: GroupTree
-    truncated: bool
-    counts: tuple[tuple[int, int], ...]  # (n, number of Z_{p^{n+1}} summands)
-
-
-def realize_finite_profile(
-    P: Profile, p: int, budget: int = 3
-) -> RealizedProfile:
-    """Build a tree group with the profile's invariants.
-
-    Omega values are truncated to ``budget`` summands and flagged. Only
-    finite-length profiles can be realized by a finite tree.
-    """
-    if not P.length.is_finite:
-        raise ValueError(f"profile length {P.length} is not finite")
-    parent: dict[str, Optional[str]] = {"r": None}
-    truncated = False
-    counts = []
-    for n in range(P.length.as_int()):
-        v = P.value_at(nat(n))
-        if v is OMEGA_VALUE:
-            k, truncated = budget, True
-        else:
-            k = v
-        counts.append((n, k))
-        for j in range(k):
-            prev = "r"
-            for d in range(n + 1):
-                node = f"u{n}x{j}d{d}"
-                parent[node] = prev
-                prev = node
-    return RealizedProfile(GroupTree(p, parent), truncated, tuple(counts))

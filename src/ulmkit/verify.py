@@ -5,6 +5,14 @@ reports a single pass/fail verdict with a summary line. The suites favor
 independent evidence: wherever a value can be computed twice by unrelated
 routes (search vs. closed form, invariants vs. order statistics, recorded
 receipts vs. re-derivation), both routes run and must agree.
+
+The exhaustive routes that the product path never calls live here, next
+to the suites and tests that compare against them, and enumerate whole
+groups (so they refuse groups above ``DEFAULT_BOUND``): ``pk_chain`` and
+``height_of_by_chain`` (heights from the literal p^k G chain), ``holds_B``
+(order-p independence counted from that chain), ``check_valuation`` (the
+valuation laws of a fragment's min rule) and ``leq_game_reference`` (the
+literal recursive game).
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from .alpha import (
     AlphaSystem,
@@ -38,7 +46,9 @@ from .baf import (
 from .construct import ConstructionState, PredicateTable, run_construction
 from .fragments import canonical_fragment
 from .ordinal import (
+    INFINITY,
     OMEGA,
+    HeightValue,
     Ordinal,
     canonical_cofinal,
     hat_alpha,
@@ -46,8 +56,8 @@ from .ordinal import (
     omega_times,
     parse_ordinal,
 )
-from .pgroup import GroupTree
-from .ulm import invariants_of, holds_B, make_G_hat, ulm_equal, value_ge
+from .pgroup import Fragment, FragmentElement, GroupTree, generated_iso
+from .ulm import invariants_of, make_G_hat, ulm_equal, value_ge
 
 
 @dataclass(frozen=True)
@@ -97,6 +107,142 @@ def corpus_trees(max_nonroot: int, primes: Iterable[int]) -> list[GroupTree]:
         for n in range(max_nonroot + 1)
         for vec in tree_shapes(n)
     ]
+
+
+# -- exhaustive cross-checks ----------------------------------------------------
+
+
+def pk_chain(tree: GroupTree) -> list[frozenset[FragmentElement]]:
+    """[G, pG, p^2 G, ...] down to {0} (inclusive), by element arithmetic."""
+    layer = frozenset(tree.elements())
+    chain = [layer]
+    while len(layer) > 1:
+        layer = frozenset(x.times_p() for x in layer)
+        chain.append(layer)
+    return chain
+
+
+def height_of_by_chain(tree: GroupTree, x: FragmentElement) -> HeightValue:
+    """The largest k with x in p^k G; infinity for zero."""
+    if x.is_zero:
+        return INFINITY
+    chain = pk_chain(tree)
+    k = 0
+    while k + 1 < len(chain) and x in chain[k + 1]:
+        k += 1
+    return nat(k)
+
+
+def holds_B(tree: GroupTree, n: int, beta: int) -> bool:
+    """Test for n independent order-p elements of height >= beta.
+
+    Deliberately avoids the invariant machinery: memberships come from the
+    literal p^k G chain and independence over G_{beta+1} is checked on all
+    nontrivial combinations. Greedy extension is complete here because
+    linear independence over a subspace is a matroid.
+    """
+    if n == 0:
+        return True
+    chain = pk_chain(tree)
+    G_beta = chain[beta] if beta < len(chain) else chain[-1]
+    G_next = chain[beta + 1] if beta + 1 < len(chain) else chain[-1]
+    P_beta = [x for x in G_beta if x.times_p().is_zero and not x.is_zero]
+    picked: list = []
+    for x in P_beta:
+        ok = True
+        for combo in itertools.product(range(tree.p), repeat=len(picked)):
+            for b in range(1, tree.p):
+                cand = b * x
+                for coef, y in zip(combo, picked):
+                    cand = cand + coef * y
+                if cand in G_next:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            picked.append(x)
+            if len(picked) >= n:
+                return True
+    return False
+
+
+def check_valuation(frag: Fragment) -> None:
+    """Exhaustively verify the three valuation laws (small fragments)."""
+    xs = list(frag.elements())
+    for x in xs:
+        hx = x.height()
+        px = x.times_p()
+        if not px.height() >= (hx + 1 if hx is not INFINITY else hx):
+            raise AssertionError(f"h(p*{x}) < h({x})+1")
+        for k in range(2, frag.p):
+            if (k * x).height() != hx:
+                raise AssertionError(f"h({k}*{x}) != h({x})")
+    for x, y in itertools.product(xs, repeat=2):
+        lower = min(x.height(), y.height())
+        if not (x + y).height() >= lower:
+            raise AssertionError(f"h({x}+{y}) < min of heights")
+
+
+def leq_game_reference(
+    A: GroupTree,
+    abar: Sequence[FragmentElement],
+    B: GroupTree,
+    bbar: Sequence[FragmentElement],
+    beta: int,
+    max_ext: Optional[int] = None,
+    _memo: Optional[dict] = None,
+) -> bool:
+    """Literal recursive game, for cross-validating the collapsed form.
+
+    Challenge tuples dbar range over all tuples of B-elements of length at
+    most max_ext (default |B|, at which point the relation has saturated).
+    Exponential; only for micro groups.
+    """
+    abar, bbar = tuple(abar), tuple(bbar)
+    if max_ext is None:
+        max_ext = B.size
+    if _memo is None:
+        _memo = {}
+    if len(abar) > len(bbar):
+        return False
+    bbar = bbar[: len(abar)]
+    key = (A, abar, B, bbar, beta, max_ext)
+    if key in _memo:
+        return _memo[key]
+    if beta == 0:
+        out = generated_iso(A, abar, B, bbar) is not None
+        _memo[key] = out
+        return out
+    _memo[key] = True  # provisional, cycles cannot occur (beta decreases)
+    a_elems = list(A.elements())
+    b_elems = list(B.elements())
+    out = True
+    for gamma in range(beta):
+        for n in range(max_ext + 1):
+            for dbar in itertools.product(b_elems, repeat=n):
+                hit = False
+                for cbar in itertools.product(a_elems, repeat=n):
+                    if leq_game_reference(
+                        B,
+                        bbar + dbar,
+                        A,
+                        abar + cbar,
+                        gamma,
+                        max_ext,
+                        _memo,
+                    ):
+                        hit = True
+                        break
+                if not hit:
+                    out = False
+                    break
+            if not out:
+                break
+        if not out:
+            break
+    _memo[key] = out
+    return out
 
 
 # -- suite 1: game search vs closed form ----------------------------------------

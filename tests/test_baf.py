@@ -14,9 +14,7 @@ from ulmkit.baf import (
     check_extension,
     extend_tuple,
     find_embedding,
-    is_proper,
     leq_barker,
-    leq_game_reference,
     leq_paper,
     leq_std_game,
     relation,
@@ -31,7 +29,7 @@ from ulmkit.fragments import (
 from ulmkit.ordinal import OMEGA, canonical_cofinal, nat, parse_ordinal
 from ulmkit.pgroup import BoundExceeded, GroupTree
 from ulmkit.ulm import OMEGA_VALUE, Clause, Profile, band_split_index, make_G_hat
-from ulmkit.verify import corpus_trees
+from ulmkit.verify import corpus_trees, leq_game_reference
 
 
 def chain(p: int, n: int) -> GroupTree:
@@ -499,25 +497,6 @@ class TestModifiedRelationProfiles:
         Gb = ProfiledGroup(make_G_hat(W2, SEQ2, 0), frag)
         b1 = frag.gen(1)  # order 4
         assert leq_paper(Ga, [Ga.fragment.gen(0)], Gb, [b1], 2) is False
-
-
-class TestProperness:
-    def test_fresh_directions_are_proper(self):
-        frag = from_tree(mixed(2)).fragment
-        a, b, c = frag.gen_named("a"), frag.gen_named("b"), frag.gen_named("c")
-        assert is_proper(b, frag.subgroup([c]))
-
-    def test_detects_improper_representative(self):
-        frag = from_tree(mixed(2)).fragment
-        a, c = frag.gen_named("a"), frag.gen_named("c")
-        # c + (c + a) = a has height 1 > 0
-        assert not is_proper(c, frag.subgroup([c + a]))
-
-    def test_rejects_members_of_the_subgroup(self):
-        frag = from_tree(mixed(2)).fragment
-        a, b = frag.gen_named("a"), frag.gen_named("b")
-        with pytest.raises(ValueError):
-            is_proper(a, frag.subgroup([b]))  # a = 2b lies inside
 
 
 class TestExtendGrowable:

@@ -282,6 +282,29 @@ class TestAlphaRun:
         assert main(["alpha-run", "--alpha", "5", "--g", g, "--steps", "1"]) == 2
 
 
+class TestBadNumbers:
+    @pytest.mark.parametrize(
+        "verb, extra",
+        [
+            ("construct", ["--stages", "4", "--p", "4"]),
+            ("construct", ["--stages", "-2"]),
+            ("construct", ["--stages", "4", "--window", "-1"]),
+            ("alpha-run", ["--alpha", "w*2", "--steps", "-1"]),
+        ],
+        ids=["non-prime-p", "negative-stages", "negative-window", "negative-steps"],
+    )
+    def test_exit_2_with_one_error_line(self, files, capsys, verb, extra):
+        if verb == "construct":
+            argv = [verb, "--table", files("table.json", PredicateTable(1))]
+        else:
+            argv = [verb, "--g", files("g.json", {"n": 0, "always_zero": True})]
+        assert main(argv + extra) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
+
+
 class TestExportDot:
     def test_golden_output(self, files, capsys):
         assert main(["export-dot", files("t.json", CHAIN2)]) == 0

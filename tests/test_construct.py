@@ -17,7 +17,6 @@ from ulmkit.construct import (
     run_construction,
 )
 from ulmkit.ordinal import nat
-from ulmkit.pgroup import BoundExceeded
 from ulmkit.ulm import invariants_of
 
 
@@ -188,10 +187,15 @@ class TestReadingTheGroup:
         assert est == [2, 1, 0]
         assert [profile.value_at(nat(e)) for e in range(3)] == est
 
-    def test_tree_bound_is_enforced(self):
-        run = run_construction(ALL_FALSE, 12)
-        with pytest.raises(BoundExceeded):
-            run.state.as_group_tree(bound=2**10)
+    def test_long_run_converts_to_a_tree(self):
+        # 40 all-false stages list chains of 10,660 nodes in all; building
+        # the tree and reading its invariants enumerates no elements
+        run = run_construction(ALL_FALSE, 40)
+        tree = run.state.as_group_tree()
+        assert len(tree.nonroot) == 10660
+        profile = invariants_of(tree)
+        est = run.state.estimates(8)
+        assert [profile.value_at(nat(e)) for e in range(8)] == est
 
 
 class RescanStepper(ConstructionState):

@@ -9,13 +9,9 @@ from ulmkit.formats import (
     element_to_text,
     export_dot,
     instruction_from_dict,
-    load_profile,
     load_table,
     load_tree,
     parse_element,
-    profile_from_dict,
-    profile_to_dict,
-    save_profile,
     save_table,
     save_tree,
     table_from_dict,
@@ -24,9 +20,7 @@ from ulmkit.formats import (
     tree_to_dict,
 )
 from ulmkit.construct import PredicateTable
-from ulmkit.ordinal import OMEGA, canonical_cofinal, nat, parse_ordinal
 from ulmkit.pgroup import GroupTree
-from ulmkit.ulm import OMEGA_VALUE, invariants_of, make_G_hat
 
 
 MIXED = {"r": None, "a": "r", "b": "a", "c": "r"}
@@ -145,44 +139,6 @@ class TestTableRoundTrip:
     def test_malformed(self, obj):
         with pytest.raises(FormatError):
             table_from_dict(obj)
-
-
-class TestProfileRoundTrip:
-    def test_finite_profile(self):
-        P = invariants_of(mixed(2))
-        assert profile_from_dict(profile_to_dict(P)) == P
-
-    def test_limit_profile_with_omega_values(self, tmp_path):
-        alpha = parse_ordinal("w*2")
-        P = make_G_hat(alpha, canonical_cofinal(alpha), 1)
-        path = str(tmp_path / "p.json")
-        save_profile(P, path)
-        back = load_profile(path)
-        assert back == P
-        assert back.value_at(OMEGA + 2) is OMEGA_VALUE
-
-    def test_omega_spelled_as_w(self):
-        obj = {
-            "length": "w",
-            "clauses": [{"lo": "0", "hi": "w", "value": "w"}],
-        }
-        P = profile_from_dict(obj)
-        assert P.value_at(nat(5)) is OMEGA_VALUE
-
-    @pytest.mark.parametrize(
-        "obj",
-        [
-            {"clauses": []},
-            {"length": 3, "clauses": []},
-            {"length": "x+y", "clauses": []},
-            {"length": "1", "clauses": [{"hi": "1", "value": -2}]},
-            {"length": "1", "clauses": ["all"]},
-            {"length": "2", "clauses": [{"hi": "1", "value": 0}]},  # not total
-        ],
-    )
-    def test_malformed(self, obj):
-        with pytest.raises(FormatError):
-            profile_from_dict(obj)
 
 
 class TestInstructionRows:

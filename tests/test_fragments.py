@@ -15,6 +15,7 @@ from ulmkit.fragments import (
 from ulmkit.ordinal import INFINITY, OMEGA, Ordinal, nat
 from ulmkit.pgroup import GroupTree, generated_iso
 from ulmkit.ulm import OMEGA_VALUE, Clause, Profile
+from ulmkit.verify import check_valuation, height_of_by_chain
 
 
 def flat(p, heights):
@@ -48,6 +49,10 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Fragment(2, (FragmentGen("a", (0, 1), nat(0)),))
 
+    def test_p_must_be_prime(self):
+        with pytest.raises(ValueError, match="not prime"):
+            Fragment(4, (FragmentGen("a", (), nat(0)),))
+
     def test_normal_form_carry(self):
         f = Fragment(
             2,
@@ -78,7 +83,7 @@ class TestConstruction:
                 FragmentGen("c", (), nat(4)),
             ),
         )
-        f.check_valuation()
+        check_valuation(f)
 
 
 HEIGHTS = [nat(0), nat(1), nat(2), nat(3), OMEGA, OMEGA + 1, OMEGA + 2]
@@ -106,7 +111,7 @@ class TestValuationProperties:
     @given(fragment_specs(6))
     def test_random_valid_fragments_are_valuations(self, spec):
         p, gens = spec
-        Fragment(p, gens).check_valuation()
+        check_valuation(Fragment(p, gens))
 
     @settings(max_examples=40, deadline=None)
     @given(fragment_specs(5), st.data())
@@ -121,6 +126,12 @@ class TestValuationProperties:
 
 
 class TestStableEnumeration:
+    def test_enumerates_up_to_the_one_bound(self):
+        # 2^14 elements, within DEFAULT_BOUND: fragments and trees share
+        # one enumeration budget
+        f = flat(2, [nat(0)] * 14)
+        assert sum(1 for _ in f.elements()) == 2**14
+
     def test_order_and_completeness(self):
         f = flat(2, [nat(0), nat(1)])
         elems = list(f.elements_stable())
@@ -169,7 +180,7 @@ class TestTreeRoundTrip:
             )
             for x in t.elements():
                 assert x.fragment is pg.fragment
-                assert x.height() == t.height_of_by_chain(x), (p, shape, x)
+                assert x.height() == height_of_by_chain(t, x), (p, shape, x)
 
     def test_generated_iso_works_on_fragments(self):
         t = GroupTree(2, self.SHAPES[1])

@@ -19,7 +19,6 @@ from ulmkit.ordinal import (
     omega_power,
     omega_times,
     parity_split,
-    parse_height,
     parse_ordinal,
     split_omega,
 )
@@ -113,10 +112,6 @@ class TestText:
         for bad in ["", "w+w", "3+w", "w^", "w*0", "x", "w^2+w^2"]:
             with pytest.raises(ValueError):
                 parse_ordinal(bad)
-
-    def test_height_parse(self):
-        assert parse_height("inf") is INFINITY
-        assert parse_height("w+1") == OMEGA + 1
 
 
 class TestDecompositions:

@@ -8,8 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from ulmkit.fragments import from_tree
 from ulmkit.ordinal import INFINITY, nat
-from ulmkit.pgroup import BoundExceeded, GroupTree, generated_iso
-from ulmkit.verify import corpus_trees, tree_of, tree_shapes
+from ulmkit.pgroup import DEFAULT_BOUND, BoundExceeded, GroupTree, generated_iso
+from ulmkit.verify import (
+    corpus_trees,
+    height_of_by_chain,
+    pk_chain,
+    tree_of,
+    tree_shapes,
+)
 
 
 def chain(p: int, n: int) -> GroupTree:
@@ -128,7 +134,7 @@ class TestOrdersHeights:
             for shape in shapes:
                 t = GroupTree(p, shape)
                 for x in t.elements():
-                    assert x.height() == t.height_of_by_chain(x), (
+                    assert x.height() == height_of_by_chain(t, x), (
                         p,
                         shape,
                         x,
@@ -143,14 +149,6 @@ class TestOrdersHeights:
         assert star(3, 2).length() == 1
         assert GroupTree(2, {"r": None}).length() == 0
 
-    def test_pk_chain_checks_the_bound_on_every_call(self):
-        t = GroupTree(2, MIXED | {"d": "c"})  # 16 elements
-        assert len(t.pk_chain(bound=100)) == 3
-        with pytest.raises(BoundExceeded):
-            t.pk_chain(bound=4)
-        with pytest.raises(BoundExceeded):
-            t.height_of_by_chain(t.node("a"), bound=4)
-
     @settings(max_examples=60, deadline=None)
     @given(
         st.sampled_from([2, 3]),
@@ -164,19 +162,24 @@ class TestOrdersHeights:
             parent[f"n{i + 1}"] = f"n{k % (i + 1)}"
         t = GroupTree(p, parent)
         x = t.element({f"n{i + 1}": c for i, c in zip(range(len(picks)), coeffs)})
-        assert x.height() == t.height_of_by_chain(x)
+        assert x.height() == height_of_by_chain(t, x)
 
     def test_pk_chain_shrinks_to_zero(self):
         t = GroupTree(2, MIXED)
-        sizes = [len(layer) for layer in t.pk_chain()]
+        sizes = [len(layer) for layer in pk_chain(t)]
         assert sizes == [8, 2, 1]
-        assert t.pk_subgroup(5) == frozenset({t.zero()})
+
+    def test_pk_chain_refuses_groups_above_the_bound(self):
+        t = star(3, 11)  # 3^11 elements, one factor of 3 past DEFAULT_BOUND
+        assert t.size > DEFAULT_BOUND
+        with pytest.raises(BoundExceeded):
+            pk_chain(t)
 
 
 class TestSubspaces:
     def test_socle_dims(self):
         t = GroupTree(2, MIXED)  # Z_4 + Z_2: socle = Z_2 x Z_2
-        assert len(t.socle()) == 4
+        assert len(t.fragment.socle()) == 4
         _, d0 = t.p_beta_space(0)
         _, d1 = t.p_beta_space(1)
         _, d2 = t.p_beta_space(2)
@@ -194,18 +197,18 @@ class TestSubspaces:
     def test_socle_dims_match_enumeration(self, p, vec):
         t = tree_of(p, vec)
         # pk_chain runs G, pG, ... down to {0}: one entry per k = 0 .. length
-        want = tuple(t.p_beta_space(k)[1] for k in range(len(t.pk_chain())))
+        want = tuple(t.p_beta_space(k)[1] for k in range(len(pk_chain(t))))
         assert t.socle_dims == want
 
     def test_p_beta_basis_spans(self):
         t = star(3, 3)
         basis, dim = t.p_beta_space(0)
         assert dim == 3
-        assert len(t.subgroup(basis)) == 27
+        assert len(t.fragment.subgroup(basis)) == 27
 
     def test_subgroup_closure(self):
         t = GroupTree(2, MIXED)
-        sub = t.subgroup([t.node("b")])
+        sub = t.fragment.subgroup([t.node("b")])
         assert len(sub) == 4
         assert t.node("a") in sub
 

@@ -17,18 +17,15 @@ from ulmkit.ulm import (
     Clause,
     Profile,
     band_split_index,
-    holds_B,
     invariants_of,
     make_G_hat,
-    profile_omega_shift,
     profiles_agree_on,
-    realize_finite_profile,
     socle_infinite_above,
     socle_mass_above,
     ulm_equal,
 )
 from ulmkit.ordinal import CofinalSequence, canonical_cofinal
-from ulmkit.verify import corpus_trees
+from ulmkit.verify import corpus_trees, holds_B
 
 
 def tree(p, parent):
@@ -302,34 +299,6 @@ class TestConstructors:
         P2 = make_G_hat(omega_power(1, 2), self.seq(), 2)
         assert not ulm_equal(P1, P2)
         assert profiles_agree_on(P1, P2, nat(0), OMEGA + 1, "eq")
-
-    def test_omega_shift(self):
-        base = Profile(nat(2), (Clause(0, 2, "any", 1),))
-        S = profile_omega_shift(base)
-        assert S.length == OMEGA + 2
-        assert S.value_at(nat(40)) is OMEGA_VALUE
-        assert S.value_at(OMEGA) == 1
-        assert S.value_at(OMEGA + 1) == 1
-
-    def test_realize_finite(self):
-        P = Profile(nat(3), (Clause(0, 3, "any", 2),))
-        R = realize_finite_profile(P, 2)
-        assert not R.truncated
-        assert ulm_equal(invariants_of(R.tree), P)
-
-    def test_realize_truncates_omega(self):
-        P = Profile(
-            nat(2),
-            (Clause(0, 1, "any", OMEGA_VALUE), Clause(1, 2, "any", 1)),
-        )
-        R = realize_finite_profile(P, 2, budget=4)
-        assert R.truncated
-        assert invariants_of(R.tree).value_at(nat(0)) == 4
-
-    def test_realize_rejects_infinite_length(self):
-        P = Profile(OMEGA, (Clause(nat(0), OMEGA, "any", 1),))
-        with pytest.raises(ValueError):
-            realize_finite_profile(P, 2)
 
 
 def test_reimported_package_is_freed():
