@@ -20,7 +20,7 @@ sums of already-listed pairs; audit requirements record the truth of
 "x + y = z" for listed triples. The listed set generates the group, so
 invariant estimates read off the chain-depth histogram.
 
-A stage does only new work. It relies on four pieces of bookkeeping:
+A stage does only new work. It relies on five pieces of bookkeeping:
 
   * a cursor per row over its true columns: a treatment uses the least
     fresh true cell, so the used columns Y[e] are a prefix of the row's
@@ -31,10 +31,16 @@ A stage does only new work. It relies on four pieces of bookkeeping:
     through `_set_depth`), which `estimates` reads;
   * settled closure rows: once both operands are listed the sum is
     listed too, and since chains only deepen and extras only grow, the
-    row has nothing more to do and is dropped.
+    row has nothing more to do and is dropped;
+  * pending and live audit rows: listing is monotone for the same
+    reason, so a row whose three operands are all listed stays listed.
+    It moves from the pending list to the live list as (key, a + b, c),
+    with the sum computed once; pending rows re-check only `contains`.
 
-Decoded elements are memoized on the state. Audits still re-evaluate
-every listed triple at every stage, so a flipped diagram fact is caught.
+Decoded elements are memoized on the state, and each closure or audit
+row decodes its operands once, when it is first attended. Every live
+row's memoized sum is still compared with c against the diagram at
+every stage, so a flipped diagram fact is caught.
 """
 
 from __future__ import annotations
@@ -77,12 +83,26 @@ def nth_unit_fraction(n: int, p: int) -> tuple[int, int]:
         j += 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PElement:
-    """Finite sum of fractions mod 1, one per slot; parts sorted by slot."""
+    """Finite sum of fractions mod 1, one per slot; parts sorted by slot.
+
+    `PElement(p, parts)` validates its input: sorted distinct slots, each
+    fraction in lowest terms. The results of `+`, unary `-` and `times_p`
+    are normalized by construction and skip the check (`_trusted`), as
+    does the chain generator 1/p that a construction stage creates.
+    """
 
     p: int
     parts: tuple[tuple[int, int, int], ...]  # (slot, num, jexp)
+
+    @classmethod
+    def _trusted(cls, p: int, parts: tuple[tuple[int, int, int], ...]) -> "PElement":
+        """An element from parts already known to be normalized."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "p", p)
+        object.__setattr__(x, "parts", parts)
+        return x
 
     def __post_init__(self):
         slots = [s for s, _, _ in self.parts]
@@ -114,12 +134,12 @@ class PElement:
                 total //= self.p
                 J -= 1
             acc[s] = (total, J)
-        return PElement(
+        return PElement._trusted(
             self.p, tuple((s, n, j) for s, (n, j) in sorted(acc.items()))
         )
 
     def __neg__(self) -> "PElement":
-        return PElement(
+        return PElement._trusted(
             self.p,
             tuple((s, self.p**j - n, j) for s, n, j in self.parts),
         )
@@ -136,7 +156,7 @@ class PElement:
                 n //= self.p
                 J -= 1
             out.append((s, n, J))
-        return PElement(self.p, tuple(out))
+        return PElement._trusted(self.p, tuple(out))
 
     def order(self) -> int:
         return self.p ** max((j for _, _, j in self.parts), default=0)
@@ -224,7 +244,12 @@ class ConstructionState:
         self._watch: dict[int, set[PElement]] = {}  # row -> X[e] - Xt[e]
         self._hist: dict[int, int] = {}  # depth -> number of chains
         self._elems: dict[int, PElement] = {}
-        self._open_closures: list[int] = []  # closure rows not yet settled
+        # closure rows not yet settled, as their operand pairs (a, b)
+        self._open_closures: list[tuple[PElement, PElement]] = []
+        # audit rows with an operand not yet listed: (key, a, b, c)
+        self._pending_audits: list[tuple[tuple, PElement, PElement, PElement]] = []
+        # audit rows with every operand listed: (key, a + b, c), in D's key order
+        self._live_audits: list[tuple[tuple, PElement, PElement]] = []
 
     def elem(self, m: int) -> PElement:
         x = self._elems.get(m)
@@ -273,12 +298,15 @@ class ConstructionState:
             e = s - 1  # the row first attended at this stage
             self.Y[e], self.X[e], self.Xt[e] = set(), set(), set()
             self._watch[e] = set()
-            self._open_closures.append(e)
+            m1, m2 = cantor_unpair(e)
+            self._open_closures.append((self.elem(m1), self.elem(m2)))
+            i, j, k = decode_triple(e)
+            key = ("sum", i, j, k)
+            self._pending_audits.append((key, self.elem(i), self.elem(j), self.elem(k)))
         for e in range(s):
             self._attend_growth(e, s)
-        self._open_closures = [e for e in self._open_closures if not self._attend_closure(e)]
-        for e in range(s):
-            self._attend_audit(e)
+        self._open_closures = [ab for ab in self._open_closures if not self._attend_closure(*ab)]
+        self._attend_audits()
         self.stage = s + 1
 
     def _attend_growth(self, e: int, s: int) -> None:
@@ -300,15 +328,13 @@ class ConstructionState:
         elif not fresh:
             k = self.next_slot()
             self._set_depth(k, e + 1)
-            x = PElement(self.p, ((k, 1, 1),))
+            x = PElement._trusted(self.p, ((k, 1, 1),))
             self.X[e].add(x)
             watch.add(x)
 
-    def _attend_closure(self, e: int) -> bool:
+    def _attend_closure(self, a: PElement, b: PElement) -> bool:
         """List the sum of a listed pair; True once both operands are
         listed, after which the row can do nothing more."""
-        m1, m2 = cantor_unpair(e)
-        a, b = self.elem(m1), self.elem(m2)
         if not (self.contains(a) and self.contains(b)):
             return False
         c = a + b
@@ -316,15 +342,26 @@ class ConstructionState:
             self.extras.add(c)
         return True
 
-    def _attend_audit(self, e: int) -> None:
-        i, j, k = decode_triple(e)
-        a, b, c = self.elem(i), self.elem(j), self.elem(k)
-        if self.contains(a) and self.contains(b) and self.contains(c):
-            key = ("sum", i, j, k)
-            val = a + b == c
-            if key in self.D and self.D[key] != val:
+    def _attend_audits(self) -> None:
+        """Record "a + b = c" for every audit row whose operands are listed.
+
+        Pending rows whose operands are now all listed go live, after the
+        rows already live, so the live list keeps D's key order; then
+        every live row compares its memoized sum with c against D."""
+        contains = self.contains
+        pending = []
+        for row in self._pending_audits:
+            key, a, b, c = row
+            if contains(a) and contains(b) and contains(c):
+                self._live_audits.append((key, a + b, c))
+            else:
+                pending.append(row)
+        self._pending_audits = pending
+        D = self.D
+        for key, total, c in self._live_audits:
+            val = total == c
+            if D.setdefault(key, val) != val:
                 raise AssertionError(f"diagram fact {key} flipped")
-            self.D[key] = val
 
     # -- reading the assembled group ----------------------------------------
 

@@ -217,15 +217,20 @@ class Fragment:
     def elements_stable(self) -> Iterator[FragmentElement]:
         """Enumeration in an order preserved by fragment extension: elements
         supported on the first m generators come before any element that
-        touches generator m."""
-        if self.size > DEFAULT_BOUND:
-            raise BoundExceeded(f"fragment size {self.size} exceeds {DEFAULT_BOUND}")
+        touches generator m. Lazy: refuses only when about to yield element
+        number DEFAULT_BOUND + 1, so a prefix of a large fragment is cheap."""
         yield self.zero()
+        left = DEFAULT_BOUND - 1
         for top in range(self.rank):
+            pad = (0,) * (self.rank - top - 1)
             for head in itertools.product(range(self.p), repeat=top):
                 for last in range(1, self.p):
-                    vec = head + (last,) + (0,) * (self.rank - top - 1)
-                    yield FragmentElement(self, vec)
+                    if not left:
+                        raise BoundExceeded(
+                            f"fragment size {self.size} exceeds {DEFAULT_BOUND}"
+                        )
+                    left -= 1
+                    yield FragmentElement(self, head + (last,) + pad)
 
     def first_elements(self, n: int) -> list[FragmentElement]:
         if n > self.size:

@@ -65,6 +65,17 @@ class TestCoding:
         assert any(len(decode_elem(m, 2).parts) >= 2 for m in range(300))
 
 
+@st.composite
+def p_elements(draw, p: int) -> PElement:
+    """Valid elements over a few slots, each fraction in lowest terms."""
+    parts = []
+    for slot in sorted(draw(st.sets(st.integers(0, 5), max_size=4))):
+        j = draw(st.integers(1, 4))
+        num = draw(st.integers(1, p**j - 1).filter(lambda n: n % p))
+        parts.append((slot, num, j))
+    return PElement(p, tuple(parts))
+
+
 class TestPElement:
     def test_addition_within_a_slot(self):
         half = PElement(2, ((0, 1, 1),))
@@ -89,6 +100,15 @@ class TestPElement:
         assert x.times_p() == PElement(2, ((0, 3, 2),))
         assert x.times_p().times_p() == PElement(2, ((0, 1, 1),))
         assert x.times_p().times_p().times_p().is_zero
+
+    @given(st.data())
+    def test_arithmetic_results_pass_validation(self, data):
+        # +, - and times_p skip the constructor's check: their results
+        # must be exactly what validation would accept
+        p = data.draw(st.sampled_from([2, 3, 5]))
+        a, b = data.draw(p_elements(p)), data.draw(p_elements(p))
+        for r in (a + b, -a, a.times_p()):
+            assert PElement(p, r.parts) == r
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -300,11 +320,31 @@ class TestIncrementalStages:
         assert state_of(fast) == state_of(slow)
         assert fast.Y[0] == {1, 3}
 
-    def test_a_flipped_diagram_fact_is_still_caught(self):
+    @pytest.mark.parametrize("fact", [True, False])
+    def test_a_flipped_diagram_fact_is_still_caught(self, fact):
+        # the earliest recorded fact went live many stages before the flip
         state = ConstructionState(ALL_FALSE)
-        for _ in range(4):
+        for _ in range(40):
             state.advance()
-        key = next(k for k, v in state.D.items() if v)
-        state.D[key] = False
+        key = next(k for k, v in state.D.items() if v is fact)
+        state.D[key] = not fact
         with pytest.raises(AssertionError, match="flipped"):
             state.advance()
+
+    def test_each_row_adds_at_most_once(self, monkeypatch):
+        # audit sums are memoized and settled closure rows are dropped, so
+        # over 150 stages (149 audit rows, 149 closure rows) no sum is
+        # computed twice
+        calls = 0
+        add = PElement.__add__
+
+        def counting_add(self, other):
+            nonlocal calls
+            calls += 1
+            return add(self, other)
+
+        monkeypatch.setattr(PElement, "__add__", counting_add)
+        state = ConstructionState(ALL_FALSE)
+        for _ in range(150):
+            state.advance()
+        assert len(state.D) <= calls <= 149 + 149

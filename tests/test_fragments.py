@@ -13,7 +13,7 @@ from ulmkit.fragments import (
     from_tree,
 )
 from ulmkit.ordinal import INFINITY, OMEGA, Ordinal, nat
-from ulmkit.pgroup import GroupTree, generated_iso
+from ulmkit.pgroup import DEFAULT_BOUND, BoundExceeded, GroupTree, generated_iso
 from ulmkit.ulm import OMEGA_VALUE, Clause, Profile
 from ulmkit.verify import check_valuation, height_of_by_chain
 
@@ -140,6 +140,19 @@ class TestStableEnumeration:
         assert len(set(elems)) == 4
         keys = [x.stable_key() for x in elems]
         assert keys == sorted(keys)
+
+    def test_a_prefix_of_a_fragment_above_the_bound(self):
+        # 2^16 elements, past DEFAULT_BOUND: a short prefix is still served
+        f = flat(2, [nat(0)] * 16)
+        assert f.size > DEFAULT_BOUND
+        assert f.first_elements(3) == [f.zero(), f.gen(0), f.gen(1)]
+
+    def test_exhausting_a_fragment_above_the_bound_refuses(self):
+        f = flat(2, [nat(0)] * 16)
+        it = f.elements_stable()
+        assert sum(1 for _ in itertools.islice(it, DEFAULT_BOUND)) == DEFAULT_BOUND
+        with pytest.raises(BoundExceeded):
+            next(it)
 
     def test_padding_invariance(self):
         f = flat(2, [nat(3), nat(3)])
