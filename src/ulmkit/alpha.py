@@ -134,7 +134,15 @@ class AlphaSystem:
         return hat_alpha(self.alpha)
 
     def profile(self, j: int):
-        return make_G_hat(self.alpha, self.seq, j)
+        got = self._profiles.get(j)
+        if got is None:
+            got = self._profiles[j] = make_G_hat(self.alpha, self.seq, j)
+        return got
+
+    @functools.cached_property
+    def _profiles(self) -> dict:
+        """One profile per index, built on first use; dies with the system."""
+        return {}
 
     def fresh_group(self, j: int) -> ProfiledGroup:
         return canonical_fragment(self.profile(j), self.p)

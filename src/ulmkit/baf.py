@@ -51,6 +51,7 @@ from .pgroup import (
     BoundExceeded,
     FragmentElement,
     GroupTree,
+    echelon_add,
     generated_iso,
 )
 from .ulm import Profile, band_split_index, invariants_of, profiles_agree_on, ulm_equal
@@ -187,16 +188,6 @@ def _find_embedding_uncached(src, src_pins, dst, dst_pins, onto):
         plan.append((v, u, layer, forced.get(v), added, sym_pred.get(v)))
     basis: list[tuple[int, list[int]]] = []  # echelon rows, row[pivot] = 1
 
-    def independent(vec: list[int]) -> bool:
-        for piv, row in basis:
-            if vec[piv]:
-                vec = [(a - vec[piv] * b) % p for a, b in zip(vec, row)]
-        for piv, c in enumerate(vec):
-            if c:
-                basis.append((piv, [a * pow(c, -1, p) % p for a in vec]))
-                return True
-        return False
-
     assign: dict[str, tuple[int, ...]] = {src.root: dec.zero}
     socle_k: dict[str, tuple[int, ...]] = {src.root: dec.zero}
 
@@ -224,7 +215,7 @@ def _find_embedding_uncached(src, src_pins, dst, dst_pins, onto):
                 vec = None  # a first child adds no socle vector
             else:
                 vec = [(a - b) % p for a, b in zip(k, socle_k[added])]
-                if not independent(vec):
+                if not echelon_add(basis, vec, p):
                     continue
             assign[v] = tuple(map(operator.add, y0, s))
             socle_k[v] = k

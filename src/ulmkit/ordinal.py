@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import total_ordering
 from typing import Callable, Iterator, Union
 
 
-@total_ordering
-@dataclass(frozen=True)
+# the generated order compares term tuples lexicographically, which is ordinal
+# order: the first differing term decides, and a proper prefix is smaller
+@dataclass(frozen=True, order=True)
 class Ordinal:
     terms: tuple[tuple[int, int], ...] = ()
 
@@ -31,19 +31,6 @@ class Ordinal:
             if last is not None and exp >= last:
                 raise ValueError("CNF exponents must strictly decrease")
             last = exp
-
-    # -- ordering ---------------------------------------------------------
-
-    def __lt__(self, other) -> bool:
-        if not isinstance(other, Ordinal):
-            return NotImplemented
-        # longer-prefix lex compare; missing terms behave like (−inf, 0)
-        for (e1, c1), (e2, c2) in zip(self.terms, other.terms):
-            if e1 != e2:
-                return e1 < e2
-            if c1 != c2:
-                return c1 < c2
-        return len(self.terms) < len(other.terms)
 
     # -- structure --------------------------------------------------------
 

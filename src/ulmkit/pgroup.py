@@ -145,7 +145,7 @@ class Fragment:
             raise ValueError("generator names must be distinct")
         self._carries = []  # nonzero p-image entries
         for i, g in enumerate(self.gens):
-            self._carries.append([(j, c) for j, c in enumerate(g.pimage) if c])
+            self._carries.append(list(itertools.compress(enumerate(g.pimage), g.pimage)))
             if len(g.pimage) > i:
                 raise ValueError(f"pimage of {g.name} uses later generators")
             if not isinstance(g.height, Ordinal):
@@ -156,8 +156,8 @@ class Fragment:
         self._by_height = sorted(
             ((i, g.height) for i, g in enumerate(self.gens)), key=lambda e: e[1]
         )
-        for g in self.gens:
-            zh = self._height_of_vec(self._pad(g.pimage, self.rank))
+        for g, carries in zip(self.gens, self._carries):
+            zh = min((self.gens[j].height for j, _ in carries), default=INFINITY)
             if not zh >= g.height + 1:
                 raise ValueError(
                     f"creating {g.name} at height {g.height} needs its "
@@ -276,23 +276,27 @@ class Fragment:
         return FragmentElement(self, self._pad(x.coeffs, self.rank))
 
     def socle_height_dims(self) -> dict[Ordinal, int]:
-        """dim(S_beta / S_{beta+}) per realized height beta, S = order-p part."""
-        socle = self.socle()
-        heights = sorted(
-            {x.height() for x in socle if not x.is_zero}, reverse=True
-        )
+        """dim(S_beta / S_{beta+}) per realized height beta, S = order-p part.
+
+        The elements of height >= beta form V_beta, spanned by the
+        generators of height >= beta (their p-images sit strictly higher),
+        and presented by those generators subject to p*g = pimage(g). So
+        dim S_beta = dim V_beta / pV_beta = #{g : h(g) >= beta} - the GF(p)
+        rank of their p-images, counted here in one echelon pass over the
+        generators in descending height.
+        """
+        basis: list = []
         dims: dict[Ordinal, int] = {}
-        above = 0  # log_p |S_{> current}|
-        for beta in heights:
-            at = [x for x in socle if not x.is_zero and x.height() >= beta]
-            size = len(at) + 1  # plus zero
-            d = 0
-            while self.p**d < size:
-                d += 1
-            if self.p**d != size:
-                raise AssertionError(f"S_{beta} is not a subspace")
-            dims[beta] = d - above
-            above = d
+        have = 0  # dim S_beta at the current beta
+        for beta, group in itertools.groupby(
+            reversed(self._by_height), key=operator.itemgetter(1)
+        ):
+            above = have
+            for i, _ in group:
+                vec = self._pad(self.gens[i].pimage, self.rank)
+                have += 1 - echelon_add(basis, vec, self.p)
+            if have > above:
+                dims[beta] = have - above
         return dims
 
     def __str__(self) -> str:
@@ -514,6 +518,20 @@ class CyclicDecomposition:
                     vec[partner] -= c
             x = self._decoded[z] = frag.element(vec)
         return x
+
+
+def echelon_add(basis: list, vec: Sequence[int], p: int) -> bool:
+    """Reduce vec (entries in [0, p)) against basis, GF(p) echelon rows
+    (pivot, row) with row[pivot] = 1 in the order added. Append it and
+    return True when independent; else return False, leaving basis as is."""
+    for piv, row in basis:
+        if vec[piv]:
+            vec = [(a - vec[piv] * b) % p for a, b in zip(vec, row)]
+    for piv, c in enumerate(vec):
+        if c:
+            basis.append((piv, [a * pow(c, -1, p) % p for a in vec]))
+            return True
+    return False
 
 
 def subgroup_elements(zero, gens, add, key=None):

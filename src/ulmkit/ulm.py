@@ -15,15 +15,29 @@ filtered by the parity of beta's finite part. All profile predicates here
 segmentation: between two adjacent clause boundaries the assigned value can
 only depend on that parity, so the two ordinals a and a+1 decide the whole
 segment.
+
+A Profile indexes itself once, when built. The sorted boundaries cut
+[0, length) into segments, and a segment table holds each segment's value
+at even and at odd finite parts, from the first clause covering it; this is
+where totality is checked. ``value_at`` bisects the segment starts. Suffix
+sums of the segments' socle masses (value times the number of ordinals of
+that parity, omega absorbing) let ``socle_mass_above`` add one partial
+segment to one stored sum; they and ``limit_infinite`` are read off the
+table on first use and kept. The index is not a dataclass field, so
+equality, hashing and repr see only the length and the clauses; the tests
+check it against a plain clause scan.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 import weakref
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
-from .ordinal import OMEGA, Ordinal, nat
+from .ordinal import OMEGA, ZERO, Ordinal, nat
 from .pgroup import GroupTree
 
 
@@ -96,14 +110,6 @@ class Clause:
         if not self.lo < self.hi:
             raise ValueError(f"empty clause interval [{self.lo}, {self.hi})")
 
-    def matches(self, beta: Ordinal) -> bool:
-        if not (self.lo <= beta < self.hi):
-            return False
-        if self.parity == "any":
-            return True
-        want = 0 if self.parity == "even" else 1
-        return beta.finite_part % 2 == want
-
 
 @dataclass(frozen=True)
 class Profile:
@@ -115,43 +121,64 @@ class Profile:
     def __post_init__(self):
         if not isinstance(self.clauses, tuple):
             object.__setattr__(self, "clauses", tuple(self.clauses))
-        for a, b in self._segments(nat(0), self.length):
-            for rep in _segment_reps(a, b):
-                if not any(cl.matches(rep) for cl in self.clauses):
-                    raise ValueError(
-                        f"profile not total: no clause covers {rep}"
-                    )
+        bounds = tuple(sorted({self.length}.union(
+            *((cl.lo, cl.hi) for cl in self.clauses)
+        )))
+        cuts = bounds[: bisect_right(bounds, self.length)]
+        if cuts[0] != ZERO:
+            cuts = (ZERO,) + cuts
+        pos = {x: i for i, x in enumerate(cuts)}
+        n = len(cuts) - 1
+        # vals[i][q]: the value at finite-part parity q in segment i, filled
+        # by the first clause covering it; a clause only visits the segments
+        # it spans, so disjoint clauses build in one pass
+        vals = [[_UNSET, _UNSET] for _ in range(n)]
+        for cl in self.clauses:
+            if cl.lo < self.length:
+                for row in vals[pos[cl.lo] : pos.get(cl.hi, n)]:
+                    for q in _PARITIES[cl.parity]:
+                        if row[q] is _UNSET:
+                            row[q] = cl.value
+        for i, row in enumerate(vals):
+            reps = _segment_reps(cuts[i], cuts[i + 1])
+            for rep in reps:
+                if row[rep.finite_part % 2] is _UNSET:
+                    raise ValueError(f"profile not total: no clause covers {rep}")
+            if len(reps) == 1:  # a one-point segment has a single parity
+                row[1 - reps[0].finite_part % 2] = None
+        # the index is not a field, so ==, hash and repr ignore it
+        self.__dict__.update(_bounds=bounds, _cuts=cuts, _vals=tuple(map(tuple, vals)))
+
+    # read off the table on first use: most profiles of trees never need them
+
+    @functools.cached_property
+    def limit_infinite(self) -> bool:
+        """True when the invariant is omega at every limit below the length."""
+        cuts = self._cuts
+        return all(
+            row[0] is OMEGA_VALUE  # limits are even
+            for a, b, row in zip(cuts, cuts[1:], self._vals)
+            if _limit_rep(a, b) is not None
+        )
+
+    @functools.cached_property
+    def _suffix(self) -> tuple[UValue, ...]:
+        """_suffix[i]: the socle mass of segments i .. n - 1."""
+        cuts, vals = self._cuts, self._vals
+        suffix: list[UValue] = [0] * len(cuts)
+        for i in range(len(vals) - 1, -1, -1):
+            suffix[i] = _value_sum((_mass(cuts[i], cuts[i + 1], vals[i]), suffix[i + 1]))
+        return tuple(suffix)
 
     def value_at(self, beta: Ordinal) -> UValue:
         """Invariant at beta; ordinals at or beyond the length give 0."""
         if not beta < self.length:
             return 0
-        for cl in self.clauses:
-            if cl.matches(beta):
-                return cl.value
-        raise AssertionError("validated profile missed a point")
+        return self._vals[bisect_right(self._cuts, beta) - 1][beta.finite_part % 2]
 
-    def boundaries(self) -> list[Ordinal]:
-        pts = {self.length}
-        for cl in self.clauses:
-            pts.add(cl.lo)
-            pts.add(cl.hi)
-        return sorted(pts)
-
-    def _segments(self, lo: Ordinal, hi: Ordinal):
-        pts = sorted(
-            {p for p in self.boundaries() if lo < p < hi} | {lo, hi}
-        )
-        return zip(pts, pts[1:])
-
-    @property
-    def limit_infinite(self) -> bool:
-        """True when the invariant is omega at every limit below the length."""
-        for a, b in self._segments(nat(0), self.length):
-            rep = _limit_rep(a, b)
-            if rep is not None and self.value_at(rep) is not OMEGA_VALUE:
-                return False
-        return True
+    def boundaries(self) -> tuple[Ordinal, ...]:
+        """The clause endpoints and the length, sorted."""
+        return self._bounds
 
     def __str__(self) -> str:
         rows = ", ".join(
@@ -160,6 +187,10 @@ class Profile:
             for c in self.clauses
         )
         return f"Profile(len={self.length}; {rows})"
+
+
+_UNSET = object()
+_PARITIES = {"any": (0, 1), "even": (0,), "odd": (1,)}
 
 
 def _segment_reps(a: Ordinal, b: Ordinal) -> list[Ordinal]:
@@ -188,14 +219,14 @@ def _count_parity(a: Ordinal, b: Ordinal, parity: int) -> UValue:
     return max(0, (fb - lo + 1) // 2)
 
 
-def _joint_segments(
-    profiles: Sequence[Profile], lo: Ordinal, hi: Ordinal
-):
-    pts: set[Ordinal] = {lo, hi}
-    for p in profiles:
-        pts.update(x for x in p.boundaries() if lo < x < hi)
-    ordered = sorted(pts)
-    return zip(ordered, ordered[1:])
+def _mass(a: Ordinal, b: Ordinal, vals) -> UValue:
+    """Sum of the invariants over [a, b), given its (even, odd) values."""
+    parts: list[UValue] = []
+    for q, v in enumerate(vals):
+        cnt = _count_parity(a, b, q) if v else 0
+        if cnt:
+            parts.append(OMEGA_VALUE if OMEGA_VALUE in (v, cnt) else v * cnt)
+    return _value_sum(parts)
 
 
 def profiles_agree_on(
@@ -204,18 +235,18 @@ def profiles_agree_on(
     """Compare invariants pointwise on [lo, hi): mode 'eq' or 'ge' (P >= Q)."""
     if not lo < hi:
         return True
-    for a, b in _joint_segments((P, Q), lo, hi):
-        for rep in _segment_reps(a, b):
-            vp, vq = P.value_at(rep), Q.value_at(rep)
-            if mode == "eq":
-                if vp != vq:
-                    return False
-            elif mode == "ge":
-                if not value_ge(vp, vq):
-                    return False
-            else:
-                raise ValueError(f"bad mode {mode!r}")
-    return True
+    if mode not in ("eq", "ge"):
+        raise ValueError(f"bad mode {mode!r}")
+    agree = operator.eq if mode == "eq" else value_ge
+    pts = {lo, hi}
+    for bounds in (P.boundaries(), Q.boundaries()):
+        pts.update(bounds[bisect_right(bounds, lo) : bisect_left(bounds, hi)])
+    pts = sorted(pts)
+    return all(
+        agree(P.value_at(rep), Q.value_at(rep))
+        for a, b in zip(pts, pts[1:])
+        for rep in _segment_reps(a, b)
+    )
 
 
 def ulm_equal(P: Profile, Q: Profile) -> bool:
@@ -230,19 +261,9 @@ def socle_mass_above(P: Profile, theta: Ordinal) -> UValue:
     """Total socle dimension at heights >= theta: sum of u_beta, beta >= theta."""
     if not theta < P.length:
         return 0
-    parts: list[UValue] = []
-    for a, b in _joint_segments((P,), theta, P.length):
-        for rep in _segment_reps(a, b):
-            v = P.value_at(rep)
-            if v == 0:
-                continue
-            cnt = _count_parity(a, b, rep.finite_part % 2)
-            if cnt == 0:
-                continue
-            if cnt is OMEGA_VALUE or v is OMEGA_VALUE:
-                return OMEGA_VALUE
-            parts.append(v * cnt)
-    return _value_sum(parts)
+    i = bisect_right(P._cuts, theta) - 1
+    head = _mass(theta, P._cuts[i + 1], P._vals[i])
+    return _value_sum((head, P._suffix[i + 1]))
 
 
 def socle_infinite_above(P: Profile, theta: Ordinal) -> bool:
@@ -256,11 +277,11 @@ def band_split_index(P: Profile, thr: Ordinal) -> Optional[int]:
     largest k with P_{thr+k} infinite (so P_{thr+k+1} is finite), or -1 when
     already P_thr is finite.
     """
-    offsets = {0}
-    for pt in P.boundaries():
-        if thr <= pt < thr + OMEGA and pt.limit_part == thr.limit_part:
-            offsets.add(pt.finite_part - thr.finite_part)
-    ceiling = max(offsets) + 1
+    # boundaries in [thr, thr + w) are thr's limit part plus a finite part
+    bounds = P.boundaries()
+    j = bisect_left(bounds, thr + OMEGA)
+    top = bounds[j - 1] if j and bounds[j - 1] >= thr else thr
+    ceiling = top.finite_part - thr.finite_part + 1
     if socle_infinite_above(P, thr + ceiling):
         return None
     # the tail mass only shrinks as the offset rises, so bisect for the

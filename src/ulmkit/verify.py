@@ -11,8 +11,9 @@ to the suites and tests that compare against them, and enumerate whole
 groups (so they refuse groups above ``DEFAULT_BOUND``): ``pk_chain`` and
 ``height_of_by_chain`` (heights from the literal p^k G chain), ``holds_B``
 (order-p independence counted from that chain), ``check_valuation`` (the
-valuation laws of a fragment's min rule) and ``leq_game_reference`` (the
-literal recursive game).
+valuation laws of a fragment's min rule), ``socle_dims_by_enumeration``
+(a fragment's socle layers counted element by element) and
+``leq_game_reference`` (the literal recursive game).
 """
 
 from __future__ import annotations
@@ -182,6 +183,23 @@ def check_valuation(frag: Fragment) -> None:
         lower = min(x.height(), y.height())
         if not (x + y).height() >= lower:
             raise AssertionError(f"h({x}+{y}) < min of heights")
+
+
+def socle_dims_by_enumeration(frag: Fragment) -> dict[Ordinal, int]:
+    """``Fragment.socle_height_dims`` counted from the enumerated socle."""
+    socle = [x for x in frag.socle() if not x.is_zero]
+    dims: dict[Ordinal, int] = {}
+    above = 0  # log_p |S_{> current}|
+    for beta in sorted({x.height() for x in socle}, reverse=True):
+        size = 1 + sum(x.height() >= beta for x in socle)
+        d = 0
+        while frag.p**d < size:
+            d += 1
+        if frag.p**d != size:
+            raise AssertionError(f"S_{beta} is not a subspace")
+        dims[beta] = d - above
+        above = d
+    return dims
 
 
 def leq_game_reference(

@@ -405,6 +405,19 @@ class TestCheckAxioms:
         gc.collect()
         assert ref() is None
 
+    def test_profiles_are_built_once_and_die_with_their_system(self):
+        alpha = parse_ordinal("w*2")
+        system = AlphaSystem(alpha, canonical_cofinal(alpha))
+        assert check_axioms(system, 20, seed=1).ok
+        built = dict(system._profiles)
+        assert built
+        assert all(system.profile(j) is P for j, P in built.items())
+        assert all(system.fresh_group(j).profile is P for j, P in built.items())
+        refs = [weakref.ref(system)] + [weakref.ref(P) for P in built.values()]
+        del system, built
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+
     def test_planted_defect_is_found(self):
         report = check_axioms(_ShrinkingE(), 200, seed=3)
         assert not report.ok

@@ -185,6 +185,21 @@ class TestBaf:
         assert code == 0
         assert capsys.readouterr().out == "holds\n"
 
+    def test_closed_form_on_a_1500_node_chain_is_fast(self, files, capsys):
+        # profiles are indexed once and answer socle mass from suffix sums;
+        # a clause scan per query took about 20 s here
+        parent = {"r": None}
+        parent.update({f"c{i}": f"c{i - 1}" if i > 1 else "r" for i in range(1, 1501)})
+        t = files("chain1500.json", GroupTree(2, parent))
+        start = time.perf_counter()
+        code = main(
+            ["baf", "--beta", "1", "--method", "closed",
+             "--left", f"{t},c3", "--right", f"{t},c3"]
+        )
+        assert time.perf_counter() - start < 3.0
+        assert code == 0
+        assert capsys.readouterr().out == "holds\n"
+
     def test_unknown_node_exits_2(self, files, capsys):
         t = files("t.json", CHAIN2)
         code = main(["baf", "--beta", "1", "--left", f"{t},zz", "--right", t])

@@ -12,10 +12,10 @@ from ulmkit.fragments import (
     canonical_fragment,
     from_tree,
 )
-from ulmkit.ordinal import INFINITY, OMEGA, Ordinal, nat
+from ulmkit.ordinal import INFINITY, OMEGA, Ordinal, canonical_cofinal, nat, parse_ordinal
 from ulmkit.pgroup import DEFAULT_BOUND, BoundExceeded, GroupTree, generated_iso
-from ulmkit.ulm import OMEGA_VALUE, Clause, Profile
-from ulmkit.verify import check_valuation, height_of_by_chain
+from ulmkit.ulm import OMEGA_VALUE, Clause, Profile, make_G_hat
+from ulmkit.verify import check_valuation, height_of_by_chain, socle_dims_by_enumeration
 
 
 def flat(p, heights):
@@ -123,6 +123,31 @@ class TestValuationProperties:
         pimage = (0,) * j + (1,)
         with pytest.raises(ValueError, match="needs its p-image"):
             Fragment(p, gens + [FragmentGen("new", pimage, height)])
+
+
+class TestSocleDims:
+    @settings(max_examples=60, deadline=None)
+    @given(fragment_specs(6))
+    def test_rank_count_matches_the_enumeration(self, spec):
+        frag = Fragment(*spec)
+        assert frag.socle_height_dims() == socle_dims_by_enumeration(frag)
+
+    def test_capacity_past_the_enumeration_bound(self):
+        # 2^16 > DEFAULT_BOUND elements: the capacity check counts by rank
+        all_omega = Profile(OMEGA, (Clause(nat(0), OMEGA, "any", OMEGA_VALUE),))
+        pg = canonical_fragment(all_omega, 2)
+        for rank in (16, 20):
+            while pg.fragment.rank < rank:
+                pg, _ = pg.create_element(pg.zero(), nat(0))
+            assert pg.fragment.socle_height_dims() == {nat(0): rank}
+
+    def test_over_capacity_creation_is_refused(self):
+        alpha = parse_ordinal("w*2")
+        profile = make_G_hat(alpha, canonical_cofinal(alpha), 1)  # cut w+1
+        pg = canonical_fragment(profile, 2)
+        grown, _ = pg.create_element(pg.zero(), OMEGA + 2)  # even slot: omega
+        with pytest.raises(ValueError, match="profile allows 0"):
+            grown.create_element(grown.zero(), OMEGA + 3)  # odd slot: 0
 
 
 class TestStableEnumeration:

@@ -41,6 +41,17 @@ def ords(max_exp=3, max_coeff=4):
     )
 
 
+def lt_by_terms(a: Ordinal, b: Ordinal) -> bool:
+    """Reference order: compare CNF terms one by one; a proper prefix is
+    smaller (missing terms behave like (-inf, 0))."""
+    for (e1, c1), (e2, c2) in zip(a.terms, b.terms):
+        if e1 != e2:
+            return e1 < e2
+        if c1 != c2:
+            return c1 < c2
+    return len(a.terms) < len(b.terms)
+
+
 class TestCNF:
     def test_rejects_nondecreasing_exponents(self):
         with pytest.raises(ValueError):
@@ -71,6 +82,15 @@ class TestCNF:
             for b in chain[i + 1 :]:
                 assert a < b
                 assert not b < a
+
+    @given(ords(), ords())
+    def test_order_matches_the_term_by_term_compare(self, a, b):
+        lt, gt = lt_by_terms(a, b), lt_by_terms(b, a)
+        assert (a < b) == lt
+        assert (a <= b) == (not gt)
+        assert (a > b) == gt
+        assert (a >= b) == (not lt)
+        assert (a == b) == (not lt and not gt)
 
     @given(ords(), ords())
     def test_addition_monotone_right(self, a, b):
@@ -175,6 +195,10 @@ class TestHeights:
         assert INFINITY + 1 is INFINITY
         assert nat(4) < INFINITY
         assert nat(4) <= INFINITY
+        # Ordinal's own order refuses other types, so these reach INFINITY
+        assert not nat(4) > INFINITY
+        assert not omega_power(3, 9) >= INFINITY
+        assert sorted([INFINITY, OMEGA, ZERO]) == [ZERO, OMEGA, INFINITY]
 
     def test_height_min(self):
         assert height_min(INFINITY, OMEGA) == OMEGA

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -274,6 +275,140 @@ class TestHoldsB:
                 for n in range(5):
                     expect = u is OMEGA_VALUE or (isinstance(u, int) and u >= n)
                     assert holds_B(t, n, beta) == expect, (p, shape, n, beta)
+
+
+# -- the profile index against a clause scan -------------------------------
+
+POINTS = [nat(n) for n in range(6)] + [
+    parse_ordinal(x) for x in ("w", "w+1", "w+2", "w+3", "w*2", "w*2+1", "w^2")
+]
+VALUES = [0, 1, 2, OMEGA_VALUE]
+PROBES = sorted(
+    set(POINTS + [x + k for x in POINTS for k in (1, 2, 5)])
+    | {parse_ordinal(x) for x in ("w^2+w", "w^2+w+1", "w^3")}
+)
+
+
+def scan_value(P: Profile, beta: Ordinal):
+    """value_at by scanning the clauses, first match wins."""
+    if not beta < P.length:
+        return 0
+    for cl in P.clauses:
+        if cl.lo <= beta < cl.hi and cl.parity in (
+            "any", ("even", "odd")[beta.finite_part % 2]
+        ):
+            return cl.value
+    return None  # not total
+
+
+def scan_segments(profiles, lo, hi):
+    pts = {lo, hi}
+    for P in profiles:
+        pts |= {x for cl in P.clauses for x in (cl.lo, cl.hi)} | {P.length}
+    pts = sorted(x for x in pts if lo <= x <= hi)
+    for a, b in zip(pts, pts[1:]):
+        yield a, b, [a] + ([a + 1] if a + 1 < b else [])
+
+
+def scan_total(P: Profile) -> bool:
+    return all(
+        scan_value(P, rep) is not None
+        for _, _, reps in scan_segments([P], nat(0), P.length)
+        for rep in reps
+    )
+
+
+def scan_limit_infinite(P: Profile) -> bool:
+    # a segment holds a limit iff it starts at one or reaches the next one
+    for a, b, _ in scan_segments([P], nat(0), P.length):
+        rep = a if a.is_limit else a.limit_part + OMEGA
+        if rep < b and scan_value(P, rep) is not OMEGA_VALUE:
+            return False
+    return True
+
+
+def scan_mass(P: Profile, theta: Ordinal):
+    total = 0
+    for a, b, reps in scan_segments([P], theta, P.length):
+        for rep in reps:
+            v = scan_value(P, rep)
+            count = OMEGA_VALUE if b.limit_part > a.limit_part else len(
+                range(rep.finite_part, b.finite_part, 2)
+            )
+            if v == 0 or count == 0:
+                continue
+            if OMEGA_VALUE in (v, count):
+                return OMEGA_VALUE
+            total += v * count
+    return total
+
+
+def scan_agree(P: Profile, Q: Profile, lo, hi, mode) -> bool:
+    for _, _, reps in scan_segments([P, Q], lo, hi):
+        for rep in reps:
+            vp, vq = scan_value(P, rep), scan_value(Q, rep)
+            if not (vp == vq if mode == "eq" else vp is OMEGA_VALUE or (
+                vq is not OMEGA_VALUE and vp >= vq
+            )):
+                return False
+    return True
+
+
+@st.composite
+def clauses(draw):
+    lo, hi = sorted(draw(st.lists(st.sampled_from(POINTS), min_size=2, max_size=2, unique=True)))
+    parity = draw(st.sampled_from(["any", "even", "odd"]))
+    return Clause(lo, hi, parity, draw(st.sampled_from(VALUES)))
+
+
+@st.composite
+def raw_profiles(draw, total: bool):
+    """(length, clauses) with overlapping, parity and omega clauses; with
+    `total`, a final catch-all clause makes the profile total."""
+    length = draw(st.sampled_from(POINTS))
+    clauses_ = draw(st.lists(clauses(), max_size=5))
+    if total:
+        hi = draw(st.sampled_from([x for x in POINTS if x >= length and x.terms]))
+        clauses_.append(Clause(nat(0), hi, "any", draw(st.sampled_from(VALUES))))
+    return length, tuple(clauses_)
+
+
+class TestProfileIndex:
+    @given(raw_profiles(total=False))
+    def test_a_profile_is_built_iff_the_scan_finds_it_total(self, raw):
+        length, clauses = raw
+        if scan_total(SimpleNamespace(length=length, clauses=clauses)):
+            P = Profile(length, clauses)
+            assert P == Profile(length, clauses) and hash(P) == hash(Profile(length, clauses))
+            assert repr(P) == f"Profile(length={length!r}, clauses={clauses!r})"
+        else:
+            with pytest.raises(ValueError, match="profile not total"):
+                Profile(length, clauses)
+
+    @given(raw_profiles(total=True))
+    def test_point_queries_match_the_scan(self, raw):
+        P = Profile(*raw)
+        for beta in PROBES + list(P.boundaries()):
+            assert P.value_at(beta) == scan_value(P, beta), beta
+            assert socle_mass_above(P, beta) == scan_mass(P, beta), beta
+        assert P.limit_infinite == scan_limit_infinite(P)
+
+    @given(raw_profiles(total=True), raw_profiles(total=True), st.sampled_from(PROBES), st.sampled_from(PROBES))
+    def test_comparisons_match_the_scan(self, raw_p, raw_q, lo, hi):
+        P, Q = Profile(*raw_p), Profile(*raw_q)
+        for mode in ("eq", "ge"):
+            assert profiles_agree_on(P, Q, lo, hi, mode) == scan_agree(P, Q, lo, hi, mode)
+        top = max(P.length, Q.length)
+        assert ulm_equal(P, Q) == scan_agree(P, Q, nat(0), top, "eq")
+
+    @given(raw_profiles(total=True), clauses(), st.sampled_from(PROBES), st.sampled_from(PROBES))
+    def test_comparisons_see_a_change_inside_a_segment(self, raw, extra, lo, hi):
+        # one clause put first changes P on a stretch inside its segments
+        P, Q = Profile(*raw), Profile(raw[0], (extra,) + raw[1])
+        for A, B in ((P, Q), (Q, P)):
+            for mode in ("eq", "ge"):
+                assert profiles_agree_on(A, B, lo, hi, mode) == scan_agree(A, B, lo, hi, mode)
+            assert ulm_equal(A, B) == scan_agree(A, B, nat(0), A.length, "eq")
 
 
 class TestConstructors:
