@@ -53,8 +53,26 @@ class Letter:
         for x in self.images:
             if x.fragment is not self.group.fragment:
                 raise ValueError("images must live in the letter's fragment")
-        if len(set(self.images)) != len(self.images):
+        if len(self._image_set) != len(self.images):
             raise ValueError("images must be pairwise distinct")
+
+    @functools.cached_property
+    def _image_set(self) -> frozenset[FragmentElement]:
+        return frozenset(self.images)
+
+    def uncovered(self, i: int) -> int:
+        """How many of the first i elements of the fragment, in the stable
+        enumeration order, the list misses. Memoized per i on the letter."""
+        got = self._uncovered.get(i)
+        if got is None:
+            have = self._image_set
+            need = self.group.fragment.first_elements(i)
+            got = self._uncovered[i] = sum(e not in have for e in need)
+        return got
+
+    @functools.cached_property
+    def _uncovered(self) -> dict[int, int]:
+        return {}
 
     def __len__(self) -> int:
         return len(self.images)
@@ -184,12 +202,10 @@ class AlphaSystem:
             if len(ell.images) < i:
                 out.append(f"letter {i} lists fewer than {i} elements")
                 continue
-            have = set(ell.images)
-            need = ell.group.fragment.first_elements(i)
-            missing = [e for e in need if e not in have]
+            missing = ell.uncovered(i)
             if missing:
                 out.append(
-                    f"letter {i} misses {len(missing)} of the first {i} "
+                    f"letter {i} misses {missing} of the first {i} "
                     f"elements of its fragment"
                 )
         for t, ell in enumerate(letters):
@@ -224,6 +240,11 @@ class AlphaSystem:
     def verified_pull(self) -> tuple[int, int]:
         """Largest sample level admitting a verified pull, paired with its
         index. Raises when no sample level works."""
+        return self._verified_pull
+
+    @functools.cached_property
+    def _verified_pull(self) -> tuple[int, int]:
+        """Computed on first use and kept; dies with the system."""
         for b0 in reversed(self.sample_levels()):
             j = self.find_pull_index(b0)
             if j is not None:
@@ -357,13 +378,6 @@ def _cover_letter(sys: AlphaSystem, letter: Letter, i: int) -> Letter:
         if e not in have:
             images.append(e)
             have.add(e)
-    if len(images) < i:
-        for e in group.fragment.elements_stable():
-            if len(images) >= i:
-                break
-            if e not in have:
-                images.append(e)
-                have.add(e)
     return Letter(letter.j, tuple(images), group)
 
 

@@ -51,6 +51,7 @@ from .pgroup import (
     BoundExceeded,
     FragmentElement,
     GroupTree,
+    _generated_iso_exists,
     echelon_add,
     generated_iso,
 )
@@ -335,9 +336,9 @@ def _corresponds(B, bbar, A, abar) -> bool:
         key = (A, tuple(y.coeffs for y in bbar), tuple(x.coeffs for x in abar))
         hit = B.iso_memo.get(key)
         if hit is None:
-            hit = B.iso_memo[key] = generated_iso(B, bbar, A, abar) is not None
+            hit = B.iso_memo[key] = _generated_iso_exists(B, bbar, A, abar)
         return hit
-    return generated_iso(B, bbar, A, abar) is not None
+    return _generated_iso_exists(B, bbar, A, abar)
 
 
 def leq_paper(
@@ -367,7 +368,7 @@ def leq_paper(
     if len(abar) > len(bbar):
         return False
     bbar = bbar[: len(abar)]
-    if generated_iso(B.fragment, bbar, A.fragment, abar) is None:
+    if not _generated_iso_exists(B.fragment, bbar, A.fragment, abar):
         return False
     delta, parity = parity_split(beta)
     thr = omega_times(delta)
@@ -413,7 +414,7 @@ def relation(
         if len(abar) > len(bbar):
             return False
         bbar = bbar[: len(abar)]
-        return generated_iso(B.fragment, bbar, A.fragment, abar) is not None
+        return _generated_iso_exists(B.fragment, bbar, A.fragment, abar)
     if all(
         P.length.is_limit and P.limit_infinite for P in (A.profile, B.profile)
     ):
@@ -629,7 +630,7 @@ def check_extension(
             problems.append(f"h({c}) = {c.height()}, recorded {rec.height}")
         prefix = [frag.migrate(x) for x in rec.context]
         sub = frag.subgroup(prefix)
-        if any(c == s for s in sub):
+        if c in sub:
             problems.append(f"{c} fell into the prefix subgroup")
         elif not all(c.height() >= (c + s).height() for s in sub):
             problems.append(f"{c} is not proper over its prefix subgroup")

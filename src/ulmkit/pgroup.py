@@ -33,8 +33,12 @@ dim (p^k G)[p] = N_k - N_(k+1), the count ``socle_dims`` keeps per rank.
 Every enumeration of elements (whole groups, socles, generated subgroups,
 socle layers) refuses to go past ``DEFAULT_BOUND`` elements; ``verify``
 recomputes the counts and heights from it as the independent cross-check.
-Searches and ``generated_iso`` add in the coordinates of
-``CyclicDecomposition``.
+Generated subgroups are built as towers of coordinate tuples and wrapped as
+elements only at the end: trees add in the coordinates of
+``CyclicDecomposition``, fragments on raw coefficient tuples normalized by
+their carries. ``generated_iso`` builds the correspondence dict from that
+tower; callers that only ask whether it exists use
+``_generated_iso_exists``, which builds and decodes no pairs.
 """
 
 from __future__ import annotations
@@ -233,18 +237,38 @@ class Fragment:
                     yield FragmentElement(self, head + (last,) + pad)
 
     def first_elements(self, n: int) -> list[FragmentElement]:
+        """The first n elements of ``elements_stable``, as a fresh list."""
         if n > self.size:
             raise BoundExceeded(
                 f"asked for {n} elements of a fragment of size {self.size}"
             )
-        return list(itertools.islice(self.elements_stable(), n))
+        memo = self._stable_prefix
+        if len(memo) < n:
+            memo[:] = itertools.islice(self.elements_stable(), n)
+        return memo[:n]
+
+    @functools.cached_property
+    def _stable_prefix(self) -> list[FragmentElement]:
+        """The longest prefix of ``elements_stable`` asked for so far; it
+        dies with the fragment."""
+        return []
 
     def socle(self) -> list[FragmentElement]:
         """Elements of order dividing p, in lex order."""
         return [x for x in self.elements() if x.times_p().is_zero]
 
     def subgroup(self, gens: Iterable[FragmentElement]) -> frozenset[FragmentElement]:
-        return frozenset(subgroup_elements(self.zero(), gens, operator.add))
+        """<gens>, built on coefficient tuples and wrapped once at the end."""
+        vecs = [self.coords(g) for g in gens]
+        zs = subgroup_elements(self._zero.coeffs, vecs, _coeff_adder((self,)))
+        # zs[0] is the zero tuple
+        return frozenset([self._zero] + [FragmentElement(self, z) for z in zs[1:]])
+
+    def coords(self, x: FragmentElement) -> tuple[int, ...]:
+        """x's coefficient tuple, refusing elements of other fragments."""
+        if x.fragment is not self:
+            raise ValueError("element does not belong to this fragment")
+        return x.coeffs
 
     # -- growth ----------------------------------------------------------------
 
@@ -561,43 +585,94 @@ def subgroup_elements(zero, gens, add, key=None):
     return elems
 
 
-def generated_iso(A, abar, B, bbar):
-    """Try to extend abar[i] -> bbar[i] to an isomorphism <abar> -> <bbar>.
+def _coeff_adder(frags: Sequence[Fragment]):
+    """Addition of normalized coefficient tuples of the fragments in
+    `frags`, laid end to end: add coordinatewise, then carry each block's
+    overflow from its top generator down, as ``Fragment._normalize`` does.
+    Carries stay inside their block."""
+    blocks, off = [], 0
+    for f in frags:
+        blocks.append((off, range(off + f.rank - 1, off - 1, -1), f.p, f._carries))
+        off += f.rank
 
-    A and B only need ``zero()`` plus element ``+``; tree groups and
-    fragments both qualify. Returns the full mapping dict (zero included)
-    or None. The extension, when it exists, is unique, so this doubles as
-    a membership-respecting closure of the correspondence. It is the group
-    of pairs (a, b) generated by the (abar[i], bbar[i]) keyed by a: the
-    relations m*a_i = w of the tower present <abar>, so the map is well
-    defined iff each m*b_i is the image of w, and injective iff the images
-    differ.
+    def add(x, y):
+        v = list(map(operator.add, x, y))
+        for off, top_down, p, carries in blocks:
+            for i in top_down:
+                if v[i] >= p:
+                    q, v[i] = divmod(v[i], p)
+                    for j, c in carries[i - off]:
+                        v[off + j] += q * c
+        return tuple(v)
+
+    return add
+
+
+def _pair_tower(A, abar, B, bbar):
+    """The group of pairs generated by the (abar[i], bbar[i]), keyed by
+    their left part, as coordinate tuples: A's coordinates, then B's.
+
+    Two trees add in the coordinates of their cyclic decompositions; any
+    other pair in coefficient tuples (a tree's being those of
+    ``GroupTree.fragment``). Returns (tuples or None, cut): the tuples come
+    zero first, None when the correspondence is not well defined, and the
+    left part of each is its first `cut` entries.
     """
-    abar, bbar = tuple(abar), tuple(bbar)
     if len(abar) != len(bbar):
         raise ValueError("tuples must have equal length")
     if isinstance(A, GroupTree) and isinstance(B, GroupTree):
-        # trees add in the coordinates of their cyclic decompositions, one
-        # tuple per pair; the element pairs below make the median
-        # relation-sweep query about 1.8x slower
         da, db = A.decomposition, B.decomposition
-        cut, mods = len(da.moduli), da.moduli + db.moduli
+        mods = da.moduli + db.moduli
 
         def add(x, y):
             return tuple([(a + b) % m for a, b, m in zip(x, y, mods)])
 
-        gens = [da.encode(x) + db.encode(y) for x, y in zip(abar, bbar)]
-        zs = subgroup_elements(da.zero + db.zero, gens, add, lambda z: z[:cut])
-        if zs is None:
-            return None
-        pairs = [(da.decode(z[:cut]), db.decode(z[cut:])) for z in zs]
+        enc_a, enc_b, zero_a, zero_b = da.encode, db.encode, da.zero, db.zero
     else:
-        pairs = subgroup_elements(
-            (A.zero(), B.zero()),
-            list(zip(abar, bbar)),
-            lambda x, y: (x[0] + y[0], x[1] + y[1]),
-            lambda x: x[0],
-        )
-    if pairs is None or len({y for _, y in pairs}) != len(pairs):
+        fa, fb = (G.fragment if isinstance(G, GroupTree) else G for G in (A, B))
+        add = _coeff_adder((fa, fb))
+        enc_a, enc_b = fa.coords, fb.coords
+        zero_a, zero_b = fa._zero.coeffs, fb._zero.coeffs
+    cut = len(zero_a)
+    gens = [enc_a(x) + enc_b(y) for x, y in zip(abar, bbar)]
+    zs = subgroup_elements(zero_a + zero_b, gens, add, lambda z: z[:cut])
+    return zs, cut
+
+
+def _injective(zs, cut: int) -> bool:
+    # keys are unique, so only zs[0] = 0 has a zero left part; the map is
+    # injective iff no other tuple has a zero right part
+    return all(any(z[cut:]) for z in itertools.islice(zs, 1, None))
+
+
+def _generated_iso_exists(A, abar, B, bbar) -> bool:
+    """Whether ``generated_iso`` would return a map, without building it."""
+    zs, cut = _pair_tower(A, abar, B, bbar)
+    return zs is not None and _injective(zs, cut)
+
+
+def generated_iso(A, abar, B, bbar):
+    """Try to extend abar[i] -> bbar[i] to an isomorphism <abar> -> <bbar>.
+
+    A and B are tree groups or fragments. Returns the full mapping dict
+    (zero included) or None. The extension, when it exists, is unique, so
+    this doubles as a membership-respecting closure of the correspondence.
+    It is the group of pairs (a, b) generated by the (abar[i], bbar[i])
+    keyed by a: the relations m*a_i = w of the tower present <abar>, so the
+    map is well defined iff each m*b_i is the image of w, and injective iff
+    the images differ. The tower adds coordinate tuples (decomposition
+    coordinates for two trees, coefficient tuples otherwise) and decodes
+    each pair once, at the end; ``_generated_iso_exists`` answers the
+    existence question alone and decodes nothing.
+    """
+    zs, cut = _pair_tower(A, abar, B, bbar)
+    if zs is None or not _injective(zs, cut):
         return None
-    return dict(pairs)
+    # decoders are built here, so existence checks never pay for them
+    if isinstance(A, GroupTree) and isinstance(B, GroupTree):
+        left, right = A.decomposition.decode, B.decomposition.decode
+    else:
+        fa, fb = (G.fragment if isinstance(G, GroupTree) else G for G in (A, B))
+        left = functools.partial(FragmentElement, fa)
+        right = functools.partial(FragmentElement, fb)
+    return {left(z[:cut]): right(z[cut:]) for z in zs}

@@ -12,8 +12,10 @@ groups (so they refuse groups above ``DEFAULT_BOUND``): ``pk_chain`` and
 ``height_of_by_chain`` (heights from the literal p^k G chain), ``holds_B``
 (order-p independence counted from that chain), ``check_valuation`` (the
 valuation laws of a fragment's min rule), ``socle_dims_by_enumeration``
-(a fragment's socle layers counted element by element) and
-``leq_game_reference`` (the literal recursive game).
+(a fragment's socle layers counted element by element),
+``leq_game_reference`` (the literal recursive game) and
+``generated_iso_by_pairs`` (the generated correspondence built from
+element pairs, with no coordinates).
 """
 
 from __future__ import annotations
@@ -57,7 +59,13 @@ from .ordinal import (
     omega_times,
     parse_ordinal,
 )
-from .pgroup import Fragment, FragmentElement, GroupTree, generated_iso
+from .pgroup import (
+    Fragment,
+    FragmentElement,
+    GroupTree,
+    generated_iso,
+    subgroup_elements,
+)
 from .ulm import invariants_of, make_G_hat, ulm_equal, value_ge
 
 
@@ -200,6 +208,24 @@ def socle_dims_by_enumeration(frag: Fragment) -> dict[Ordinal, int]:
         dims[beta] = d - above
         above = d
     return dims
+
+
+def generated_iso_by_pairs(A, abar, B, bbar):
+    """``generated_iso`` along the element-pair route: the group of pairs
+    (a, b) generated by the (abar[i], bbar[i]) in element arithmetic,
+    keyed by a. A and B only need ``zero()`` plus element ``+``."""
+    abar, bbar = tuple(abar), tuple(bbar)
+    if len(abar) != len(bbar):
+        raise ValueError("tuples must have equal length")
+    pairs = subgroup_elements(
+        (A.zero(), B.zero()),
+        list(zip(abar, bbar)),
+        lambda x, y: (x[0] + y[0], x[1] + y[1]),
+        lambda x: x[0],
+    )
+    if pairs is None or len({y for _, y in pairs}) != len(pairs):
+        return None
+    return dict(pairs)
 
 
 def leq_game_reference(

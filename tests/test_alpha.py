@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import itertools
 import weakref
 
 import pytest
@@ -31,6 +32,7 @@ from ulmkit.ordinal import (
     omega_times,
     parse_ordinal,
 )
+from ulmkit.pgroup import Fragment
 from ulmkit.ulm import OMEGA_VALUE
 
 
@@ -198,6 +200,112 @@ class TestAdmissibility:
         assert any("must hold a bit" in v for v in out)
 
 
+def p_violations_reference(string) -> list[str]:
+    """``AlphaSystem.p_violations`` with no memo: each letter's coverage is
+    recounted from a fresh stable enumeration of its fragment."""
+    out: list[str] = []
+    if not string:
+        return ["the empty string is not admissible"]
+    for i, entry in enumerate(string):
+        if i % 2 == 0 and not isinstance(entry, Letter):
+            out.append(f"position {i} must hold a letter")
+        if i % 2 == 1 and entry not in (0, 1):
+            out.append(f"position {i} must hold a bit")
+    if out:
+        return out
+    start = string[0]
+    if start.j != 0 or start.images:
+        out.append("strings must start with the empty letter at index 0")
+    bits = list(string[1::2])
+    letters = list(string[2::2])
+    for t in range(len(bits) - 1):
+        if bits[t] == 1 and bits[t + 1] == 0:
+            out.append(f"bit {t + 2} drops back to 0")
+    for t, ell in enumerate(letters):
+        i = t + 1
+        if len(ell.images) < i:
+            out.append(f"letter {i} lists fewer than {i} elements")
+            continue
+        have = set(ell.images)
+        need = itertools.islice(ell.group.fragment.elements_stable(), i)
+        missing = [e for e in need if e not in have]
+        if missing:
+            out.append(
+                f"letter {i} misses {len(missing)} of the first {i} "
+                f"elements of its fragment"
+            )
+    for t, ell in enumerate(letters):
+        u = bits[t]
+        if u == 1 and ell.j == 0:
+            out.append(f"letter {t + 1} keeps index 0 after the flip")
+        if u == 0 and ell.j != 0:
+            out.append(f"letter {t + 1} moved off index 0 before any flip")
+        if t >= 1 and bits[t - 1] == 1 and ell.j != letters[t - 1].j:
+            out.append(f"letter {t + 1} changed index after the flip")
+    return out
+
+
+class TestMemoizedCoverage:
+    def _strings(self, system):
+        quiet = find_run(
+            system, instruction_from_g(InstructionSource({0: None}), 0), 8
+        ).entries
+        switch = find_run(
+            system, instruction_from_g(InstructionSource({0: 3}), 0), 8
+        ).entries
+        short = list(quiet)
+        short[6] = short[4]  # letter 3 lists only two elements
+        # letter 5 lists five elements but trades the zero for g1+g2
+        ell = quiet[10]
+        frag = ell.group.fragment
+        gap = list(quiet)
+        gap[10] = Letter(0, ell.images[1:] + (frag.gen(1) + frag.gen(2),), ell.group)
+        out = [quiet, switch, tuple(short), tuple(gap)]
+        for s in (quiet, switch):
+            out += [s[:k] for k in range(1, len(s) + 1)]
+        return out
+
+    def test_p_violations_agrees_with_the_uncached_reference(self):
+        alpha = parse_ordinal("w*2")
+        system = AlphaSystem(alpha, canonical_cofinal(alpha))
+        strings = self._strings(system)
+        assert any("misses 1 of the first 5" in v
+                   for v in system.p_violations(strings[3]))
+        assert any("fewer than 3" in v for v in system.p_violations(strings[2]))
+        # twice over, so the second pass reads the memos the first filled
+        for _ in range(2):
+            for s in strings:
+                assert system.p_violations(s) == p_violations_reference(s)
+
+    def test_quiet_run_enumerates_each_prefix_once(self, monkeypatch):
+        # 24 steps re-check the whole string three times per step; without
+        # the memos that recounted 7,800 stable elements
+        yields = 0
+        stable = Fragment.elements_stable
+
+        def counting(self):
+            nonlocal yields
+            for x in stable(self):
+                yields += 1
+                yield x
+
+        monkeypatch.setattr(Fragment, "elements_stable", counting)
+        alpha = parse_ordinal("w*2")
+        system = AlphaSystem(alpha, canonical_cofinal(alpha))
+        q = instruction_from_g(InstructionSource({0: None}), 0)
+        assert len(find_run(system, q, 24).letters()) == 25
+        assert yields <= 600
+
+    def test_letter_memos_die_with_the_letter(self, quiet_run):
+        ell = quiet_run.letters()[-1]
+        copy = Letter(ell.j, ell.images, ell.group)
+        assert copy.uncovered(len(copy)) == 0
+        ref = weakref.ref(copy)
+        del copy
+        gc.collect()
+        assert ref() is None
+
+
 class TestInstructionSource:
     def test_from_spec_forms(self):
         always = InstructionSource.from_spec({"n": 2, "always_zero": True})
@@ -226,6 +334,31 @@ class TestInstructionSource:
 class TestPull:
     def test_verified_pull(self, sys2):
         assert sys2.verified_pull() == (1, 1)
+
+    def test_pull_is_found_once_and_dies_with_its_system(self, monkeypatch):
+        calls = 0
+        find = AlphaSystem.find_pull_index
+
+        def counting(self, beta0):
+            nonlocal calls
+            calls += 1
+            return find(self, beta0)
+
+        monkeypatch.setattr(AlphaSystem, "find_pull_index", counting)
+        alpha = parse_ordinal("w*2")
+        system = AlphaSystem(alpha, canonical_cofinal(alpha))
+        assert system.verified_pull() == (1, 1)
+        first = calls
+        assert first >= 1
+        src = InstructionSource({0: 2})
+        find_run(system, instruction_from_g(src, 0), 4)
+        assert system.verified_pull() == (1, 1)
+        # the flip step's own pull at its chain level is not the memo's
+        assert calls <= first + 1
+        ref = weakref.ref(system)
+        del system
+        gc.collect()
+        assert ref() is None
 
     def test_pull_ladder(self, sys2):
         got = [(b, sys2.find_pull_index(b)) for b in range(5)]

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import itertools
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -178,6 +180,35 @@ class TestStableEnumeration:
         assert sum(1 for _ in itertools.islice(it, DEFAULT_BOUND)) == DEFAULT_BOUND
         with pytest.raises(BoundExceeded):
             next(it)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([2, 3]),
+        st.integers(1, 4),
+        st.lists(st.integers(0, 81), min_size=1, max_size=6),
+    )
+    def test_first_elements_reads_a_prefix_memo(self, p, rank, ns):
+        # asked in any order, larger and smaller, each answer is the stable
+        # prefix, and mutating an answer never leaks into the next one
+        f = flat(p, [nat(0)] * rank)
+        for n in ns:
+            n = min(n, f.size)
+            got = f.first_elements(n)
+            assert got == list(itertools.islice(f.elements_stable(), n))
+            got.append(f.zero())
+            got[:1] = []
+            assert f.first_elements(n) == list(
+                itertools.islice(f.elements_stable(), n)
+            )
+
+    def test_prefix_memo_dies_with_its_fragment(self):
+        f = flat(2, [nat(0)] * 3)
+        assert len(f.first_elements(6)) == 6
+        refs = [weakref.ref(f)] + [weakref.ref(x) for x in f._stable_prefix]
+        assert len(refs) == 7
+        del f
+        gc.collect()
+        assert all(ref() is None for ref in refs)
 
     def test_padding_invariance(self):
         f = flat(2, [nat(3), nat(3)])

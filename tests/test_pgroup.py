@@ -8,9 +8,18 @@ from hypothesis import given, settings, strategies as st
 
 from ulmkit.fragments import from_tree
 from ulmkit.ordinal import INFINITY, nat
-from ulmkit.pgroup import DEFAULT_BOUND, BoundExceeded, GroupTree, generated_iso
+from ulmkit.pgroup import (
+    DEFAULT_BOUND,
+    BoundExceeded,
+    Fragment,
+    FragmentGen,
+    GroupTree,
+    _generated_iso_exists,
+    generated_iso,
+)
 from ulmkit.verify import (
     corpus_trees,
+    generated_iso_by_pairs,
     height_of_by_chain,
     pk_chain,
     tree_of,
@@ -317,3 +326,115 @@ class TestGeneratedIsoRoutes:
                 assert len(got) == len(frag)
                 for x, y in got.items():
                     assert frag[x] == y
+
+
+@st.composite
+def grown_fragments(draw, p: int) -> Fragment:
+    """A fragment grown one generator at a time: a height in 0..3 and a
+    p-image over the earlier generators that sit strictly higher."""
+    f = Fragment(p)
+    for _ in range(draw(st.integers(1, 4))):
+        h = draw(st.integers(0, 3))
+        vec = [
+            draw(st.integers(0, p - 1)) if g.height >= nat(h + 1) else 0
+            for g in f.gens
+        ]
+        f = f.extend(f.element(vec), nat(h))
+    return f
+
+
+def fragment_elements(f: Fragment):
+    return st.lists(
+        st.integers(0, f.p - 1), min_size=f.rank, max_size=f.rank
+    ).map(f.element)
+
+
+_TREES = corpus_trees(4, (2, 3))
+
+
+class TestGeneratedIsoTupleRoute:
+    """The coordinate-tuple tower against the element-pair reference."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_fragments_match_the_element_pair_route(self, data):
+        p = data.draw(st.sampled_from([2, 3]))
+        A = data.draw(grown_fragments(p))
+        B = A if data.draw(st.booleans()) else data.draw(grown_fragments(p))
+        k = data.draw(st.integers(0, 3))
+        abar = [data.draw(fragment_elements(A)) for _ in range(k)]
+        if B is A and data.draw(st.booleans()):
+            # a reordering of the tuple: extends exactly when the
+            # permutation respects every relation among the entries
+            bbar = data.draw(st.permutations(abar))
+        else:
+            bbar = [data.draw(fragment_elements(B)) for _ in range(k)]
+        want = generated_iso_by_pairs(A, abar, B, bbar)
+        assert generated_iso(A, abar, B, bbar) == want
+        assert _generated_iso_exists(A, abar, B, bbar) == (want is not None)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_existence_helper_on_trees(self, data):
+        A = data.draw(st.sampled_from(_TREES))
+        B = data.draw(st.sampled_from([t for t in _TREES if t.p == A.p]))
+        k = data.draw(st.integers(0, 3))
+        abar = [data.draw(st.sampled_from(list(A.elements()))) for _ in range(k)]
+        bbar = [data.draw(st.sampled_from(list(B.elements()))) for _ in range(k)]
+        got = generated_iso(A, abar, B, bbar)
+        assert _generated_iso_exists(A, abar, B, bbar) == (got is not None)
+        assert got == generated_iso_by_pairs(A, abar, B, bbar)
+        # a tree against a fragment adds in coefficient tuples
+        assert generated_iso(A, abar, B.fragment, bbar) == got
+        assert generated_iso(A.fragment, abar, B, bbar) == got
+
+    def _z2_z4(self):
+        z2 = Fragment(2, (FragmentGen("a", (), nat(0)),))
+        z4 = Fragment(
+            2, (FragmentGen("c", (), nat(1)), FragmentGen("b", (1,), nat(0)))
+        )
+        return z2, z4
+
+    def test_ill_defined_fragment_correspondence(self):
+        # 2a = 0 but 2b = c != 0
+        z2, z4 = self._z2_z4()
+        a, b = z2.gen_named("a"), z4.gen_named("b")
+        assert generated_iso_by_pairs(z2, [a], z4, [b]) is None
+        assert generated_iso(z2, [a], z4, [b]) is None
+        assert not _generated_iso_exists(z2, [a], z4, [b])
+
+    def test_non_injective_fragment_correspondence(self):
+        # b -> a is well defined (4b = 0 = 4a) but sends 2b = c to 0
+        z2, z4 = self._z2_z4()
+        a, b = z2.gen_named("a"), z4.gen_named("b")
+        assert generated_iso_by_pairs(z4, [b], z2, [a]) is None
+        assert generated_iso(z4, [b], z2, [a]) is None
+        assert not _generated_iso_exists(z4, [b], z2, [a])
+
+    def test_carries_cross_the_pair(self):
+        # b -> b in Z4 needs the carry 2b = c on both halves of each pair
+        _, z4 = self._z2_z4()
+        b, c = z4.gen_named("b"), z4.gen_named("c")
+        got = generated_iso(z4, [b], z4, [b])
+        assert got == {z4.zero(): z4.zero(), b: b, c: c, b + c: b + c}
+        assert got == generated_iso_by_pairs(z4, [b], z4, [b])
+
+    def test_foreign_elements_refused(self):
+        z2, z4 = self._z2_z4()
+        with pytest.raises(ValueError):
+            generated_iso(z2, [z4.gen(0)], z4, [z4.gen(0)])
+        with pytest.raises(ValueError):
+            z2.subgroup([z4.gen(0)])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_subgroup_matches_element_arithmetic(self, data):
+        f = data.draw(grown_fragments(data.draw(st.sampled_from([2, 3]))))
+        gens = data.draw(st.lists(fragment_elements(f), max_size=3))
+        want = {f.zero()}
+        while True:
+            more = {x + g for x in want for g in gens} | want
+            if more == want:
+                break
+            want = more
+        assert f.subgroup(gens) == frozenset(want)
