@@ -41,7 +41,6 @@ from .ordinal import (
     OMEGA,
     HeightValue,
     Ordinal,
-    ZERO,
     height_min,
     nat,
     omega_times,
@@ -51,9 +50,12 @@ from .pgroup import (
     BoundExceeded,
     FragmentElement,
     GroupTree,
+    _coeff_adder,
     _generated_iso_exists,
+    _tower_step,
     echelon_add,
     generated_iso,
+    subgroup_elements,
 )
 from .ulm import Profile, band_split_index, invariants_of, profiles_agree_on, ulm_equal
 
@@ -330,15 +332,16 @@ def _carrier(G, tup):
 
 
 def _corresponds(B, bbar, A, abar) -> bool:
-    # memoize only immutable carriers, on B so the memo dies with it;
-    # fragments grow between calls
-    if isinstance(A, GroupTree) and isinstance(B, GroupTree):
-        key = (A, tuple(y.coeffs for y in bbar), tuple(x.coeffs for x in abar))
-        hit = B.iso_memo.get(key)
-        if hit is None:
-            hit = B.iso_memo[key] = _generated_iso_exists(B, bbar, A, abar)
-        return hit
-    return _generated_iso_exists(B, bbar, A, abar)
+    """Whether bbar[i] -> abar[i] extends to an isomorphism <bbar> -> <abar>.
+
+    Trees and fragments are immutable (growth builds a new fragment), so
+    the verdict is memoized on B and dies with it.
+    """
+    key = (A, tuple(y.coeffs for y in bbar), tuple(x.coeffs for x in abar))
+    hit = B.iso_memo.get(key)
+    if hit is None:
+        hit = B.iso_memo[key] = _generated_iso_exists(B, bbar, A, abar)
+    return hit
 
 
 def leq_paper(
@@ -368,7 +371,7 @@ def leq_paper(
     if len(abar) > len(bbar):
         return False
     bbar = bbar[: len(abar)]
-    if not _generated_iso_exists(B.fragment, bbar, A.fragment, abar):
+    if not _corresponds(B.fragment, bbar, A.fragment, abar):
         return False
     delta, parity = parity_split(beta)
     thr = omega_times(delta)
@@ -382,13 +385,21 @@ def leq_paper(
             )
         if not ok:
             return False
-    if not profiles_agree_on(A.profile, B.profile, nat(0), thr, "eq"):
-        return False
-    if parity == 1 and not profiles_agree_on(
-        A.profile, B.profile, thr, thr + OMEGA, "ge"
-    ):
-        return False
-    return True
+    return _profile_clauses(A.profile, B.profile, delta, parity)
+
+
+def _profile_clauses(P: Profile, Q: Profile, delta: Ordinal, parity: int) -> bool:
+    """leq_paper's clauses (c) and (d), memoized on P (profiles are
+    immutable): P = Q below w*delta, and at odd levels P >= Q on
+    [w*delta, w*delta + w)."""
+    key = (Q, delta, parity)
+    hit = P.relation_memo.get(key)
+    if hit is None:
+        thr = omega_times(delta)
+        hit = P.relation_memo[key] = profiles_agree_on(P, Q, nat(0), thr, "eq") and (
+            parity == 0 or profiles_agree_on(P, Q, thr, thr + OMEGA, "ge")
+        )
+    return hit
 
 
 # -- constructive extension ------------------------------------
@@ -414,7 +425,7 @@ def relation(
         if len(abar) > len(bbar):
             return False
         bbar = bbar[: len(abar)]
-        return _generated_iso_exists(B.fragment, bbar, A.fragment, abar)
+        return _corresponds(B.fragment, bbar, A.fragment, abar)
     if all(
         P.length.is_limit and P.limit_infinite for P in (A.profile, B.profile)
     ):
@@ -454,10 +465,18 @@ def extend_tuple(
     Each demand is worked down its p-power chain to the generated subgroup;
     every intermediate element is replaced by a proper coset representative
     d' and answered by some c with p*c = f(p*d') at the height
-    `answer_height` picks from the eta clauses. In growable fragments c is
+    `_answer_heights` picks from the eta clauses. In growable fragments c is
     created (fresh directions are automatically proper); in explicit ones it
     is found by search. Raises ExtensionError when the height bookkeeping
     cannot be satisfied.
+
+    The correspondence f: <cur_b> -> <cur_a> is one tower of pairs, B's
+    coefficients then A's, keyed by the B part: built once from the given
+    tuples, it gains one tower step per adjoined pair (d', c), and only the
+    new cosets are checked for well-definedness and injectivity. A creation
+    appends a generator to A's fragment, so each A part gains a zero
+    coordinate: a normal form in a prefix fragment stays normal in its
+    extension.
     """
     if isinstance(beta, int):
         beta = nat(beta)
@@ -478,80 +497,47 @@ def extend_tuple(
     cur_b: list[FragmentElement] = list(bbar[: len(abar)])
     cur_a: list[FragmentElement] = list(abar)
     grown = A
+    fb = B.fragment
+    cut = fb.rank
+    pairs = [fb.zero().coeffs + A.fragment.zero().coeffs]
+    pair_of = {pairs[0][:cut]: pairs[0]}  # the keys are <cur_b>
+    key = operator.itemgetter(slice(cut))
 
-    def remap() -> dict:
-        m = generated_iso(B.fragment, cur_b, grown.fragment, cur_a)
-        if m is None:
+    def grow(y: FragmentElement, x: FragmentElement) -> None:
+        """Add the pair (y, x) to the tower."""
+        fa, start = grown.fragment, len(pairs)
+        g = fb.coords(y) + fa.coords(x)
+        ok = _tower_step(pairs, pair_of, g, _coeff_adder((fb, fa)), key)
+        # well defined; injective iff no new pair has a zero A part
+        if not (ok and all(any(z[cut:]) for z in pairs[start:])):
             raise AssertionError("extension broke the tuple correspondence")
-        return m
 
-    fmap = remap()
+    def image(y: FragmentElement) -> FragmentElement:
+        return FragmentElement(grown.fragment, pair_of[y.coeffs][cut:])
+
+    for y, x in zip(cur_b, cur_a):
+        grow(y, x)
     delta, parity = parity_split(eta)
     thr = omega_times(delta)
-    cap = thr + (OMEGA if parity else ZERO)
     records: list[CreationRecord] = []
-
-    def answer_heights(hd: Ordinal, hz: HeightValue) -> list[Ordinal]:
-        """Admissible h(c) values for an answer with p*c = z, best first.
-
-        Below the threshold both parities demand exact height equality, so
-        h(z) must leave room and there is a single candidate. At or above
-        it, even levels accept any answer at or above the threshold
-        (target: the demand's own height), while odd levels additionally
-        cap the answer at thr + w. When h(z) blocks the target, back off
-        to the largest height z admits, or to the threshold when z's
-        height is a limit and admits no largest. Lower candidates down to
-        the threshold stay admissible, which matters when the receiving
-        profile has no room at the target itself.
-        """
-        if hd < thr:
-            if not hz >= hd + 1:
-                raise ExtensionError(
-                    f"height incoherence: a demand of height {hd} below the "
-                    f"threshold {thr} needs its p-image at height >= "
-                    f"{hd + 1}, got {hz}"
-                )
-            return [hd]
-        want = hd if parity == 0 else height_min(hd, cap)
-        if hz >= want + 1:
-            top = want
-        elif isinstance(hz, Ordinal) and hz.is_successor:
-            top = min(want, hz.pred())
-        elif isinstance(hz, Ordinal) and hz.is_limit:
-            top = thr
-        else:
-            raise ExtensionError(f"cannot answer below p-image height {hz}")
-        if not (thr <= top and hz >= top + 1):
-            raise ExtensionError(
-                f"height incoherence: no admissible answer height in "
-                f"[{thr}, {want}] fits under the p-image height {hz}"
-            )
-        out = [top]
-        g = top
-        while g != thr:
-            if g.is_successor and not g.pred() < thr:
-                g = g.pred()
-            else:
-                g = thr  # below a limit, resume at the threshold itself
-            out.append(g)
-        return out
+    add_b = _coeff_adder((fb,))
 
     def adjoin(e: FragmentElement) -> None:
-        nonlocal grown, cur_a, fmap
-        sub_b = sorted(B.fragment.subgroup(cur_b), key=lambda s: s.coeffs)
-        best = None
-        for s in sub_b:
-            cand = e + s
-            if best is None or cand.height() > best.height():
-                best = cand
-        d_prime = best  # proper: its height is maximal in e + <cur_b>
-        w = d_prime.times_p()
-        z = fmap[w]
-        hd = d_prime.height()
+        nonlocal grown
+        # d' = e + s for the s in <cur_b> of highest h(e + s), the first in
+        # coefficient order on ties: proper, its height maximal in e + <cur_b>
+        best_h = None
+        for s in sorted(pair_of):
+            v = add_b(e.coeffs, s)
+            h = fb._height_of_vec(v)
+            if best_h is None or h > best_h:
+                best, best_h = v, h
+        d_prime = FragmentElement(fb, best)
+        z = image(d_prime.times_p())
         c = None
         gamma_c = None
         refusals: list[str] = []
-        for gamma in answer_heights(hd, z.height()):
+        for gamma in _answer_heights(best_h, z.height(), thr, parity):
             if grown.growable:
                 try:
                     next_grown, c = grown.create_element(z, gamma)
@@ -559,7 +545,9 @@ def extend_tuple(
                     refusals.append(str(exc))
                     continue
                 grown = next_grown
-                cur_a = [grown.migrate(x) for x in cur_a]
+                cur_a[:] = [grown.migrate(x) for x in cur_a]
+                pairs[:] = [w + (0,) for w in pairs]
+                pair_of.update(zip(map(key, pairs), pairs))
             else:
                 c = _find_explicit_image(grown, cur_a, z, gamma)
                 if c is None:
@@ -577,21 +565,71 @@ def extend_tuple(
         )
         cur_b.append(d_prime)
         cur_a.append(c)
-        fmap = remap()
+        grow(d_prime, c)
 
     for d in demands:
         stack = []
         x = d
-        while x not in fmap:
+        while x.coeffs not in pair_of:
             stack.append(x)
             x = x.times_p()
         for e in reversed(stack):
-            if e not in fmap:  # an earlier adjoin may already cover it
+            if e.coeffs not in pair_of:  # an earlier adjoin may already cover it
                 adjoin(e)
 
-    right = tuple(cur_a[: len(abar)]) + tuple(fmap[d] for d in demands)
+    right = tuple(cur_a[: len(abar)]) + tuple(image(d) for d in demands)
     left = bbar[: len(abar)] + demands
     return ExtendResult(grown, left, right, tuple(records))
+
+
+def _answer_heights(
+    hd: Ordinal, hz: HeightValue, thr: Ordinal, parity: int
+) -> Iterator[Ordinal]:
+    """Admissible h(c) values for an answer with p*c = z, best first, for
+    a demand of height hd at the level with threshold thr and parity;
+    lazily, as the first one usually succeeds.
+
+    Below the threshold both parities demand exact height equality, so
+    h(z) must leave room and there is a single candidate. At or above
+    it, even levels accept any answer at or above the threshold
+    (target: the demand's own height), while odd levels additionally
+    cap the answer at thr + w. When h(z) blocks the target, back off
+    to the largest height z admits, or to the threshold when z's
+    height is a limit and admits no largest. Lower candidates down to
+    the threshold stay admissible, which matters when the receiving
+    profile has no room at the target itself.
+    """
+    if hd < thr:
+        if not hz >= hd + 1:
+            raise ExtensionError(
+                f"height incoherence: a demand of height {hd} below the "
+                f"threshold {thr} needs its p-image at height >= "
+                f"{hd + 1}, got {hz}"
+            )
+        yield hd
+        return
+    want = hd if parity == 0 else height_min(hd, thr + OMEGA)
+    if hz >= want + 1:
+        top = want
+    elif isinstance(hz, Ordinal) and hz.is_successor:
+        top = min(want, hz.pred())
+    elif isinstance(hz, Ordinal) and hz.is_limit:
+        top = thr
+    else:
+        raise ExtensionError(f"cannot answer below p-image height {hz}")
+    if not (thr <= top and hz >= top + 1):
+        raise ExtensionError(
+            f"height incoherence: no admissible answer height in "
+            f"[{thr}, {want}] fits under the p-image height {hz}"
+        )
+    g = top
+    yield g
+    while g != thr:
+        if g.is_successor and not g.pred() < thr:
+            g = g.pred()
+        else:
+            g = thr  # below a limit, resume at the threshold itself
+        yield g
 
 
 def _find_explicit_image(
@@ -621,18 +659,21 @@ def check_extension(
     defect descriptions, empty when everything holds."""
     problems: list[str] = []
     frag = result.A.fragment
+    add = _coeff_adder((frag,))
     for rec in result.records:
         c = frag.migrate(rec.created)
         z = frag.migrate(rec.pimage)
         if c.times_p() != z:
             problems.append(f"p*{c} != {z}")
-        if c.height() != rec.height:
-            problems.append(f"h({c}) = {c.height()}, recorded {rec.height}")
-        prefix = [frag.migrate(x) for x in rec.context]
-        sub = frag.subgroup(prefix)
-        if c in sub:
+        hc = c.height()
+        if hc != rec.height:
+            problems.append(f"h({c}) = {hc}, recorded {rec.height}")
+        # built afresh from the record, independent of extend_tuple's tower
+        prefix = [frag.migrate(x).coeffs for x in rec.context]
+        sub = subgroup_elements(frag.zero().coeffs, prefix, add)
+        if c.coeffs in sub:
             problems.append(f"{c} fell into the prefix subgroup")
-        elif not all(c.height() >= (c + s).height() for s in sub):
+        elif not all(hc >= frag._height_of_vec(add(c.coeffs, s)) for s in sub):
             problems.append(f"{c} is not proper over its prefix subgroup")
     try:
         migrated_right = tuple(frag.migrate(x) for x in result.right)

@@ -36,13 +36,20 @@ recomputes the counts and heights from it as the independent cross-check.
 Generated subgroups are built as towers of coordinate tuples and wrapped as
 elements only at the end: trees add in the coordinates of
 ``CyclicDecomposition``, fragments on raw coefficient tuples normalized by
-their carries. ``generated_iso`` builds the correspondence dict from that
-tower; callers that only ask whether it exists use
-``_generated_iso_exists``, which builds and decodes no pairs.
+their carries. A tower grows by ``_tower_step``, one generator at a time,
+so a caller that adjoins generators one by one (``baf.extend_tuple``) keeps
+one tower that gains a step per adjoin. ``generated_iso`` builds the
+correspondence dict from that tower; callers that only ask whether it
+exists use ``_generated_iso_exists``, which builds and decodes no pairs.
+
+Fragments are immutable: ``Fragment.extend`` returns a new fragment with
+one generator appended, reusing the parent's carries, name index and
+height order and checking only the new creation.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import operator
@@ -53,6 +60,8 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 from .ordinal import INFINITY, HeightValue, Ordinal, nat
 
 DEFAULT_BOUND = 3**10
+
+_HEIGHT = operator.itemgetter(1)  # of a (generator index, height) entry
 
 
 class BoundExceeded(RuntimeError):
@@ -147,27 +156,35 @@ class Fragment:
         self.index = {g.name: i for i, g in enumerate(self.gens)}
         if len(self.index) != self.rank:
             raise ValueError("generator names must be distinct")
-        self._carries = []  # nonzero p-image entries
-        for i, g in enumerate(self.gens):
-            self._carries.append(list(itertools.compress(enumerate(g.pimage), g.pimage)))
-            if len(g.pimage) > i:
-                raise ValueError(f"pimage of {g.name} uses later generators")
-            if not isinstance(g.height, Ordinal):
-                raise ValueError(f"height of {g.name} must be an ordinal")
-            if any(c < 0 or c >= p for _, c in self._carries[i]):
-                raise ValueError(f"pimage of {g.name} is not normalized")
+        # nonzero p-image entries
+        self._carries = [self._checked_carries(i, g) for i, g in enumerate(self.gens)]
         # the first supported generator in this order has the least height
         self._by_height = sorted(
-            ((i, g.height) for i, g in enumerate(self.gens)), key=lambda e: e[1]
+            ((i, g.height) for i, g in enumerate(self.gens)), key=_HEIGHT
         )
         for g, carries in zip(self.gens, self._carries):
-            zh = min((self.gens[j].height for j, _ in carries), default=INFINITY)
-            if not zh >= g.height + 1:
-                raise ValueError(
-                    f"creating {g.name} at height {g.height} needs its "
-                    f"p-image at height >= {g.height + 1}, got {zh}"
-                )
+            self._check_creation(g, carries)
         self._zero = FragmentElement(self, (0,) * self.rank)
+
+    def _checked_carries(self, i: int, g: FragmentGen) -> list[tuple[int, int]]:
+        """The nonzero entries of g's p-image, g coming after i generators."""
+        carries = list(itertools.compress(enumerate(g.pimage), g.pimage))
+        if len(g.pimage) > i:
+            raise ValueError(f"pimage of {g.name} uses later generators")
+        if not isinstance(g.height, Ordinal):
+            raise ValueError(f"height of {g.name} must be an ordinal")
+        if any(c < 0 or c >= self.p for _, c in carries):
+            raise ValueError(f"pimage of {g.name} is not normalized")
+        return carries
+
+    def _check_creation(self, g: FragmentGen, carries) -> None:
+        """Refuse g unless its p-image sits at height >= h(g) + 1."""
+        zh = min((self.gens[j].height for j, _ in carries), default=INFINITY)
+        if not zh >= g.height + 1:
+            raise ValueError(
+                f"creating {g.name} at height {g.height} needs its "
+                f"p-image at height >= {g.height + 1}, got {zh}"
+            )
 
     # -- vectors -------------------------------------------------------------
 
@@ -257,6 +274,13 @@ class Fragment:
         """Elements of order dividing p, in lex order."""
         return [x for x in self.elements() if x.times_p().is_zero]
 
+    @functools.cached_property
+    def iso_memo(self) -> dict:
+        """baf._corresponds answers keyed by (other carrier, tuples); growth
+        builds a new fragment, so they hold for this one's life and die
+        with it."""
+        return {}
+
     def subgroup(self, gens: Iterable[FragmentElement]) -> frozenset[FragmentElement]:
         """<gens>, built on coefficient tuples and wrapped once at the end."""
         vecs = [self.coords(g) for g in gens]
@@ -278,12 +302,35 @@ class Fragment:
         height: Ordinal,
         name: Optional[str] = None,
     ) -> "Fragment":
+        """This fragment with one generator appended: `name` (default
+        g<rank>) at `height`, with p-image `pimage`.
+
+        The child copies the parent's carries, name index and height order
+        and adds the new generator to each, after the generators of equal
+        height (where a stable sort puts it). Only the new creation is
+        checked, with the messages ``Fragment`` gives; the parent's
+        generators passed those checks when it was built.
+        """
         if pimage.fragment is not self:
             raise ValueError("p-image must live in this fragment")
         if name is None:
             name = f"g{self.rank}"
+        if name in self.index:
+            raise ValueError("generator names must be distinct")
         gen = FragmentGen(name, pimage.coeffs, height)
-        return Fragment(self.p, self.gens + (gen,))
+        carries = self._checked_carries(self.rank, gen)
+        self._check_creation(gen, carries)
+        child = Fragment.__new__(Fragment)
+        child.p = self.p
+        child.gens = self.gens + (gen,)
+        child.rank = self.rank + 1
+        child.size = self.size * self.p
+        child.index = {**self.index, name: self.rank}
+        child._carries = self._carries + [carries]
+        child._by_height = self._by_height[:]
+        bisect.insort(child._by_height, (self.rank, height), key=_HEIGHT)
+        child._zero = FragmentElement(child, (0,) * child.rank)
+        return child
 
     def is_prefix_of(self, other: "Fragment") -> bool:
         return (
@@ -313,7 +360,7 @@ class Fragment:
         dims: dict[Ordinal, int] = {}
         have = 0  # dim S_beta at the current beta
         for beta, group in itertools.groupby(
-            reversed(self._by_height), key=operator.itemgetter(1)
+            reversed(self._by_height), key=_HEIGHT
         ):
             above = have
             for i, _ in group:
@@ -374,8 +421,8 @@ class GroupTree:
         ranks = Counter(self._rank[v] for v in self.nonroot)
         self.socle_dims = tuple(ranks[k] for k in range(len(ranks) + 1))
         self.size: int = p ** len(self.nonroot)
-        # baf._corresponds answers keyed by (other tree, tuples), so they
-        # die with this tree
+        # baf._corresponds answers keyed by (other carrier, tuples), so
+        # they die with this tree
         self.iso_memo: dict = {}
 
     # -- basic structure ---------------------------------------------------
@@ -561,28 +608,37 @@ def echelon_add(basis: list, vec: Sequence[int], p: int) -> bool:
 def subgroup_elements(zero, gens, add, key=None):
     """The subgroup generated by gens in an abelian group, zero first.
 
-    A tower: S_i = S_(i-1) + <g_i> is the union of the cosets S_(i-1) +
-    c*g_i for c below the least m with m*g_i in S_(i-1), one addition per
-    element. Elements with equal `key` count as equal; None when such an
-    m*g_i differs from the element of S_(i-1) with its key.
+    A tower: S_i = S_(i-1) + <g_i>, one ``_tower_step`` per generator.
+    Elements with equal `key` count as equal; None when a step finds two
+    elements with one key.
     """
     key = key or (lambda x: x)
     elems, seen = [zero], {key(zero): zero}
     for g in gens:
-        coset = elems[:]
-        while True:
-            first = add(coset[0], g)  # c*g_i, as coset[0] is zero
-            old = seen.get(key(first))
-            if old is not None:
-                if old != first:
-                    return None
-                break
-            if len(elems) + len(coset) > DEFAULT_BOUND:
-                raise BoundExceeded(f"subgroup exceeds {DEFAULT_BOUND}")
-            coset = [first] + [add(x, g) for x in coset[1:]]
-            seen.update((key(x), x) for x in coset)
-            elems += coset
+        if not _tower_step(elems, seen, g, add, key):
+            return None
     return elems
+
+
+def _tower_step(elems, seen, g, add, key) -> bool:
+    """Grow the subgroup S = elems (zero first, indexed by key in `seen`)
+    to S + <g> in place, appending the new elements.
+
+    S + <g> is the union of the cosets S + c*g for c below the least m with
+    m*g in S, one addition per element. Returns False when that m*g differs
+    from the element of S with its key.
+    """
+    coset = elems[:]
+    while True:
+        first = add(coset[0], g)  # c*g, as coset[0] is zero
+        old = seen.get(key(first))
+        if old is not None:
+            return old == first
+        if len(elems) + len(coset) > DEFAULT_BOUND:
+            raise BoundExceeded(f"subgroup exceeds {DEFAULT_BOUND}")
+        coset = [first] + [add(x, g) for x in coset[1:]]
+        seen.update((key(x), x) for x in coset)
+        elems += coset
 
 
 def _coeff_adder(frags: Sequence[Fragment]):

@@ -170,6 +170,12 @@ class Profile:
             suffix[i] = _value_sum((_mass(cuts[i], cuts[i + 1], vals[i]), suffix[i + 1]))
         return tuple(suffix)
 
+    @functools.cached_property
+    def relation_memo(self) -> dict:
+        """baf.leq_paper's profile-clause verdicts with this profile on the
+        left, keyed by (right profile, delta, parity); they die with it."""
+        return {}
+
     def value_at(self, beta: Ordinal) -> UValue:
         """Invariant at beta; ordinals at or beyond the length give 0."""
         if not beta < self.length:

@@ -6,11 +6,14 @@ import time
 import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ulmkit.baf import (
     CreationRecord,
     ExtendResult,
     ExtensionError,
+    _answer_heights,
+    _find_explicit_image,
     check_extension,
     extend_tuple,
     find_embedding,
@@ -26,8 +29,15 @@ from ulmkit.fragments import (
     canonical_fragment,
     from_tree,
 )
-from ulmkit.ordinal import OMEGA, canonical_cofinal, nat, parse_ordinal
-from ulmkit.pgroup import BoundExceeded, GroupTree
+from ulmkit.ordinal import (
+    OMEGA,
+    canonical_cofinal,
+    nat,
+    omega_times,
+    parity_split,
+    parse_ordinal,
+)
+from ulmkit.pgroup import BoundExceeded, GroupTree, generated_iso
 from ulmkit.ulm import OMEGA_VALUE, Clause, Profile, band_split_index, make_G_hat
 from ulmkit.verify import corpus_trees, leq_game_reference
 
@@ -682,3 +692,283 @@ class TestCheckExtension:
         forged = ExtendResult(res2.A, res.left, res2.right, ())
         problems = check_extension(B, 2, forged)
         assert "concluded relation fails at eta" in problems
+
+
+# -- the one-tower extension against the rebuild-every-adjoin reference ---------
+
+
+def extend_tuple_by_rebuild(A, abar, B, bbar, beta, eta, dbar, check_hypothesis=True):
+    """The reference for extend_tuple's one growing tower: the
+    correspondence is rebuilt with generated_iso after every adjoin, the
+    best representative is scanned over FragmentElement sums, and each
+    creation builds the whole grown fragment with Fragment.__init__."""
+    beta, eta = (nat(x) if isinstance(x, int) else x for x in (beta, eta))
+    if not eta < beta:
+        raise ValueError(f"need eta < beta, got {eta} >= {beta}")
+    abar, bbar, dbar = tuple(abar), tuple(bbar), tuple(dbar)
+    for d in dbar:
+        if d.fragment is not B.fragment:
+            raise ValueError("demands must live in the B fragment")
+    if len(abar) > len(bbar):
+        raise ExtensionError("left tuple longer than right tuple")
+    if check_hypothesis and not relation(A, abar, B, bbar, beta):
+        raise ExtensionError("hypothesis relation fails at beta")
+
+    demands = bbar[len(abar):] + dbar
+    cur_b, cur_a = list(bbar[: len(abar)]), list(abar)
+    grown = A
+
+    def remap() -> dict:
+        m = generated_iso(B.fragment, cur_b, grown.fragment, cur_a)
+        if m is None:
+            raise AssertionError("extension broke the tuple correspondence")
+        return m
+
+    def create_by_rebuild(pg, pimage, height):
+        frag = pg.fragment
+        gen = FragmentGen(f"g{frag.rank}", frag.migrate(pimage).coeffs, height)
+        out = ProfiledGroup(pg.profile, Fragment(frag.p, frag.gens + (gen,)), True)
+        out.validate_capacity()
+        return out, out.fragment.gen(frag.rank)
+
+    fmap = remap()
+    delta, parity = parity_split(eta)
+    thr = omega_times(delta)
+    records = []
+
+    def adjoin(e) -> None:
+        nonlocal grown, cur_a, fmap
+        best = None
+        for s in sorted(B.fragment.subgroup(cur_b), key=lambda s: s.coeffs):
+            cand = e + s
+            if best is None or cand.height() > best.height():
+                best = cand
+        w = best.times_p()
+        z = fmap[w]
+        c = gamma_c = None
+        refusals = []
+        for gamma in _answer_heights(best.height(), z.height(), thr, parity):
+            if grown.growable:
+                try:
+                    grown, c = create_by_rebuild(grown, z, gamma)
+                except ValueError as exc:
+                    refusals.append(str(exc))
+                    continue
+                cur_a = [grown.migrate(x) for x in cur_a]
+            else:
+                c = _find_explicit_image(grown, cur_a, z, gamma)
+                if c is None:
+                    refusals.append(f"no proper element found at {gamma}")
+                    continue
+            gamma_c = gamma
+            break
+        if gamma_c is None:
+            raise ExtensionError(
+                f"no admissible answer height for p-image {z} could be "
+                f"realized: {'; '.join(refusals)}"
+            )
+        records.append(CreationRecord(best, z, c, gamma_c, tuple(cur_a)))
+        cur_b.append(best)
+        cur_a.append(c)
+        fmap = remap()
+
+    for d in demands:
+        stack, x = [], d
+        while x not in fmap:
+            stack.append(x)
+            x = x.times_p()
+        for e in reversed(stack):
+            if e not in fmap:
+                adjoin(e)
+    right = tuple(cur_a[: len(abar)]) + tuple(fmap[d] for d in demands)
+    return ExtendResult(grown, bbar[: len(abar)] + demands, right, tuple(records))
+
+
+def _plain(x):
+    # fragments are compared by identity, and the two routes grow distinct
+    # but equal ones; compare the generators instead
+    return (x.fragment.gens, x.coeffs)
+
+
+def extension_outcome(extend, *args):
+    """What an extend_tuple route returns or raises, comparable across routes."""
+    try:
+        res = extend(*args)
+    except (ExtensionError, ValueError, AssertionError) as exc:
+        return (type(exc).__name__, str(exc))
+    return (
+        res.A.fragment.gens,
+        res.A.profile,
+        res.A.growable,
+        [_plain(x) for x in res.left],
+        [_plain(x) for x in res.right],
+        [
+            (_plain(r.adjoined), _plain(r.pimage), _plain(r.created), r.height,
+             [_plain(x) for x in r.context])
+            for r in res.records
+        ],
+    )
+
+
+EXT_HEIGHTS = [nat(0), nat(1), nat(2), nat(3), OMEGA, OMEGA + 1, OMEGA + 2, OMEGA + 3]
+EXT_ETAS = [nat(0), nat(1), nat(2), nat(3), OMEGA]
+
+
+@st.composite
+def growable_extension_cases(draw):
+    """A random B fragment over w*2 (heights, p-images over higher earlier
+    generators), A a growable copy of its first k generators under one of
+    the make_G_hat profiles, and 1-2 random demands in B."""
+    p = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 4 if p == 2 else 3))
+    gens: list[FragmentGen] = []
+    for i in range(n):
+        h = draw(st.sampled_from(EXT_HEIGHTS))
+        vec = [0] * i
+        for j, g in enumerate(gens):
+            if g.height >= h + 1:
+                vec[j] = draw(st.integers(0, p - 1))
+        gens.append(FragmentGen(f"b{i}", tuple(vec), h))
+    B = ProfiledGroup(make_G_hat(W2, SEQ2, draw(st.integers(0, 3))), Fragment(p, gens))
+    k = draw(st.integers(0, min(n, 2)))
+    A = ProfiledGroup(
+        make_G_hat(W2, SEQ2, draw(st.sampled_from([0, 0, 1, 2]))), Fragment(p, gens[:k])
+    )
+    abar = [A.fragment.gen(i) for i in range(k)]
+    bbar = [B.fragment.gen(i) for i in range(draw(st.integers(k, min(n, k + 1))))]
+    vecs = st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
+    dbar = [B.fragment.element(v) for v in draw(st.lists(vecs, min_size=1, max_size=2))]
+    eta = draw(st.sampled_from(EXT_ETAS))
+    return A, abar, B, bbar, eta + 1, eta, dbar, draw(st.booleans())
+
+
+TREES = {p: corpus_trees(n, (p,)) for p, n in ((2, 4), (3, 3))}
+
+
+@st.composite
+def tree_extension_cases(draw):
+    """Two non-growable tree carriers (often one tree twice), an optional
+    pinned pair, and 1-2 random demands: extension must find its answers
+    with _find_explicit_image."""
+    p = draw(st.sampled_from([2, 3]))
+    tb = draw(st.sampled_from(TREES[p]))
+    ta = draw(st.sampled_from([tb, tb] + TREES[p]))
+    A, B = from_tree(ta), from_tree(tb)
+    elems_a, elems_b = list(ta.elements()), list(tb.elements())
+    abar, bbar = [], []
+    if draw(st.booleans()):
+        y = draw(st.sampled_from(elems_b))
+        x = y if ta is tb else draw(st.sampled_from(elems_a))
+        abar, bbar = [x], [y]
+    dbar = draw(st.lists(st.sampled_from(elems_b), min_size=1, max_size=2))
+    eta = draw(st.integers(0, 2))
+    return A, abar, B, bbar, eta + 1, eta, dbar, draw(st.booleans())
+
+
+class TestExtendAgainstRebuild:
+    @settings(max_examples=150, deadline=None)
+    @given(growable_extension_cases())
+    def test_growable_carriers(self, case):
+        got = extension_outcome(extend_tuple, *case)
+        assert got == extension_outcome(extend_tuple_by_rebuild, *case)
+
+    @settings(max_examples=100, deadline=None)
+    @given(tree_extension_cases())
+    def test_tree_carriers(self, case):
+        got = extension_outcome(extend_tuple, *case)
+        assert got == extension_outcome(extend_tuple_by_rebuild, *case)
+
+    def test_fixed_cases_with_several_adjoins(self):
+        A = ghat_pg(0, [(OMEGA + 2, 1)])
+        B = ghat_pg(2, [(OMEGA + 2, 1), (OMEGA + 6, 1), (nat(1), 1)])
+        a0 = A.fragment.gen(0)
+        b0, b1, b2 = (B.fragment.gen(i) for i in range(3))
+        for eta in (0, 1, 2, 3):
+            args = (A, (a0,), B, (b0,), eta + 1, eta, [b1 + b0, b2 + b1], False)
+            got = extension_outcome(extend_tuple, *args)
+            assert got == extension_outcome(extend_tuple_by_rebuild, *args)
+            assert len(got[-1]) >= 2  # records
+        t = chain(3, 3)
+        G = from_tree(t)
+        args = (G, (t.node("c1"),), G, (t.node("c1"),), 2, 1, [t.node("c3")], True)
+        got = extension_outcome(extend_tuple, *args)
+        assert got == extension_outcome(extend_tuple_by_rebuild, *args)
+        assert len(got[-1]) == 2  # c2, then c3, found in the tree
+
+
+def _counting(monkeypatch, target, name):
+    """Replace target.name by a wrapper that counts its calls."""
+    calls = []
+    original = getattr(target, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(target, name, wrapper)
+    return calls
+
+
+class TestExtensionWork:
+    def test_adjoins_grow_one_tower_and_append_generators(self, monkeypatch):
+        import ulmkit.baf
+        import ulmkit.pgroup
+
+        A = ghat_pg(0, [(OMEGA + 2, 1)])
+        B = ghat_pg(0, [(OMEGA + 2, 1), (OMEGA + 4, 1), (OMEGA + 1, 1), (nat(3), 1)])
+        abar = (A.fragment.gen(0),)
+        bbar = (B.fragment.gen(0),)
+        dbar = [B.fragment.gen(i) for i in (1, 2, 3)]
+        isos = _counting(monkeypatch, ulmkit.baf, "generated_iso")
+        isos += _counting(monkeypatch, ulmkit.pgroup, "generated_iso")
+        inits = _counting(monkeypatch, ulmkit.pgroup.Fragment, "__init__")
+        res = extend_tuple(A, abar, B, bbar, 3, 2, dbar)
+        assert len(res.records) >= 3
+        assert res.A.fragment.rank == A.fragment.rank + len(res.records)
+        assert isos == [] and inits == []
+        assert check_extension(B, 2, res) == []
+
+    @pytest.mark.parametrize("beta", [0, 2, 3])
+    def test_repeated_relation_reads_its_memos(self, monkeypatch, beta):
+        import ulmkit.baf
+
+        A = ghat_pg(0, [(OMEGA + 2, 1), (nat(1), 1)])
+        B = ghat_pg(1, [(OMEGA + 2, 1), (nat(1), 1)])
+        abar = [A.fragment.gen(i) for i in range(2)]
+        bbar = [B.fragment.gen(i) for i in range(2)]
+        isos = _counting(monkeypatch, ulmkit.baf, "_generated_iso_exists")
+        agree = _counting(monkeypatch, ulmkit.baf, "profiles_agree_on")
+        first = relation(A, abar, B, bbar, beta)
+        assert len(isos) == 1 and (beta == 0 or agree)
+        del isos[:], agree[:]
+        for _ in range(3):
+            assert relation(A, abar, B, bbar, beta) == first
+        assert isos == [] and agree == []
+
+
+class TestMemoLifetimes:
+    """Verdict memos live on the immutable carrier they concern and die
+    with it: no module-level cache keeps a fragment or profile alive."""
+
+    def test_fragment_iso_memo_dies_with_its_fragment(self):
+        A = ghat_pg(0, [(OMEGA + 1, 1)])
+        B = ghat_pg(0, [(OMEGA + 1, 1)])
+        abar, bbar = [A.fragment.gen(0)], [B.fragment.gen(0)]
+        assert relation(A, abar, B, bbar, 0)
+        assert B.fragment.iso_memo == {
+            (A.fragment, ((1,),), ((1,),)): True
+        }
+        refs = [weakref.ref(x) for x in (A.fragment, B.fragment)]
+        del A, B, abar, bbar
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+
+    def test_profile_clause_memo_dies_with_its_profile(self):
+        P, Q = make_G_hat(W2, SEQ2, 0), make_G_hat(W2, SEQ2, 1)
+        A, B = canonical_fragment(P, 2), canonical_fragment(Q, 2)
+        assert leq_paper(A, (), B, (), 3)
+        assert P.relation_memo == {(Q, nat(1), 1): True}
+        refs = [weakref.ref(x) for x in (P, Q, A.fragment, B.fragment)]
+        del P, Q, A, B
+        gc.collect()
+        assert all(ref() is None for ref in refs)

@@ -127,6 +127,50 @@ class TestValuationProperties:
             Fragment(p, gens + [FragmentGen("new", pimage, height)])
 
 
+class TestExtendOneGenerator:
+    """Fragment.extend appends one generator to the parent's derived data;
+    building the whole generator list afresh is the reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(fragment_specs(6), st.data())
+    def test_matches_a_fresh_build(self, spec, data):
+        p, gens = spec
+        f = Fragment(p, gens)
+        h = data.draw(st.sampled_from(HEIGHTS))
+        high = [j for j, g in enumerate(gens) if g.height >= h + 1]
+        vec = [0] * f.rank
+        for j in high:
+            vec[j] = data.draw(st.integers(0, p - 1))
+        child = f.extend(f.element(vec), h)
+        fresh = Fragment(p, gens + [FragmentGen(f"g{f.rank}", tuple(vec), h)])
+        assert child.gens == fresh.gens and child.rank == fresh.rank
+        assert child._carries == fresh._carries
+        assert child._by_height == fresh._by_height
+        assert child.index == fresh.index
+        assert child.size == fresh.size
+        assert child.zero().coeffs == fresh.zero().coeffs
+        # the parent is untouched
+        assert f._carries == Fragment(p, gens)._carries and f.rank == len(gens)
+
+    @settings(max_examples=40, deadline=None)
+    @given(fragment_specs(5), st.data())
+    def test_refusals_match_a_fresh_build(self, spec, data):
+        p, gens = spec
+        f = Fragment(p, gens)
+        j = data.draw(st.integers(0, len(gens) - 1))
+        refusals = [
+            # a p-image at h(g_j), below the required height + 1
+            (f.gen(j), gens[j].height, "new", "needs its p-image"),
+            (f.zero(), nat(0), gens[j].name, "names must be distinct"),
+        ]
+        for pimage, height, name, match in refusals:
+            with pytest.raises(ValueError, match=match) as grown:
+                f.extend(pimage, height, name)
+            with pytest.raises(ValueError) as fresh:
+                Fragment(p, gens + [FragmentGen(name, pimage.coeffs, height)])
+            assert str(grown.value) == str(fresh.value)
+
+
 class TestSocleDims:
     @settings(max_examples=60, deadline=None)
     @given(fragment_specs(6))
