@@ -19,10 +19,11 @@ So <=_1 is "B embeds into A with bbar -> abar" and <=_beta for beta >= 2 is
 `find_embedding`, which builds no whole-group table.
 
 Route two (`leq_barker` for tuples in one group, `leq_paper` for groups
-carrying limit-infinite invariant profiles): closed-form conditions on the
-generated-subgroup correspondence, entrywise heights against the threshold
-w*delta (beta = 2*delta or 2*delta+1), and, in the profiled case, invariant
-agreement below and just above the threshold.
+carrying limit-infinite invariant profiles): closed forms at the threshold
+w*delta (beta = 2*delta or 2*delta+1). Both check, in `_tuple_clauses`, (a)
+the generated-subgroup correspondence and (b) Barker's entrywise heights
+against the threshold; `leq_paper` is (b) with the band above the threshold
+infinite, plus (c)/(d), invariant agreement below and just above it.
 
 `extend_tuple` is the constructive content: given the hypothesis relation
 at beta it extends the right-hand tuple to answer new elements at any
@@ -39,6 +40,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 from .fragments import ProfiledGroup
 from .ordinal import (
     OMEGA,
+    ZERO,
     HeightValue,
     Ordinal,
     height_min,
@@ -64,9 +66,12 @@ class ExtensionError(RuntimeError):
     """A tuple extension could not be carried out coherently."""
 
 
-# -- embedding search (the collapsed game) -----------------------------------
+def _level(beta: Union[int, Ordinal]) -> Ordinal:
+    """A level given as an int or an Ordinal, as an Ordinal."""
+    return nat(beta) if isinstance(beta, int) else beta
 
-_embed_cache: dict = {}
+
+# -- embedding search (the collapsed game) -----------------------------------
 
 
 def find_embedding(
@@ -87,7 +92,8 @@ def find_embedding(
     completing the support of a pinned-subgroup element gets the image that
     carries it, and the socle images must stay GF(p)-independent. Raises
     BoundExceeded when a socle layer the candidates come from has more than
-    DEFAULT_BOUND elements.
+    DEFAULT_BOUND elements. The answer is memoized on dst (trees are
+    immutable), so it dies with dst.
     """
     if src.p != dst.p or len(src_pins) != len(dst_pins):
         return None
@@ -97,7 +103,6 @@ def find_embedding(
     # 0 -> 0 entries do not change it
     key = (
         src,
-        dst,
         frozenset(
             (x.coeffs, y.coeffs)
             for x, y in zip(src_pins, dst_pins)
@@ -105,12 +110,10 @@ def find_embedding(
         ),
         onto,
     )
-    if key in _embed_cache:
-        return _embed_cache[key]
-
-    result = _find_embedding_uncached(src, src_pins, dst, dst_pins, onto)
-    _embed_cache[key] = result
-    return result
+    memo = dst.embed_memo
+    if key not in memo:
+        memo[key] = _find_embedding_uncached(src, src_pins, dst, dst_pins, onto)
+    return memo[key]
 
 
 def _find_embedding_uncached(src, src_pins, dst, dst_pins, onto):
@@ -267,14 +270,44 @@ def leq_std_game(
 # -- closed forms --------------------------------------------------------------
 
 
+def _tuple_clauses(
+    A, abar, B, bbar, beta: Ordinal, band: Optional[Profile]
+) -> Optional[tuple[Ordinal, int]]:
+    """Clauses (a) and (b) of both closed forms on carriers A, B (trees or
+    fragments): bbar, cut to abar's length, corresponds to abar, and entry
+    heights compare against the threshold w*delta of beta. At odd levels
+    the left height may exceed the right inside the band of infinite socle
+    above the threshold, read off `band` (leq_barker's left profile) or
+    infinite when `band` is None (leq_paper). Returns beta's split
+    (delta, parity) when both hold, for leq_paper's (c)/(d), else None.
+    """
+    abar, bbar = tuple(abar), tuple(bbar)
+    if len(abar) > len(bbar):
+        return None
+    bbar = bbar[: len(abar)]
+    if not _corresponds(B, bbar, A, abar):
+        return None
+    if beta.is_zero:
+        return ZERO, 0  # every height is at least the threshold 0
+    delta, parity = parity_split(beta)
+    thr = omega_times(delta)
+    # the band matters at odd levels, and only to a nonempty tuple
+    split = band_split_index(band, thr) if parity and abar and band is not None else None
+    for a, b in zip(abar, bbar):
+        if not _entry_heights_ok(a.height(), b.height(), parity, thr, split):
+            return None
+    return delta, parity
+
+
 def _entry_heights_ok(
-    ha: HeightValue, hb: HeightValue, beta_parity: int, thr: Ordinal, profile: Profile
+    ha: HeightValue, hb: HeightValue, parity: int, thr: Ordinal, split: Optional[int]
 ) -> bool:
-    if beta_parity == 0:
-        return (ha == hb and ha < thr) or (ha >= thr and hb >= thr)
-    split = band_split_index(profile, thr)
+    """Clause (b) for one entry pair; `split` is ``band_split_index`` of
+    the band above thr, None when the band is infinite."""
     if ha == hb and ha < thr:
         return True
+    if parity == 0:
+        return ha >= thr and hb >= thr
     if split is None:
         # socle infinite at every finite offset above the threshold
         return hb >= thr and ha >= height_min(hb, thr + OMEGA)
@@ -301,33 +334,22 @@ def leq_barker(
     finite-socle branch: heights must match entrywise on top of the
     generated-subgroup correspondence.
     """
-    if isinstance(beta, int):
-        beta = nat(beta)
+    beta = _level(beta)
     if beta < nat(1):
         raise ValueError("the characterization needs beta >= 1")
-    holderA, abar, profileA = _carrier(A, abar)
-    holderB, bbar, profileB = _carrier(B, bbar)
+    holderA, profileA = _carrier(A)
+    holderB, profileB = _carrier(B)
     trees = isinstance(A, GroupTree) and isinstance(B, GroupTree)
     if A.socle_dims != B.socle_dims if trees else not ulm_equal(profileA, profileB):
         raise ValueError("the characterization needs equal invariants")
-    if len(abar) > len(bbar):
-        return False
-    bbar = bbar[: len(abar)]
-    if not _corresponds(holderB, bbar, holderA, abar):
-        return False
-    delta, parity = parity_split(beta)
-    thr = omega_times(delta)
-    return all(
-        _entry_heights_ok(a.height(), b.height(), parity, thr, profileA)
-        for a, b in zip(abar, bbar)
-    )
+    return _tuple_clauses(holderA, abar, holderB, bbar, beta, profileA) is not None
 
 
-def _carrier(G, tup):
+def _carrier(G):
     if isinstance(G, GroupTree):
-        return G, tuple(tup), invariants_of(G)
+        return G, invariants_of(G)
     if isinstance(G, ProfiledGroup):
-        return G.fragment, tuple(tup), G.profile
+        return G.fragment, G.profile
     raise TypeError(f"expected a tree or profiled group, got {type(G)!r}")
 
 
@@ -354,38 +376,21 @@ def leq_paper(
     """Modified relation for groups with limit-infinite invariant profiles.
 
     Clauses: (a) the entrywise correspondence extends to an isomorphism of
-    generated subgroups; (b) entry heights match below w*delta and are
-    capped-compatible above it (odd levels allow the left height to exceed
-    the right up to w*delta + w); (c) invariants agree below w*delta;
-    (d) at odd levels the left invariants dominate on [w*delta, w*delta+w).
+    generated subgroups; (b) Barker's entry-height clause with the band
+    above w*delta infinite: heights match below w*delta, and odd levels
+    allow the left height to exceed the right up to w*delta + w; (c)
+    invariants agree below w*delta; (d) at odd levels the left invariants
+    dominate on [w*delta, w*delta+w).
     """
-    if isinstance(beta, int):
-        beta = nat(beta)
+    beta = _level(beta)
     for P in (A.profile, B.profile):
         if not (P.length.is_limit and P.limit_infinite):
             raise ValueError(
                 "the modified relation expects limit length and "
                 "limit-infinite profiles"
             )
-    abar, bbar = tuple(abar), tuple(bbar)
-    if len(abar) > len(bbar):
-        return False
-    bbar = bbar[: len(abar)]
-    if not _corresponds(B.fragment, bbar, A.fragment, abar):
-        return False
-    delta, parity = parity_split(beta)
-    thr = omega_times(delta)
-    for a, b in zip(abar, bbar):
-        ha, hb = a.height(), b.height()
-        if parity == 0:
-            ok = (ha == hb and ha < thr) or (ha >= thr and hb >= thr)
-        else:
-            ok = (ha == hb and ha < thr) or (
-                hb >= thr and ha >= height_min(hb, thr + OMEGA)
-            )
-        if not ok:
-            return False
-    return _profile_clauses(A.profile, B.profile, delta, parity)
+    level = _tuple_clauses(A.fragment, abar, B.fragment, bbar, beta, None)
+    return level is not None and _profile_clauses(A.profile, B.profile, *level)
 
 
 def _profile_clauses(P: Profile, Q: Profile, delta: Ordinal, parity: int) -> bool:
@@ -418,14 +423,10 @@ def relation(
     carriers fall back to the single-group characterization. Level 0 is
     quantifier-free type containment in either case.
     """
-    if isinstance(beta, int):
-        beta = nat(beta)
-    abar, bbar = tuple(abar), tuple(bbar)
+    beta = _level(beta)
     if beta.is_zero:
-        if len(abar) > len(bbar):
-            return False
-        bbar = bbar[: len(abar)]
-        return _corresponds(B.fragment, bbar, A.fragment, abar)
+        level = _tuple_clauses(A.fragment, abar, B.fragment, bbar, beta, None)
+        return level is not None
     if all(
         P.length.is_limit and P.limit_infinite for P in (A.profile, B.profile)
     ):
@@ -478,10 +479,7 @@ def extend_tuple(
     coordinate: a normal form in a prefix fragment stays normal in its
     extension.
     """
-    if isinstance(beta, int):
-        beta = nat(beta)
-    if isinstance(eta, int):
-        eta = nat(eta)
+    beta, eta = _level(beta), _level(eta)
     if not eta < beta:
         raise ValueError(f"need eta < beta, got {eta} >= {beta}")
     abar, bbar, dbar = tuple(abar), tuple(bbar), tuple(dbar)
@@ -639,7 +637,7 @@ def _find_explicit_image(
     gamma: Ordinal,
 ) -> Optional[FragmentElement]:
     sub_a = pg.fragment.subgroup(cur_a)
-    for c in sorted(pg.fragment.elements(), key=lambda x: x.coeffs):
+    for c in pg.fragment.elements():  # in coefficient lex order
         if c in sub_a:
             continue
         if c.times_p() != z or c.height() != gamma:

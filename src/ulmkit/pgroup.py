@@ -421,9 +421,13 @@ class GroupTree:
         ranks = Counter(self._rank[v] for v in self.nonroot)
         self.socle_dims = tuple(ranks[k] for k in range(len(ranks) + 1))
         self.size: int = p ** len(self.nonroot)
-        # baf._corresponds answers keyed by (other carrier, tuples), so
-        # they die with this tree
+        # memos that die with this tree: baf._corresponds answers keyed by
+        # (other carrier, tuples), baf.find_embedding answers into this
+        # tree keyed by (source tree, pin pairs, onto), and the profile
+        # ulm.invariants_of reads off socle_dims
         self.iso_memo: dict = {}
+        self.embed_memo: dict = {}
+        self.invariants_memo = None
 
     # -- basic structure ---------------------------------------------------
 
@@ -477,21 +481,19 @@ class GroupTree:
         return self.fragment.elements()
 
     def p_beta_space(self, beta: int) -> tuple[list[FragmentElement], int]:
-        """GF(p) basis and dimension of {x : px = 0, h(x) >= beta}."""
-        space = [
-            x
-            for x in self.fragment.socle()
-            if x.is_zero or x.height() >= nat(beta)
+        """GF(p) basis and dimension of {x : px = 0, h(x) >= beta}.
+
+        A socle element has coordinates k_j * p^(e_j - 1) in the cyclic
+        decomposition and height min(e_j - 1) over its support, so the
+        order-p elements p^(e_j - 1) of the summands with e_j > beta are a
+        basis.
+        """
+        dec = self.decomposition
+        basis = [
+            dec.decode(dec.zero[:j] + (m // self.p,) + dec.zero[j + 1 :])
+            for j, (e, m) in enumerate(zip(dec.exponents, dec.moduli))
+            if e > beta
         ]
-        basis: list[FragmentElement] = []
-        span = {self.zero()}
-        for x in space:
-            if x in span:
-                continue
-            basis.append(x)
-            span = {
-                s + (k * x) for s in span for k in range(self.p)
-            }
         return basis, len(basis)
 
     def __str__(self) -> str:

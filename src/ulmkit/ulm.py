@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import functools
 import operator
-import weakref
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -305,18 +304,16 @@ def band_split_index(P: Profile, thr: Ordinal) -> Optional[int]:
 # -- invariants of explicit trees -------------------------------------------
 
 
-_invariants_memo = weakref.WeakKeyDictionary()  # a profile dies with its tree
-
-
 def invariants_of(tree: GroupTree) -> Profile:
-    profile = _invariants_memo.get(tree)
+    """The tree's invariants as a Profile, kept on the tree."""
+    profile = tree.invariants_memo
     if profile is None:
         dims, length = tree.socle_dims, tree.length()
         clauses = tuple(
             Clause(nat(n), nat(n + 1), "any", dims[n] - dims[n + 1])
             for n in range(length)
         )
-        profile = _invariants_memo[tree] = Profile(nat(length), clauses)
+        profile = tree.invariants_memo = Profile(nat(length), clauses)
     return profile
 
 

@@ -32,13 +32,21 @@ from ulmkit.fragments import (
 from ulmkit.ordinal import (
     OMEGA,
     canonical_cofinal,
+    height_min,
     nat,
     omega_times,
     parity_split,
     parse_ordinal,
 )
 from ulmkit.pgroup import BoundExceeded, GroupTree, generated_iso
-from ulmkit.ulm import OMEGA_VALUE, Clause, Profile, band_split_index, make_G_hat
+from ulmkit.ulm import (
+    OMEGA_VALUE,
+    Clause,
+    Profile,
+    band_split_index,
+    make_G_hat,
+    profiles_agree_on,
+)
 from ulmkit.verify import corpus_trees, leq_game_reference
 
 
@@ -362,6 +370,21 @@ class TestGameAgainstBarkerSameGroup:
         del t
         gc.collect()
         assert ref() is None
+
+    def test_a_tree_used_once_by_the_game_is_freed(self):
+        # find_embedding's verdicts live on the destination tree
+        A = chain(2, 2)
+        B = GroupTree(2, {"s": None, "d1": "s", "d2": "d1"})
+        a, b = A.node("c1"), B.node("d1")
+        assert leq_std_game(A, [a], B, [b], 1)  # B embeds into A
+        assert list(A.embed_memo) == [(B, frozenset({(b.coeffs, a.coeffs)}), False)]
+        assert B.embed_memo == {}
+        assert leq_std_game(A, [a], B, [b], 2)  # A maps onto B
+        assert list(B.embed_memo) == [(A, frozenset({(a.coeffs, b.coeffs)}), True)]
+        refs = [weakref.ref(x) for x in (A, B)]
+        del A, B, a, b
+        gc.collect()
+        assert all(ref() is None for ref in refs)
 
     def test_profiled_carriers_with_unequal_invariants_are_refused(self):
         # the game says Z_2 embeds into Z_4 here; the closed form must not
@@ -815,12 +838,9 @@ EXT_ETAS = [nat(0), nat(1), nat(2), nat(3), OMEGA]
 
 
 @st.composite
-def growable_extension_cases(draw):
-    """A random B fragment over w*2 (heights, p-images over higher earlier
-    generators), A a growable copy of its first k generators under one of
-    the make_G_hat profiles, and 1-2 random demands in B."""
-    p = draw(st.sampled_from([2, 3]))
-    n = draw(st.integers(1, 4 if p == 2 else 3))
+def profiled_fragments(draw, p, n):
+    """A random n-generator fragment over w*2 (heights, p-images over
+    higher earlier generators) under one of the make_G_hat profiles."""
     gens: list[FragmentGen] = []
     for i in range(n):
         h = draw(st.sampled_from(EXT_HEIGHTS))
@@ -829,7 +849,18 @@ def growable_extension_cases(draw):
             if g.height >= h + 1:
                 vec[j] = draw(st.integers(0, p - 1))
         gens.append(FragmentGen(f"b{i}", tuple(vec), h))
-    B = ProfiledGroup(make_G_hat(W2, SEQ2, draw(st.integers(0, 3))), Fragment(p, gens))
+    return ProfiledGroup(make_G_hat(W2, SEQ2, draw(st.integers(0, 3))), Fragment(p, gens))
+
+
+@st.composite
+def growable_extension_cases(draw):
+    """A random B from profiled_fragments, A a growable copy of its first
+    k generators under one of the make_G_hat profiles, and 1-2 random
+    demands in B."""
+    p = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 4 if p == 2 else 3))
+    B = draw(profiled_fragments(p, n))
+    gens = B.fragment.gens
     k = draw(st.integers(0, min(n, 2)))
     A = ProfiledGroup(
         make_G_hat(W2, SEQ2, draw(st.sampled_from([0, 0, 1, 2]))), Fragment(p, gens[:k])
@@ -972,3 +1003,93 @@ class TestMemoLifetimes:
         del P, Q, A, B
         gc.collect()
         assert all(ref() is None for ref in refs)
+
+
+def leq_paper_inline_heights(A, abar, B, bbar, beta):
+    """leq_paper with its own entry-height clause, as it read before clause
+    (b) was shared with leq_barker; the reference for the shared clause."""
+    if isinstance(beta, int):
+        beta = nat(beta)
+    for P in (A.profile, B.profile):
+        if not (P.length.is_limit and P.limit_infinite):
+            raise ValueError("limit-infinite profiles only")
+    abar, bbar = tuple(abar), tuple(bbar)
+    if len(abar) > len(bbar):
+        return False
+    bbar = bbar[: len(abar)]
+    if generated_iso(B.fragment, bbar, A.fragment, abar) is None:
+        return False
+    delta, parity = parity_split(beta)
+    thr = omega_times(delta)
+    for a, b in zip(abar, bbar):
+        ha, hb = a.height(), b.height()
+        if parity == 0:
+            ok = (ha == hb and ha < thr) or (ha >= thr and hb >= thr)
+        else:
+            ok = (ha == hb and ha < thr) or (
+                hb >= thr and ha >= height_min(hb, thr + OMEGA)
+            )
+        if not ok:
+            return False
+    P, Q = A.profile, B.profile
+    return profiles_agree_on(P, Q, nat(0), thr, "eq") and (
+        parity == 0 or profiles_agree_on(P, Q, thr, thr + OMEGA, "ge")
+    )
+
+
+@st.composite
+def paper_relation_cases(draw):
+    """A profiled group B; A either B itself, or B's generators and
+    p-images with heights drawn afresh, so that the map copying
+    coefficients is an isomorphism; a nonempty random tuple in B, and in A
+    mostly its copy (clause (a) then holds and (b) decides), else a random
+    tuple."""
+    p = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 3))
+    B = draw(profiled_fragments(p, n))
+    A = B
+    if draw(st.integers(0, 3)):
+        gens, heights = B.fragment.gens, {}
+        for i in reversed(range(n)):
+            # the p-images using generator i must stay above it
+            above = [heights[k] + 1 for k in range(i + 1, n) if gens[k].pimage[i]]
+            lo = max(above, default=nat(0))
+            heights[i] = draw(st.sampled_from([h for h in EXT_HEIGHTS if h >= lo] or [lo]))
+        frag = Fragment(
+            p, [FragmentGen(g.name, g.pimage, heights[i]) for i, g in enumerate(gens)]
+        )
+        A = ProfiledGroup(make_G_hat(W2, SEQ2, draw(st.integers(0, 3))), frag)
+    vecs = st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
+    bbar = [B.fragment.element(v) for v in draw(st.lists(vecs, min_size=1, max_size=3))]
+    if draw(st.integers(0, 3)):
+        abar = [A.fragment.element(y.coeffs) for y in bbar[: draw(st.integers(1, 3))]]
+    else:
+        abar = [A.fragment.element(v) for v in draw(st.lists(vecs, min_size=1, max_size=3))]
+    return A, abar, B, bbar
+
+
+class TestSharedHeightClause:
+    """leq_barker and leq_paper share clauses (a) and (b)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(paper_relation_cases())
+    def test_leq_paper_matches_its_inline_height_clause(self, case):
+        # heights lie below w*2, so levels past 4 only ask for equal heights
+        for beta in range(5):
+            assert leq_paper(*case, beta) == leq_paper_inline_heights(*case, beta)
+
+    def test_band_split_runs_once_per_odd_level_call(self, monkeypatch):
+        import ulmkit.baf
+
+        t = mixed(2)
+        pg = ghat_pg(0, [(nat(5), 1), (nat(7), 1), (OMEGA + 4, 1)])
+        cases = [
+            (t, [t.node(v) for v in ("a", "b", "c")]),
+            (pg, [pg.fragment.gen(i) for i in range(3)]),
+        ]
+        splits = _counting(monkeypatch, ulmkit.baf, "band_split_index")
+        for G, tup in cases:
+            for beta in (1, 3):
+                del splits[:]
+                assert leq_barker(G, tup, G, tup, beta)
+                assert len(splits) == 1

@@ -215,6 +215,25 @@ class TestSubspaces:
         assert dim == 3
         assert len(t.fragment.subgroup(basis)) == 27
 
+    @pytest.mark.parametrize(
+        "p, vec",
+        [
+            (p, vec)
+            for p, most in ((2, 6), (3, 5))
+            for n in range(most + 1)
+            for vec in tree_shapes(n)
+        ],
+    )
+    def test_p_beta_space_matches_enumeration(self, p, vec):
+        # the defining set {x : px = 0, h(x) >= beta}, enumerated
+        t = tree_of(p, vec)
+        socle = [x for x in t.elements() if x.times_p().is_zero]
+        for beta in range(6):
+            want = {x for x in socle if x.is_zero or x.height() >= nat(beta)}
+            basis, dim = t.p_beta_space(beta)
+            assert len(basis) == dim and p**dim == len(want)
+            assert t.fragment.subgroup(basis) == want
+
     def test_subgroup_closure(self):
         t = GroupTree(2, MIXED)
         sub = t.fragment.subgroup([t.node("b")])
