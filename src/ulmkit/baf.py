@@ -16,7 +16,12 @@ quantifier-free types. Two facts collapse the search:
 
 So <=_1 is "B embeds into A with bbar -> abar" and <=_beta for beta >= 2 is
 "A and B are isomorphic with abar -> bbar", both decided by the search in
-`find_embedding`, which builds no whole-group table.
+`find_embedding`, which builds no whole-group table. It works on the
+coordinates of both trees' cyclic decompositions: the pinned correspondence
+is one tower of coordinate pairs, checked for heights without decoding, and
+the socle images are kept in one echelon with their sources, seeded by the
+socle of the pinned subgroup, so a choice that contradicts a pin is refused
+where it is made rather than when the pin's support is complete.
 
 Route two (`leq_barker` for tuples in one group, `leq_paper` for groups
 carrying limit-infinite invariant profiles): closed forms at the threshold
@@ -54,9 +59,11 @@ from .pgroup import (
     GroupTree,
     _coeff_adder,
     _generated_iso_exists,
+    _injective,
+    _pair_tower,
     _tower_step,
     echelon_add,
-    generated_iso,
+    echelon_reduce,
     subgroup_elements,
 )
 from .ulm import Profile, band_split_index, invariants_of, profiles_agree_on, ulm_equal
@@ -84,15 +91,21 @@ def find_embedding(
     """Injective homomorphism src -> dst with src_pins[i] -> dst_pins[i].
 
     Returns the node-image assignment or None. Such a map restricts to the
-    isomorphism <src_pins> -> <dst_pins> and never lowers heights, which is
-    checked on that whole subgroup (at most DEFAULT_BOUND elements) first. The
-    search then places nodes, parents first, in coordinates of dst's cyclic
-    decomposition: the candidates are the preimages of the parent's image
-    under p (one solution plus socle elements) at the right height, a node
-    completing the support of a pinned-subgroup element gets the image that
-    carries it, and the socle images must stay GF(p)-independent. Raises
-    BoundExceeded when a socle layer the candidates come from has more than
-    DEFAULT_BOUND elements. The answer is memoized on dst (trees are
+    isomorphism <src_pins> -> <dst_pins> and never lowers heights. That
+    restriction is the pair tower of the pins on both trees' decomposition
+    coordinates (at most DEFAULT_BOUND pairs), and heights are compared on
+    it as least p-adic valuations, decoding nothing. The search then places
+    nodes, parents first, in dst's coordinates: the candidates are the
+    preimages of the parent's image under p (one solution plus socle
+    elements) at the right height, and a node completing the support of a
+    pinned-subgroup element gets the image that carries it. On the socle
+    the map is linear and injective, and its graph contains the socle of
+    the pin tower; so the (source | image) socle vector of each placement
+    must raise the source, image and paired GF(p) ranks together, which
+    fixes the image of every placement whose source is already spanned.
+    Without pins this is independence of the socle images. Raises
+    BoundExceeded when a socle layer the candidates come from has more
+    than DEFAULT_BOUND elements. The answer is memoized on dst (trees are
     immutable), so it dies with dst.
     """
     if src.p != dst.p or len(src_pins) != len(dst_pins):
@@ -100,16 +113,14 @@ def find_embedding(
     if src.size > dst.size or onto and src.size != dst.size:
         return None
     # the pin constraint is the set of (source, target) pairs; order and
-    # 0 -> 0 entries do not change it
-    key = (
-        src,
-        frozenset(
-            (x.coeffs, y.coeffs)
-            for x, y in zip(src_pins, dst_pins)
-            if not (x.is_zero and y.is_zero)
-        ),
-        onto,
-    )
+    # 0 -> 0 entries do not change it. The sorted pairs, laid flat in one
+    # tuple, key it in about a third of a frozenset of pairs' memory
+    pairs = sorted({
+        (x.coeffs, y.coeffs)
+        for x, y in zip(src_pins, dst_pins)
+        if not (x.is_zero and y.is_zero)
+    })
+    key = (src, onto, *[c for pair in pairs for c in pair])
     memo = dst.embed_memo
     if key not in memo:
         memo[key] = _find_embedding_uncached(src, src_pins, dst, dst_pins, onto)
@@ -126,13 +137,17 @@ def _find_embedding_uncached(src, src_pins, dst, dst_pins, onto):
     # groups of equal size is bijective, so it keeps them
     exact = onto or src.size == dst.size
 
-    # an embedding carrying the pins restricts to this isomorphism on <pins>
-    pin_map = generated_iso(src, src_pins, dst, dst_pins)
-    if pin_map is None or not all(
-        y.height() == x.height() if exact else y.height() >= x.height()
-        for x, y in pin_map.items()
-    ):
+    # an embedding carrying the pins restricts to the isomorphism <src_pins>
+    # -> <dst_pins>: the pair tower on both decompositions' coordinates,
+    # source part first. Keys are unique, so only tower[0] is zero.
+    tower, cut = _pair_tower(src, src_pins, dst, dst_pins)
+    if tower is None or not _injective(tower, cut):
         return None
+    sdec, dec = src.decomposition, dst.decomposition
+    for z in tower[1:]:
+        hx, hy = sdec.height_of(z[:cut]), dec.height_of(z[cut:])
+        if not (hy == hx if exact else hy >= hx):
+            return None
 
     # parents before children; within a depth, nodes appearing in pin
     # supports first, so pin images get fixed near the root of the search
@@ -141,7 +156,6 @@ def _find_embedding_uncached(src, src_pins, dst, dst_pins, onto):
         src.nonroot, key=lambda v: (src.depth(v), v not in pinned_sup, v)
     )
     pos = {v: i for i, v in enumerate(order)}
-    dec = dst.decomposition  # images are coordinate tuples
     p, mods = dst.p, dec.moduli
 
     # The elements of <pins> on the first i nodes of `order` form a group
@@ -149,11 +163,11 @@ def _find_embedding_uncached(src, src_pins, dst, dst_pins, onto):
     # So forcing f(v) to carry one element x with v last in its support
     # makes all of <pins> map right by the time its support is placed.
     forced: dict[str, tuple] = {}
-    for x, y in pin_map.items():
-        terms = x.terms()
+    for z in tower:
+        terms = sdec.decode(z[:cut]).terms()
         if terms:
             last = max((v for v, _ in terms), key=pos.__getitem__)
-            forced.setdefault(last, (terms, dec.encode(y)))
+            forced.setdefault(last, (terms, z[cut:]))
 
     # symmetry break: sibling subtrees of identical shape that no pin
     # touches are interchangeable, so force their root images into
@@ -176,12 +190,31 @@ def _find_embedding_uncached(src, src_pins, dst, dst_pins, onto):
             for u, v in zip(orbit, orbit[1:]):
                 sym_pred[v] = u
 
+    # f is injective iff it is on the socle, where it is a linear map whose
+    # graph contains the socle of <pins>: the pairs (src k | dst k) of tower
+    # entries of order p, in GF(p) coordinates (k_j * p^(e_j - 1) is
+    # coordinate j). The graph is spanned by that seed and one pair per
+    # socle basis vector of src: v (parent the root) or v - w (w the first
+    # placed sibling), of source coordinates sigma and image coordinates
+    # k_v or k_v - k_w. A graph of an injective map has source, image and
+    # paired spans of one dimension, so each placement must raise all
+    # three or none. Rising is fixed by the sigmas alone; a placement that
+    # does not rise has its image forced by the pairs placed so far. With
+    # no pins every placement rises, and the rule is image independence.
+    both = sdec.moduli + mods
+    src_basis: list = []  # echelon rows, row[pivot] = 1
+    paired: list = []  # echelon rows of (src k | dst k), pivots in src k
+    basis: list = []  # echelon rows of the image socle span
+    for z in tower[1:]:
+        if all(c * p % m == 0 for c, m in zip(z, both)):
+            vec = [c * p // m for c, m in zip(z, both)]
+            if echelon_add(paired, vec, p):
+                echelon_add(src_basis, vec[:cut], p)
+                echelon_add(basis, vec[cut:], p)
+
     # The y with p*y = t = f(parent v) and h(y) >= r = rank(v) are y0 + s:
     # y0 = t/p coordinatewise, of height h(t) - 1 >= r, and s in the socle
     # at height >= r, exactly r in the exact case unless h(t) = r + 1.
-    # f is injective iff it is on the socle. Placing v adds the socle
-    # vector v (parent the root) or v - w (w the first placed sibling), of
-    # image coordinates k_v or k_v - k_w; these must stay independent.
     first_child: dict[str, str] = {}
     plan = []
     for v in order:
@@ -191,15 +224,23 @@ def _find_embedding_uncached(src, src_pins, dst, dst_pins, onto):
             r, exact and (u == src.root or src.rank(u) > r + 1)
         )
         added = u if u == src.root else None if w == v else w
-        plan.append((v, u, layer, forced.get(v), added, sym_pred.get(v)))
-    basis: list[tuple[int, list[int]]] = []  # echelon rows, row[pivot] = 1
+        sigma = None
+        if added is not None and paired:
+            sigma = sdec.socle_vector(v, None if added == src.root else w)
+        # without pins every sigma rises: they are a basis of src's socle
+        rises = added is not None and (
+            sigma is None or echelon_add(src_basis, sigma, p)
+        )
+        plan.append(
+            (v, u, layer, forced.get(v), added, sigma, rises, sym_pred.get(v))
+        )
 
     assign: dict[str, tuple[int, ...]] = {src.root: dec.zero}
     socle_k: dict[str, tuple[int, ...]] = {src.root: dec.zero}
 
     def tries(i: int) -> Iterator[bool]:
         """Place node plan[i] at each candidate in turn, undoing on resume."""
-        v, u, layer, pinned_here, added, prev = plan[i]
+        v, u, layer, pinned_here, added, sigma, rises, prev = plan[i]
         y0 = tuple(a // p for a in assign[u])
         cands: Iterable = layer.items()
         if pinned_here:
@@ -214,20 +255,31 @@ def _find_embedding_uncached(src, src_pins, dst, dst_pins, onto):
             s = tuple((a * inv - b) % m for a, b, m in zip(acc, y0, mods))
             k = tuple(c * p // m for c, m in zip(s, mods))
             cands = ((k, s),) if layer.get(k) == s else ()
+        if added is not None and not rises:
+            # (sigma | kappa) lies in the paired span: reducing (sigma | 0)
+            # leaves (0 | -kappa), and k_v = kappa + k_(added)
+            rest = echelon_reduce(paired, sigma + (0,) * len(mods), p)
+            k = tuple((b - a) % p for a, b in zip(rest[cut:], socle_k[added]))
+            if pinned_here:
+                cands = [c for c in cands if c[0] == k]
+            else:
+                cands = ((k, layer[k]),) if k in layer else ()
         for k, s in cands:
             if prev is not None and k <= socle_k[prev]:
                 continue  # order within orbits (siblings share y0)
-            if added is None:
-                vec = None  # a first child adds no socle vector
-            else:
+            if rises:
                 vec = [(a - b) % p for a, b in zip(k, socle_k[added])]
                 if not echelon_add(basis, vec, p):
                     continue
+                if sigma is not None:
+                    echelon_add(paired, [*sigma, *vec], p)
             assign[v] = tuple(map(operator.add, y0, s))
             socle_k[v] = k
             yield True
-            if vec is not None:
+            if rises:
                 basis.pop()
+                if sigma is not None:
+                    paired.pop()
 
     # depth-first over plan with an explicit stack, so deep trees do not
     # hit the recursion limit

@@ -180,6 +180,9 @@ def parity_split(beta: Ordinal) -> tuple[Ordinal, int]:
     Doubling here means lambda + k -> lambda + 2k on the finite part, so
     delta = w*gamma + m//2 where beta = w*gamma + m; limits are even.
     """
+    if beta.is_finite:  # gamma = 0: skip building w*0 and adding to it
+        m = beta.finite_part
+        return nat(m // 2), m % 2
     gamma, m = split_omega(beta)
     return omega_times(gamma) + nat(m // 2), m % 2
 

@@ -40,7 +40,9 @@ their carries. A tower grows by ``_tower_step``, one generator at a time,
 so a caller that adjoins generators one by one (``baf.extend_tuple``) keeps
 one tower that gains a step per adjoin. ``generated_iso`` builds the
 correspondence dict from that tower; callers that only ask whether it
-exists use ``_generated_iso_exists``, which builds and decodes no pairs.
+exists use ``_generated_iso_exists``, which builds and decodes no pairs,
+and ``baf.find_embedding`` reads heights and socle vectors off the tower's
+coordinate tuples (``CyclicDecomposition.height_of``).
 
 Fragments are immutable: ``Fragment.extend`` returns a new fragment with
 one generator appended, reusing the parent's carries, name index and
@@ -551,9 +553,14 @@ class CyclicDecomposition:
              else frag.index[bottom(heavy[parent[t]], rank(t))])
             for t in tops
         ]
+        # heights as ordinals, indexed by valuation, so height_of allocates none
+        self._heights = tuple(nat(k) for k in range(max(self.exponents, default=0)))
         # memos that die with the tree, each at most one entry per element
+        # (per sibling pair for socle vectors)
         self._decoded: dict[tuple[int, ...], FragmentElement] = {}
+        self._encoded: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._layers: dict[tuple[int, bool], dict] = {}
+        self._socle_vectors: dict[tuple, tuple[int, ...]] = {}
 
     def socle_layer(self, r: int, exact: bool) -> dict:
         """Socle elements of height >= r (exactly r when `exact`), keyed by
@@ -570,15 +577,53 @@ class CyclicDecomposition:
                     got[k] = tuple(c * m // p for c, m in zip(k, self.moduli))
         return got
 
+    def socle_vector(self, v: str, w: Optional[str] = None) -> tuple[int, ...]:
+        """GF(p) coordinates k of the socle element v (a child of the root)
+        or v - w (siblings v and w): coordinate j is k_j * p^(e_j - 1)."""
+        got = self._socle_vectors.get((v, w))
+        if got is None:
+            index, p = self.tree.fragment.index, self.tree.p
+            acc = [0] * len(self.moduli)
+            for j, a in self._coords[index[v]]:
+                acc[j] += a
+            if w is not None:
+                for j, a in self._coords[index[w]]:
+                    acc[j] -= a
+            got = self._socle_vectors[(v, w)] = tuple(
+                a % m * p // m for a, m in zip(acc, self.moduli)
+            )
+        return got
+
+    def height_of(self, z: tuple[int, ...]) -> HeightValue:
+        """h of the element with coordinates z: the least p-adic valuation
+        over its nonzero coordinates, infinite for 0."""
+        p, least = self.tree.p, None
+        for c in z:
+            if c:
+                k = 0
+                while not c % p:
+                    c //= p
+                    k += 1
+                if not k:
+                    return self._heights[0]
+                if least is None or k < least:
+                    least = k
+        return INFINITY if least is None else self._heights[least]
+
     def encode(self, x: FragmentElement) -> tuple[int, ...]:
         if x.fragment is not self.tree.fragment:
             raise ValueError("element does not belong to this tree")
-        acc = [0] * len(self.moduli)
-        for i, c in enumerate(x.coeffs):
-            if c:
-                for j, a in self._coords[i]:
-                    acc[j] += c * a
-        return tuple(a % m for a, m in zip(acc, self.moduli))
+        z = self._encoded.get(x.coeffs)
+        if z is None:
+            acc = [0] * len(self.moduli)
+            for i, c in enumerate(x.coeffs):
+                if c:
+                    for j, a in self._coords[i]:
+                        acc[j] += c * a
+            z = self._encoded[x.coeffs] = tuple(
+                a % m for a, m in zip(acc, self.moduli)
+            )
+        return z
 
     def decode(self, z: tuple[int, ...]) -> FragmentElement:
         x = self._decoded.get(z)
@@ -593,13 +638,20 @@ class CyclicDecomposition:
         return x
 
 
-def echelon_add(basis: list, vec: Sequence[int], p: int) -> bool:
-    """Reduce vec (entries in [0, p)) against basis, GF(p) echelon rows
-    (pivot, row) with row[pivot] = 1 in the order added. Append it and
-    return True when independent; else return False, leaving basis as is."""
+def echelon_reduce(basis: list, vec: Sequence[int], p: int) -> Sequence[int]:
+    """vec (entries in [0, p)) reduced against basis, GF(p) echelon rows
+    (pivot, row) with row[pivot] = 1 in the order added: zero at every
+    pivot, and zero exactly when vec lies in the span."""
     for piv, row in basis:
         if vec[piv]:
             vec = [(a - vec[piv] * b) % p for a, b in zip(vec, row)]
+    return vec
+
+
+def echelon_add(basis: list, vec: Sequence[int], p: int) -> bool:
+    """Reduce vec against basis (see ``echelon_reduce``). Append it and
+    return True when independent; else return False, leaving basis as is."""
+    vec = echelon_reduce(basis, vec, p)
     for piv, c in enumerate(vec):
         if c:
             basis.append((piv, [a * pow(c, -1, p) % p for a in vec]))

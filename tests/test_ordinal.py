@@ -154,6 +154,19 @@ class TestDecompositions:
         assert parity_split(OMEGA) == (OMEGA, 0)
         assert parity_split(OMEGA_SQUARED + 1) == (OMEGA_SQUARED, 1)
 
+    @staticmethod
+    def general_parity_split(b):
+        gamma, m = split_omega(b)
+        return omega_times(gamma) + nat(m // 2), m % 2
+
+    def test_parity_split_fast_path_on_finite_ordinals(self):
+        for m in range(60):
+            assert parity_split(nat(m)) == self.general_parity_split(nat(m))
+
+    @given(ords(max_exp=2))
+    def test_parity_split_below_omega_cubed(self, b):
+        assert parity_split(b) == self.general_parity_split(b)
+
     @given(ords())
     def test_parity_double_inverse(self, b):
         delta, parity = parity_split(b)

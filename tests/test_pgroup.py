@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,7 @@ from ulmkit.ordinal import INFINITY, nat
 from ulmkit.pgroup import (
     DEFAULT_BOUND,
     BoundExceeded,
+    CyclicDecomposition,
     Fragment,
     FragmentGen,
     GroupTree,
@@ -306,6 +309,46 @@ class TestCyclicDecomposition:
             for x, y in itertools.islice(itertools.product(elems, elems), 0, None, 7):
                 want = tuple((a + b) % m for a, b, m in zip(coords[x], coords[y], d.moduli))
                 assert coords[x + y] == want
+
+    def test_coordinate_helpers_on_the_corpus(self):
+        # height_of reads h off coordinates, encode answers from its memo
+        # what a decomposition with empty memos computes, and socle_vector
+        # gives the GF(p) coordinates of v or v - w
+        for t in corpus_trees(5, (2, 3)):
+            d, fresh, p = t.decomposition, CyclicDecomposition(t), t.p
+            for z in itertools.product(*map(range, d.moduli)):
+                x = d.decode(z)
+                assert d.height_of(z) == x.height()
+                assert d.encode(x) == z
+            for x in t.elements():
+                assert d.encode(x) is d.encode(x)
+                assert d.encode(x) == fresh.encode(x)
+
+            def socle_k(x):
+                return tuple(c * p // m for c, m in zip(d.encode(x), d.moduli))
+
+            for u in t.nodes:
+                cs = t.children[u]
+                for v in cs:
+                    if u == t.root:
+                        assert d.socle_vector(v) == socle_k(t.node(v))
+                    for w in cs:
+                        if u != t.root and w != v:
+                            want = socle_k(t.node(v) - t.node(w))
+                            assert d.socle_vector(v, w) == want
+
+    def test_decomposition_memos_die_with_their_tree(self):
+        t = GroupTree(3, {"r": None, "a": "r", "b": "a", "c": "a", "d": "r"})
+        d = t.decomposition
+        for x in t.elements():
+            assert d.decode(d.encode(x)) == x
+        d.socle_layer(0, True)
+        d.socle_vector("c", "b")
+        assert all((d._encoded, d._decoded, d._layers, d._socle_vectors))
+        refs = [weakref.ref(t), weakref.ref(d)]
+        del t, d, x
+        gc.collect()
+        assert all(ref() is None for ref in refs)
 
     def test_socle_layers(self):
         for t in corpus_trees(5, (2,)) + corpus_trees(4, (3,)):
