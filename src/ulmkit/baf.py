@@ -27,8 +27,10 @@ Route two (`leq_barker` for tuples in one group, `leq_paper` for groups
 carrying limit-infinite invariant profiles): closed forms at the threshold
 w*delta (beta = 2*delta or 2*delta+1). Both check, in `_tuple_clauses`, (a)
 the generated-subgroup correspondence and (b) Barker's entrywise heights
-against the threshold; `leq_paper` is (b) with the band above the threshold
-infinite, plus (c)/(d), invariant agreement below and just above it.
+against the threshold. Above it, (b) asks the left invariants one thing: tau,
+the height up to which the socle stays infinite (`socle_finite_from`).
+`leq_paper` is (b) with tau infinite, plus (c)/(d), invariant agreement
+below and just above the threshold.
 
 `extend_tuple` is the constructive content: given the hypothesis relation
 at beta it extends the right-hand tuple to answer new elements at any
@@ -44,6 +46,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .fragments import ProfiledGroup
 from .ordinal import (
+    INFINITY,
     OMEGA,
     ZERO,
     HeightValue,
@@ -66,7 +69,7 @@ from .pgroup import (
     echelon_reduce,
     subgroup_elements,
 )
-from .ulm import Profile, band_split_index, invariants_of, profiles_agree_on, ulm_equal
+from .ulm import Profile, invariants_of, profiles_agree_on, ulm_equal
 
 
 class ExtensionError(RuntimeError):
@@ -323,15 +326,15 @@ def leq_std_game(
 
 
 def _tuple_clauses(
-    A, abar, B, bbar, beta: Ordinal, band: Optional[Profile]
+    A, abar, B, bbar, beta: Ordinal, tau: HeightValue
 ) -> Optional[tuple[Ordinal, int]]:
     """Clauses (a) and (b) of both closed forms on carriers A, B (trees or
     fragments): bbar, cut to abar's length, corresponds to abar, and entry
     heights compare against the threshold w*delta of beta. At odd levels
-    the left height may exceed the right inside the band of infinite socle
-    above the threshold, read off `band` (leq_barker's left profile) or
-    infinite when `band` is None (leq_paper). Returns beta's split
-    (delta, parity) when both hold, for leq_paper's (c)/(d), else None.
+    the left height may exceed the right below tau, where the socle is
+    infinite: leq_barker's left `socle_finite_from`, INFINITY for
+    leq_paper. Returns beta's split (delta, parity) when both hold, for
+    leq_paper's (c)/(d), else None.
     """
     abar, bbar = tuple(abar), tuple(bbar)
     if len(abar) > len(bbar):
@@ -343,32 +346,34 @@ def _tuple_clauses(
         return ZERO, 0  # every height is at least the threshold 0
     delta, parity = parity_split(beta)
     thr = omega_times(delta)
-    # the band matters at odd levels, and only to a nonempty tuple
-    split = band_split_index(band, thr) if parity and abar and band is not None else None
+    cap = thr + OMEGA
     for a, b in zip(abar, bbar):
-        if not _entry_heights_ok(a.height(), b.height(), parity, thr, split):
+        if not _entry_heights_ok(a.height(), b.height(), parity, thr, cap, tau):
             return None
     return delta, parity
 
 
 def _entry_heights_ok(
-    ha: HeightValue, hb: HeightValue, parity: int, thr: Ordinal, split: Optional[int]
+    ha: HeightValue,
+    hb: HeightValue,
+    parity: int,
+    thr: Ordinal,
+    cap: Ordinal,
+    tau: HeightValue,
 ) -> bool:
-    """Clause (b) for one entry pair; `split` is ``band_split_index`` of
-    the band above thr, None when the band is infinite."""
+    """Clause (b) for one entry pair at threshold thr, with cap = thr + w
+    and P_theta infinite exactly for theta < tau. Heights match below thr;
+    even levels ask only that both reach it. At odd levels the left height
+    may exceed the right while both stay below tau, and heights match from
+    tau on; when tau >= cap the band is infinite and the left height need
+    only reach min(right height, cap)."""
     if ha == hb and ha < thr:
         return True
     if parity == 0:
         return ha >= thr and hb >= thr
-    if split is None:
-        # socle infinite at every finite offset above the threshold
-        return hb >= thr and ha >= height_min(hb, thr + OMEGA)
-    if split >= 0:
-        edge = thr + split
-        if thr <= hb and hb <= ha and ha <= edge:
-            return True
-        return ha == hb and ha > edge
-    return ha == hb
+    if tau < cap:
+        return thr <= hb <= ha < tau or ha == hb >= tau
+    return hb >= thr and ha >= height_min(hb, cap)
 
 
 def leq_barker(
@@ -394,7 +399,8 @@ def leq_barker(
     trees = isinstance(A, GroupTree) and isinstance(B, GroupTree)
     if A.socle_dims != B.socle_dims if trees else not ulm_equal(profileA, profileB):
         raise ValueError("the characterization needs equal invariants")
-    return _tuple_clauses(holderA, abar, holderB, bbar, beta, profileA) is not None
+    tau = profileA.socle_finite_from
+    return _tuple_clauses(holderA, abar, holderB, bbar, beta, tau) is not None
 
 
 def _carrier(G):
@@ -411,7 +417,8 @@ def _corresponds(B, bbar, A, abar) -> bool:
     Trees and fragments are immutable (growth builds a new fragment), so
     the verdict is memoized on B and dies with it.
     """
-    key = (A, tuple(y.coeffs for y in bbar), tuple(x.coeffs for x in abar))
+    # bbar and abar have one length, so one flat tuple keys them unambiguously
+    key = (A, *[y.coeffs for y in bbar], *[x.coeffs for x in abar])
     hit = B.iso_memo.get(key)
     if hit is None:
         hit = B.iso_memo[key] = _generated_iso_exists(B, bbar, A, abar)
@@ -441,7 +448,7 @@ def leq_paper(
                 "the modified relation expects limit length and "
                 "limit-infinite profiles"
             )
-    level = _tuple_clauses(A.fragment, abar, B.fragment, bbar, beta, None)
+    level = _tuple_clauses(A.fragment, abar, B.fragment, bbar, beta, INFINITY)
     return level is not None and _profile_clauses(A.profile, B.profile, *level)
 
 
@@ -477,7 +484,7 @@ def relation(
     """
     beta = _level(beta)
     if beta.is_zero:
-        level = _tuple_clauses(A.fragment, abar, B.fragment, bbar, beta, None)
+        level = _tuple_clauses(A.fragment, abar, B.fragment, bbar, beta, INFINITY)
         return level is not None
     if all(
         P.length.is_limit and P.limit_infinite for P in (A.profile, B.profile)
@@ -523,12 +530,12 @@ def extend_tuple(
     is found by search. Raises ExtensionError when the height bookkeeping
     cannot be satisfied.
 
-    The correspondence f: <cur_b> -> <cur_a> is one tower of pairs, B's
-    coefficients then A's, keyed by the B part: built once from the given
-    tuples, it gains one tower step per adjoined pair (d', c), and only the
-    new cosets are checked for well-definedness and injectivity. A creation
-    appends a generator to A's fragment, so each A part gains a zero
-    coordinate: a normal form in a prefix fragment stays normal in its
+    The correspondence f from the B side's span to cur_a's is one tower of
+    pairs, B's coefficients then A's, keyed by the B part: built once from
+    the given tuples, it gains one tower step per adjoined pair (d', c), and
+    only the new cosets are checked for well-definedness and injectivity. A
+    creation appends a generator to A's fragment, so each A part gains a
+    zero coordinate: a normal form in a prefix fragment stays normal in its
     extension.
     """
     beta, eta = _level(beta), _level(eta)
@@ -544,13 +551,12 @@ def extend_tuple(
         raise ExtensionError("hypothesis relation fails at beta")
 
     demands = bbar[len(abar):] + dbar
-    cur_b: list[FragmentElement] = list(bbar[: len(abar)])
     cur_a: list[FragmentElement] = list(abar)
     grown = A
     fb = B.fragment
     cut = fb.rank
     pairs = [fb.zero().coeffs + A.fragment.zero().coeffs]
-    pair_of = {pairs[0][:cut]: pairs[0]}  # the keys are <cur_b>
+    pair_of = {pairs[0][:cut]: pairs[0]}  # the keys are f's domain
     key = operator.itemgetter(slice(cut))
 
     def grow(y: FragmentElement, x: FragmentElement) -> None:
@@ -565,7 +571,7 @@ def extend_tuple(
     def image(y: FragmentElement) -> FragmentElement:
         return FragmentElement(grown.fragment, pair_of[y.coeffs][cut:])
 
-    for y, x in zip(cur_b, cur_a):
+    for y, x in zip(bbar, abar):
         grow(y, x)
     delta, parity = parity_split(eta)
     thr = omega_times(delta)
@@ -574,8 +580,8 @@ def extend_tuple(
 
     def adjoin(e: FragmentElement) -> None:
         nonlocal grown
-        # d' = e + s for the s in <cur_b> of highest h(e + s), the first in
-        # coefficient order on ties: proper, its height maximal in e + <cur_b>
+        # d' = e + s for the s in f's domain of highest h(e + s), the first
+        # in coefficient order on ties: proper, its height maximal in its coset
         best_h = None
         for s in sorted(pair_of):
             v = add_b(e.coeffs, s)
@@ -613,7 +619,6 @@ def extend_tuple(
         records.append(
             CreationRecord(d_prime, z, c, gamma_c, tuple(cur_a))
         )
-        cur_b.append(d_prime)
         cur_a.append(c)
         grow(d_prime, c)
 

@@ -12,7 +12,7 @@ room the profile leaves; non-growable ones wrap a tree group, whose
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .ordinal import Ordinal
 from .pgroup import (
@@ -56,14 +56,11 @@ class ProfiledGroup:
                 )
 
     def create_element(
-        self,
-        pimage: FragmentElement,
-        height: Ordinal,
-        name: Optional[str] = None,
+        self, pimage: FragmentElement, height: Ordinal
     ) -> tuple["ProfiledGroup", FragmentElement]:
         if not self.growable:
             raise ValueError("cannot create elements of an explicit group")
-        frag = self.fragment.extend(self.fragment.migrate(pimage), height, name)
+        frag = self.fragment.extend(self.fragment.migrate(pimage), height)
         grown = ProfiledGroup(self.profile, frag, True)
         grown.validate_capacity()
         return grown, frag.gen(frag.rank - 1)

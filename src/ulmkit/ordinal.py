@@ -116,7 +116,6 @@ class Ordinal:
 
 
 ZERO = Ordinal()
-ONE = Ordinal(((0, 1),))
 OMEGA = Ordinal(((1, 1),))
 OMEGA_SQUARED = Ordinal(((2, 1),))
 

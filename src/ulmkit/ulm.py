@@ -11,21 +11,21 @@ Infinitely generated groups are described symbolically by a Profile: an
 ordinal length plus an ordered list of first-match rule clauses assigning a
 value (a natural number or omega) to each beta below the length, optionally
 filtered by the parity of beta's finite part. All profile predicates here
-(totality, equality, interval comparison, socle mass) are decided exactly by
-segmentation: between two adjacent clause boundaries the assigned value can
-only depend on that parity, so the two ordinals a and a+1 decide the whole
-segment.
+(totality, equality, interval comparison, socle finiteness) are decided
+exactly by segmentation: between two adjacent clause boundaries the assigned
+value can only depend on that parity, so the two ordinals a and a+1 decide
+the whole segment.
 
 A Profile indexes itself once, when built. The sorted boundaries cut
 [0, length) into segments, and a segment table holds each segment's value
 at even and at odd finite parts, from the first clause covering it; this is
-where totality is checked. ``value_at`` bisects the segment starts. Suffix
-sums of the segments' socle masses (value times the number of ordinals of
-that parity, omega absorbing) let ``socle_mass_above`` add one partial
-segment to one stored sum; they and ``limit_infinite`` are read off the
-table on first use and kept. The index is not a dataclass field, so
-equality, hashing and repr see only the length and the clauses; the tests
-check it against a plain clause scan.
+where totality is checked. ``value_at`` bisects the segment starts.
+``limit_infinite`` and ``socle_finite_from`` are read off the table on
+first use and kept. The latter is tau, the least theta with P_theta finite:
+all the back-and-forth closed forms ask of the invariants above a threshold
+is whether P_theta is infinite, that is whether theta < tau. The index is
+not a dataclass field, so equality, hashing and repr see only the length
+and the clauses; the tests check it against a plain clause scan.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import functools
 import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from .ordinal import OMEGA, ZERO, Ordinal, nat
 from .pgroup import GroupTree
@@ -74,15 +74,6 @@ def value_ge(a: UValue, b: UValue) -> bool:
     if b is OMEGA_VALUE:
         return False
     return a >= b
-
-
-def _value_sum(parts: Iterable[UValue]) -> UValue:
-    total = 0
-    for v in parts:
-        if v is OMEGA_VALUE:
-            return OMEGA_VALUE
-        total += v
-    return total
 
 
 # -- profiles ---------------------------------------------------------------
@@ -161,13 +152,25 @@ class Profile:
         )
 
     @functools.cached_property
-    def _suffix(self) -> tuple[UValue, ...]:
-        """_suffix[i]: the socle mass of segments i .. n - 1."""
+    def socle_finite_from(self) -> Ordinal:
+        """tau, the least theta with only finitely many independent order-p
+        elements of height >= theta: P_theta is infinite iff theta < tau.
+
+        A segment [a, b) keeps the socle infinite up to b's limit part when
+        it holds infinitely many ordinals with a nonzero value, and an omega
+        value up to one past the last ordinal of its parity; both ends lie
+        above a, so the topmost segment with an end decides.
+        """
         cuts, vals = self._cuts, self._vals
-        suffix: list[UValue] = [0] * len(cuts)
         for i in range(len(vals) - 1, -1, -1):
-            suffix[i] = _value_sum((_mass(cuts[i], cuts[i + 1], vals[i]), suffix[i + 1]))
-        return tuple(suffix)
+            a, b = cuts[i], cuts[i + 1]
+            ends = [b.limit_part] if b.limit_part > a.limit_part and any(vals[i]) else []
+            for q, v in enumerate(vals[i]):
+                if v is OMEGA_VALUE:
+                    ends.append(b.pred() if b.is_successor and b.finite_part % 2 == q else b)
+            if ends:
+                return max(ends)
+        return ZERO
 
     @functools.cached_property
     def relation_memo(self) -> dict:
@@ -215,25 +218,6 @@ def _limit_rep(a: Ordinal, b: Ordinal) -> Optional[Ordinal]:
     return cand if cand < b else None
 
 
-def _count_parity(a: Ordinal, b: Ordinal, parity: int) -> UValue:
-    """How many ordinals in [a, b) have finite part congruent to parity."""
-    if b.limit_part > a.limit_part:
-        return OMEGA_VALUE
-    fa, fb = a.finite_part, b.finite_part
-    lo = fa + (parity - fa) % 2
-    return max(0, (fb - lo + 1) // 2)
-
-
-def _mass(a: Ordinal, b: Ordinal, vals) -> UValue:
-    """Sum of the invariants over [a, b), given its (even, odd) values."""
-    parts: list[UValue] = []
-    for q, v in enumerate(vals):
-        cnt = _count_parity(a, b, q) if v else 0
-        if cnt:
-            parts.append(OMEGA_VALUE if OMEGA_VALUE in (v, cnt) else v * cnt)
-    return _value_sum(parts)
-
-
 def profiles_agree_on(
     P: Profile, Q: Profile, lo: Ordinal, hi: Ordinal, mode: str = "eq"
 ) -> bool:
@@ -260,45 +244,6 @@ def ulm_equal(P: Profile, Q: Profile) -> bool:
     if hi.is_zero:
         return True
     return profiles_agree_on(P, Q, nat(0), hi, "eq")
-
-
-def socle_mass_above(P: Profile, theta: Ordinal) -> UValue:
-    """Total socle dimension at heights >= theta: sum of u_beta, beta >= theta."""
-    if not theta < P.length:
-        return 0
-    i = bisect_right(P._cuts, theta) - 1
-    head = _mass(theta, P._cuts[i + 1], P._vals[i])
-    return _value_sum((head, P._suffix[i + 1]))
-
-
-def socle_infinite_above(P: Profile, theta: Ordinal) -> bool:
-    return socle_mass_above(P, theta) is OMEGA_VALUE
-
-
-def band_split_index(P: Profile, thr: Ordinal) -> Optional[int]:
-    """Classify the socle sizes P_{thr+k} over finite k.
-
-    Returns None when P_{thr+k} is infinite for every k; otherwise the
-    largest k with P_{thr+k} infinite (so P_{thr+k+1} is finite), or -1 when
-    already P_thr is finite.
-    """
-    # boundaries in [thr, thr + w) are thr's limit part plus a finite part
-    bounds = P.boundaries()
-    j = bisect_left(bounds, thr + OMEGA)
-    top = bounds[j - 1] if j and bounds[j - 1] >= thr else thr
-    ceiling = top.finite_part - thr.finite_part + 1
-    if socle_infinite_above(P, thr + ceiling):
-        return None
-    # the tail mass only shrinks as the offset rises, so bisect for the
-    # last infinite offset: lo is infinite (or -1), hi is finite
-    lo, hi = -1, ceiling
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if socle_infinite_above(P, thr + mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
 
 
 # -- invariants of explicit trees -------------------------------------------

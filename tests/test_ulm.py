@@ -7,22 +7,30 @@ import textwrap
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import ulmkit
 
-from ulmkit.ordinal import OMEGA, Ordinal, nat, omega_power, parse_ordinal
+from ulmkit.baf import _entry_heights_ok
+from ulmkit.ordinal import (
+    INFINITY,
+    OMEGA,
+    ZERO,
+    Ordinal,
+    height_min,
+    nat,
+    omega_power,
+    omega_times,
+    parse_ordinal,
+)
 from ulmkit.pgroup import GroupTree
 from ulmkit.ulm import (
     OMEGA_VALUE,
     Clause,
     Profile,
-    band_split_index,
     invariants_of,
     make_G_hat,
     profiles_agree_on,
-    socle_infinite_above,
-    socle_mass_above,
     ulm_equal,
 )
 from ulmkit.ordinal import CofinalSequence, canonical_cofinal
@@ -129,29 +137,30 @@ class TestComparisons:
 
 
 class TestSocleMass:
+    """socle_finite_from is tau: P_theta is infinite exactly for theta < tau."""
+
     def test_finite_mass(self):
+        # tau only tells finite from infinite: the finite mass values (12
+        # above 0, 4 above 4) are no longer computed anywhere
         P = Profile(nat(6), (Clause(0, 6, "any", 2),))
-        assert socle_mass_above(P, nat(0)) == 12
-        assert socle_mass_above(P, nat(4)) == 4
-        assert socle_mass_above(P, nat(6)) == 0
+        assert P.socle_finite_from == ZERO
 
     def test_infinite_by_band(self):
         P = Profile(OMEGA, (Clause(nat(0), OMEGA, "any", 1),))
-        assert socle_infinite_above(P, nat(3))
+        assert P.socle_finite_from == OMEGA
 
     def test_infinite_by_value(self):
         P = Profile(
             nat(2),
             (Clause(0, 1, "any", OMEGA_VALUE), Clause(1, 2, "any", 0)),
         )
-        assert socle_infinite_above(P, nat(0))
-        assert socle_mass_above(P, nat(1)) == 0
+        assert P.socle_finite_from == nat(1)
 
-    def test_band_split_index(self):
+    def test_socle_finite_from(self):
         # infinite at every finite offset
         allinf = Profile(OMEGA, (Clause(nat(0), OMEGA, "any", OMEGA_VALUE),))
-        assert band_split_index(allinf, nat(0)) is None
-        # infinite only below offset 3
+        assert allinf.socle_finite_from == OMEGA
+        # infinite only below 4
         P = Profile(
             OMEGA,
             (
@@ -159,10 +168,17 @@ class TestSocleMass:
                 Clause(nat(4), OMEGA, "any", 0),
             ),
         )
-        assert band_split_index(P, nat(0)) == 3
+        assert P.socle_finite_from == nat(4)
+        # an omega value at one parity ends one past that parity's last slot
+        top = OMEGA + 5
+        for parity, tau in (("even", OMEGA + 5), ("odd", OMEGA + 4)):
+            one = Profile(
+                top, (Clause(nat(0), top, parity, OMEGA_VALUE), Clause(nat(0), top, "any", 0))
+            )
+            assert one.socle_finite_from == tau
         # finite everywhere
         fin = Profile(nat(5), (Clause(0, 5, "any", 3),))
-        assert band_split_index(fin, nat(0)) == -1
+        assert fin.socle_finite_from == ZERO
         # odd-slot zeros keep the even mass infinite cofinally
         half = Profile(
             omega_power(1, 2),
@@ -171,9 +187,9 @@ class TestSocleMass:
                 Clause(nat(0), omega_power(1, 2), "odd", 0),
             ),
         )
-        assert band_split_index(half, OMEGA) is None
+        assert half.socle_finite_from == omega_power(1, 2)
 
-    def test_band_split_bisection_matches_a_scan_on_the_corpus(self):
+    def test_socle_finite_from_matches_a_scan_on_the_corpus(self):
         profiles = [invariants_of(t) for t in corpus_trees(4, (2, 3))]
         for text in ("w*2", "w*3", "w^2"):
             alpha = parse_ordinal(text)
@@ -183,36 +199,61 @@ class TestSocleMass:
             profiles.append(
                 Profile(top + 3, (Clause(nat(0), top, "any", OMEGA_VALUE), Clause(top, top + 3, "any", 1)))
             )
-        thresholds = [nat(n) for n in range(6)]
-        thresholds += [parse_ordinal(x) for x in ("w", "w+1", "w+4", "w*2", "w*2+3")]
+        probes = [nat(n) for n in range(6)]
+        probes += [parse_ordinal(x) for x in ("w", "w+1", "w+4", "w*2", "w*2+3")]
         for P in profiles:
-            for thr in thresholds:
-                assert band_split_index(P, thr) == scan_band_split(P, thr), (P, thr)
+            assert_tau_matches_scan(P, probes)
 
     @given(
         st.lists(st.sampled_from([0, 1, 2, OMEGA_VALUE]), min_size=1, max_size=12),
-        st.integers(0, 13),
     )
-    def test_band_split_bisection_matches_a_scan_on_finite_profiles(self, values, thr):
+    def test_socle_finite_from_matches_a_scan_on_finite_profiles(self, values):
         P = Profile(
             nat(len(values)),
             tuple(Clause(n, n + 1, "any", v) for n, v in enumerate(values)),
         )
-        assert band_split_index(P, nat(thr)) == scan_band_split(P, nat(thr))
+        assert_tau_matches_scan(P, [nat(n) for n in range(14)])
+
+
+def assert_tau_matches_scan(P: Profile, probes) -> None:
+    """(beta < tau) == (the scanned mass above beta is omega) at every probe,
+    at tau and at tau's predecessor."""
+    tau = P.socle_finite_from
+    extra = [tau] + ([tau.pred()] if tau.is_successor else [])
+    for beta in list(probes) + extra:
+        assert (beta < tau) == (scan_mass(P, beta) is OMEGA_VALUE), (P, beta)
 
 
 def scan_band_split(P: Profile, thr: Ordinal):
-    """band_split_index by testing every offset up to the last boundary."""
+    """The split index clause (b) once read: None when P_{thr+k} is infinite
+    for every finite k, else the largest k with P_{thr+k} infinite, or -1
+    when P_thr is finite; by scanning every offset up to the last boundary."""
     offsets = [0] + [
         pt.finite_part - thr.finite_part
         for pt in P.boundaries()
         if thr <= pt < thr + OMEGA and pt.limit_part == thr.limit_part
     ]
     ceiling = max(offsets) + 1
-    if socle_infinite_above(P, thr + ceiling):
+    if scan_mass(P, thr + ceiling) is OMEGA_VALUE:
         return None
-    infinite = [j for j in range(ceiling + 1) if socle_infinite_above(P, thr + j)]
+    infinite = [j for j in range(ceiling + 1) if scan_mass(P, thr + j) is OMEGA_VALUE]
     return infinite[-1] if infinite else -1
+
+
+def split_index_rule(ha, hb, parity: int, thr: Ordinal, split) -> bool:
+    """Clause (b) for one entry pair as it read on scan_band_split's index."""
+    if ha == hb and ha < thr:
+        return True
+    if parity == 0:
+        return ha >= thr and hb >= thr
+    if split is None:
+        return hb >= thr and ha >= height_min(hb, thr + OMEGA)
+    if split >= 0:
+        edge = thr + split
+        if thr <= hb and hb <= ha and ha <= edge:
+            return True
+        return ha == hb and ha > edge
+    return ha == hb
 
 
 class TestTreeInvariants:
@@ -287,6 +328,9 @@ PROBES = sorted(
     set(POINTS + [x + k for x in POINTS for k in (1, 2, 5)])
     | {parse_ordinal(x) for x in ("w^2+w", "w^2+w+1", "w^3")}
 )
+# clause (b)'s thresholds are w*delta; the rule holds at any ordinal
+THRESHOLDS = [omega_times(d) for d in (ZERO, nat(1), nat(2), OMEGA)] + [nat(3), OMEGA + 2]
+OMEGA_CUBED = parse_ordinal("w^3")
 
 
 def scan_value(P: Profile, beta: Ordinal):
@@ -390,8 +434,8 @@ class TestProfileIndex:
         P = Profile(*raw)
         for beta in PROBES + list(P.boundaries()):
             assert P.value_at(beta) == scan_value(P, beta), beta
-            assert socle_mass_above(P, beta) == scan_mass(P, beta), beta
         assert P.limit_infinite == scan_limit_infinite(P)
+        assert_tau_matches_scan(P, PROBES + list(P.boundaries()))
 
     @given(raw_profiles(total=True), raw_profiles(total=True), st.sampled_from(PROBES), st.sampled_from(PROBES))
     def test_comparisons_match_the_scan(self, raw_p, raw_q, lo, hi):
@@ -409,6 +453,26 @@ class TestProfileIndex:
             for mode in ("eq", "ge"):
                 assert profiles_agree_on(A, B, lo, hi, mode) == scan_agree(A, B, lo, hi, mode)
             assert ulm_equal(A, B) == scan_agree(A, B, nat(0), A.length, "eq")
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw_profiles(total=True), st.data())
+    def test_tau_rule_matches_the_split_index_rule(self, raw, data):
+        P = Profile(*raw)
+        tau = P.socle_finite_from
+        # the rules turn at the threshold and at tau: draw thresholds just
+        # below tau as often as the others, and try every pair of heights
+        # next to both, INFINITY and a far one
+        thr = data.draw(st.sampled_from(THRESHOLDS) | st.just(tau.limit_part))
+        heights = [ZERO, thr, thr + 1, thr + 2, tau, tau + 1, thr + OMEGA, OMEGA_CUBED, INFINITY]
+        heights += [tau.pred()] if tau.is_successor else []
+        split = scan_band_split(P, thr)
+        # leq_paper's band is infinite: tau INFINITY, split None
+        for t, s in ((tau, split), (INFINITY, None)):
+            for parity in (0, 1):
+                for ha in heights:
+                    for hb in heights:
+                        got = _entry_heights_ok(ha, hb, parity, thr, thr + OMEGA, t)
+                        assert got == split_index_rule(ha, hb, parity, thr, s), (ha, hb, parity, t)
 
 
 class TestConstructors:
