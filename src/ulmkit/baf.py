@@ -17,8 +17,9 @@ quantifier-free types. Two facts collapse the search:
 So <=_1 is "B embeds into A with bbar -> abar" and <=_beta for beta >= 2 is
 "A and B are isomorphic with abar -> bbar", both decided by the search in
 `find_embedding`, which builds no whole-group table. It works on the
-coordinates of both trees' cyclic decompositions: the pinned correspondence
-is one tower of coordinate pairs, checked for heights without decoding, and
+coordinates of both trees' cyclic decompositions. Each pin pair's orders
+and heights are screened first; then the pinned correspondence is listed
+as one tower of coordinate pairs, checked for heights without decoding, and
 the socle images are kept in one echelon with their sources, seeded by the
 socle of the pinned subgroup, so a choice that contradicts a pin is refused
 where it is made rather than when the pin's support is complete.
@@ -27,8 +28,12 @@ Route two (`leq_barker` for tuples in one group, `leq_paper` for groups
 carrying limit-infinite invariant profiles): closed forms at the threshold
 w*delta (beta = 2*delta or 2*delta+1). Both check, in `_tuple_clauses`, (a)
 the generated-subgroup correspondence and (b) Barker's entrywise heights
-against the threshold. Above it, (b) asks the left invariants one thing: tau,
-the height up to which the socle stays infinite (`socle_finite_from`).
+against the threshold. On two trees (a) counts orders and lists no pairs:
+|<abar>| = |<(abar, bbar)>| = |<bbar>| (`pgroup._generated_iso_exists`);
+carriers that are fragments list the pair tower. So the game and the closed
+form decide (a) by independent computations. Above the threshold, (b) asks
+the left invariants one thing: tau, the height up to which the socle stays
+infinite (`socle_finite_from`).
 `leq_paper` is (b) with tau infinite, plus (c)/(d), invariant agreement
 below and just above the threshold.
 
@@ -94,19 +99,22 @@ def find_embedding(
     """Injective homomorphism src -> dst with src_pins[i] -> dst_pins[i].
 
     Returns the node-image assignment or None. Such a map restricts to the
-    isomorphism <src_pins> -> <dst_pins> and never lowers heights. That
-    restriction is the pair tower of the pins on both trees' decomposition
-    coordinates (at most DEFAULT_BOUND pairs), and heights are compared on
-    it as least p-adic valuations, decoding nothing. The search then places
-    nodes, parents first, in dst's coordinates: the candidates are the
-    preimages of the parent's image under p (one solution plus socle
-    elements) at the right height, and a node completing the support of a
-    pinned-subgroup element gets the image that carries it. On the socle
-    the map is linear and injective, and its graph contains the socle of
-    the pin tower; so the (source | image) socle vector of each placement
-    must raise the source, image and paired GF(p) ranks together, which
-    fixes the image of every placement whose source is already spanned.
-    Without pins this is independence of the socle images. Raises
+    isomorphism <src_pins> -> <dst_pins> and never lowers heights. Each pin
+    pair is screened first: unequal orders or a lowered height refuse at
+    once. Then the restriction is listed, as the pair tower of the pins on
+    both trees' decomposition coordinates (at most DEFAULT_BOUND pairs);
+    this route lists pairs, where the closed form counts orders, and
+    heights are compared on it as least p-adic valuations, decoding
+    nothing. The search then places nodes, parents first, in dst's
+    coordinates: the candidates are the preimages of the parent's image
+    under p (one solution plus socle elements) at the right height, and a
+    node completing the support of a pinned-subgroup element gets the image
+    that carries it. On the socle the map is linear and injective, and its
+    graph contains the socle of the pin tower; so the (source | image)
+    socle vector of each placement must raise the source, image and paired
+    GF(p) ranks together, which fixes the image of every placement whose
+    source is already spanned. Without pins this is independence of the
+    socle images. Raises
     BoundExceeded when a socle layer the candidates come from has more
     than DEFAULT_BOUND elements. The answer is memoized on dst (trees are
     immutable), so it dies with dst.
@@ -139,6 +147,18 @@ def _find_embedding_uncached(src, src_pins, dst, dst_pins, onto):
     # an embedding never lowers heights, and an injective map between
     # groups of equal size is bijective, so it keeps them
     exact = onto or src.size == dst.size
+    sdec, dec = src.decomposition, dst.decomposition
+
+    def keeps(zx, zy) -> bool:
+        hx, hy = sdec.height_of(zx), dec.height_of(zy)
+        return hy == hx if exact else hy >= hx
+
+    # each pin pair must keep its order and heights, which refuses most
+    # failing pins before any tower is listed
+    for x, y in zip(src_pins, dst_pins):
+        zx, zy = sdec.encode(x), dec.encode(y)
+        if sdec.order_of(zx) != dec.order_of(zy) or not keeps(zx, zy):
+            return None
 
     # an embedding carrying the pins restricts to the isomorphism <src_pins>
     # -> <dst_pins>: the pair tower on both decompositions' coordinates,
@@ -146,11 +166,8 @@ def _find_embedding_uncached(src, src_pins, dst, dst_pins, onto):
     tower, cut = _pair_tower(src, src_pins, dst, dst_pins)
     if tower is None or not _injective(tower, cut):
         return None
-    sdec, dec = src.decomposition, dst.decomposition
-    for z in tower[1:]:
-        hx, hy = sdec.height_of(z[:cut]), dec.height_of(z[cut:])
-        if not (hy == hx if exact else hy >= hx):
-            return None
+    if not all(keeps(z[:cut], z[cut:]) for z in tower[1:]):
+        return None
 
     # parents before children; within a depth, nodes appearing in pin
     # supports first, so pin images get fixed near the root of the search

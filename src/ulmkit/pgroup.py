@@ -39,10 +39,13 @@ elements only at the end: trees add in the coordinates of
 their carries. A tower grows by ``_tower_step``, one generator at a time,
 so a caller that adjoins generators one by one (``baf.extend_tuple``) keeps
 one tower that gains a step per adjoin. ``generated_iso`` builds the
-correspondence dict from that tower; callers that only ask whether it
-exists use ``_generated_iso_exists``, which builds and decodes no pairs,
-and ``baf.find_embedding`` reads heights and socle vectors off the tower's
-coordinate tuples (``CyclicDecomposition.height_of``).
+correspondence dict from that tower, and ``baf.find_embedding`` reads
+heights and socle vectors off the tower's coordinate tuples
+(``CyclicDecomposition.height_of``). Callers that only ask whether the
+correspondence exists use ``_generated_iso_exists``, which decodes no
+pairs; on two trees it lists none either, comparing element orders
+(``CyclicDecomposition.order_of``) and subgroup orders (``_span_order``, a
+p-adic echelon with no element budget).
 
 Fragments are immutable: ``Fragment.extend`` returns a new fragment with
 one generator appended, reusing the parent's carries, name index and
@@ -54,6 +57,7 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
+import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
@@ -610,6 +614,13 @@ class CyclicDecomposition:
                     least = k
         return INFINITY if least is None else self._heights[least]
 
+    def order_of(self, z: tuple[int, ...]) -> int:
+        """The order of the element with coordinates z: p^k for k the
+        largest e_j - v_p(z_j) over its nonzero coordinates, 1 for 0."""
+        # c has order m / gcd(c, m) in Z/m
+        mods = self.moduli
+        return max(map(operator.floordiv, mods, map(math.gcd, z, mods)), default=1)
+
     def encode(self, x: FragmentElement) -> tuple[int, ...]:
         if x.fragment is not self.tree.fragment:
             raise ValueError("element does not belong to this tree")
@@ -636,6 +647,46 @@ class CyclicDecomposition:
                     vec[partner] -= c
             x = self._decoded[z] = frag.element(vec)
         return x
+
+
+def _span_order(rows: Sequence[Sequence[int]], moduli: Sequence[int]) -> int:
+    """|<rows>| for rows in Z/m_1 + ... + Z/m_L, each m_j a power of one
+    prime p, by a p-adic echelon: the Howell form over Z/p^E of the rows
+    with coordinate j scaled by p^E / m_j, worked in the unscaled
+    coordinates.
+
+    Column by column, a row whose entry has the largest order o (least
+    valuation) is the pivot; its entry is u * m/o with u a unit, and every
+    other entry is a multiple of m/o, which the pivot clears. The pivot's
+    p-saturation, o times the row, is zero in the column and joins the
+    rest, so the rest span the elements of the subgroup that are zero in
+    the column. Each element is then c times the pivot, for exactly one c
+    in [0, o), plus one of those, and the order is the product of the
+    pivot orders.
+    """
+    rows = [r for r in rows if any(r)]
+    order = 1
+    for j, m in enumerate(moduli):
+        pivot, top = None, 1
+        for r in rows:
+            o = m // math.gcd(r[j], m)
+            if o > top:
+                pivot, top = r, o
+        if pivot is None:
+            continue
+        order *= top
+        step = m // top
+        inv = pow(pivot[j] // step, -1, top)
+        rest = [[c * top % mm for c, mm in zip(pivot, moduli)]]
+        for r in rows:
+            if r is pivot:
+                continue
+            if r[j]:
+                q = r[j] // step * inv
+                r = [(a - q * b) % mm for a, b, mm in zip(r, pivot, moduli)]
+            rest.append(r)
+        rows = [r for r in rest if any(r)]
+    return order
 
 
 def echelon_reduce(basis: list, vec: Sequence[int], p: int) -> Sequence[int]:
@@ -756,9 +807,34 @@ def _injective(zs, cut: int) -> bool:
 
 
 def _generated_iso_exists(A, abar, B, bbar) -> bool:
-    """Whether ``generated_iso`` would return a map, without building it."""
-    zs, cut = _pair_tower(A, abar, B, bbar)
-    return zs is not None and _injective(zs, cut)
+    """Whether ``generated_iso`` would return a map, without building it.
+
+    On two trees this counts orders and lists no pairs: the pairs H =
+    <(abar[i], bbar[i])> project onto <abar> and <bbar>, and the map
+    exists iff both projections are injective, that is iff |<abar>| =
+    |H| = |<bbar>|. Entry orders are compared first, which settles every
+    tuple of length at most 1; the subgroup orders come from
+    ``_span_order`` on decomposition coordinates, with no element budget.
+    Any other pair of carriers lists the pair tower, as ``generated_iso``
+    does.
+    """
+    if not (isinstance(A, GroupTree) and isinstance(B, GroupTree)):
+        zs, cut = _pair_tower(A, abar, B, bbar)
+        return zs is not None and _injective(zs, cut)
+    if len(abar) != len(bbar):
+        raise ValueError("tuples must have equal length")
+    da, db = A.decomposition, B.decomposition
+    xs, ys = [da.encode(x) for x in abar], [db.encode(y) for y in bbar]
+    if any(map(operator.ne, map(da.order_of, xs), map(db.order_of, ys))):
+        return False
+    if len(xs) < 2:
+        return True
+    # equal entry orders are all 1 when the primes differ, so only one
+    # prime reaches the echelons
+    order = _span_order(xs, da.moduli)
+    return order == _span_order(ys, db.moduli) == _span_order(
+        list(map(operator.add, xs, ys)), da.moduli + db.moduli
+    )
 
 
 def generated_iso(A, abar, B, bbar):
@@ -772,8 +848,9 @@ def generated_iso(A, abar, B, bbar):
     map is well defined iff each m*b_i is the image of w, and injective iff
     the images differ. The tower adds coordinate tuples (decomposition
     coordinates for two trees, coefficient tuples otherwise) and decodes
-    each pair once, at the end; ``_generated_iso_exists`` answers the
-    existence question alone and decodes nothing.
+    each pair once, at the end, so this route lists every pair and refuses
+    more than DEFAULT_BOUND of them. ``_generated_iso_exists`` answers the
+    existence question alone: on two trees it counts orders instead.
     """
     zs, cut = _pair_tower(A, abar, B, bbar)
     if zs is None or not _injective(zs, cut):

@@ -1096,6 +1096,59 @@ class TestExtensionWork:
         assert isos == [] and agree == []
 
 
+class TestCorrespondenceRoutes:
+    """The closed form decides clause (a) on two trees by subgroup orders
+    and lists no pairs; the game screens pin orders before it lists the
+    pins' pair tower."""
+
+    def test_all_leaves_of_a_large_star_pinned(self):
+        # <leaves> has 2^20 elements, past DEFAULT_BOUND, which a listed
+        # tower refused with BoundExceeded
+        t = star(2, 20)
+        leaves = [t.node(f"l{i}") for i in range(20)]
+        with alarm(5.0):
+            start = time.perf_counter()
+            assert leq_barker(t, leaves, t, leaves, 1)
+            took = time.perf_counter() - start
+        assert took < 1.0
+
+    def test_trees_list_no_tower(self, monkeypatch):
+        import ulmkit.pgroup
+        from ulmkit.pgroup import _generated_iso_exists
+
+        steps = _counting(monkeypatch, ulmkit.pgroup, "_tower_step")
+        t = mixed(3)
+        a, b, c = (t.node(v) for v in "abc")
+        assert _generated_iso_exists(t, [b, c, b + c], t, [b, 2 * c, b + 2 * c])
+        assert not _generated_iso_exists(t, [b, c, a], t, [b, c, c])
+        assert steps == []
+        # a tree against a fragment still lists its pair tower
+        assert _generated_iso_exists(t, [b, c], t.fragment, [b, c])
+        assert steps
+
+    def test_pins_of_unequal_orders_list_no_tower(self, monkeypatch):
+        import ulmkit.baf
+
+        towers = _counting(monkeypatch, ulmkit.baf, "_pair_tower")
+        t, u = mixed(2), mixed(2)
+        assert find_embedding(t, [t.node("b")], u, [u.node("a")], onto=True) is None
+        assert find_embedding(t, [t.node("c"), t.node("b")], u, [u.node("c"), u.node("c")]) is None
+        assert towers == []
+
+    def test_pins_of_equal_orders_list_their_tower(self, monkeypatch):
+        import ulmkit.baf
+
+        towers = _counting(monkeypatch, ulmkit.baf, "_pair_tower")
+        t, u = mixed(2), mixed(2)
+        found = find_embedding(t, [t.node("b")], u, [u.node("b") + u.node("c")], onto=True)
+        assert found is not None and len(towers) == 1
+        # equal orders and heights, but c -> c and a + c -> c send a to 0:
+        # the tower refuses
+        c, ac = t.node("c"), t.node("a") + t.node("c")
+        assert find_embedding(t, [c, ac], u, [u.node("c"), u.node("c")]) is None
+        assert len(towers) == 2
+
+
 class TestMemoLifetimes:
     """Verdict memos live on the immutable carrier they concern and die
     with it: no module-level cache keeps a fragment or profile alive."""

@@ -412,6 +412,7 @@ def fragment_elements(f: Fragment):
 
 
 _TREES = corpus_trees(4, (2, 3))
+_TREES5 = corpus_trees(5, (2, 3))  # with the 5-node p=3 shapes
 
 
 class TestGeneratedIsoTupleRoute:
@@ -449,6 +450,69 @@ class TestGeneratedIsoTupleRoute:
         # a tree against a fragment adds in coefficient tuples
         assert generated_iso(A, abar, B.fragment, bbar) == got
         assert generated_iso(A.fragment, abar, B, bbar) == got
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_order_route_on_trees(self, data):
+        # two trees count orders; the element-pair route lists the pairs
+        A = data.draw(st.sampled_from(_TREES5))
+        twins = [t for t in _TREES5 if t.p == A.p and t.socle_dims == A.socle_dims]
+        B = data.draw(st.sampled_from(twins if data.draw(st.booleans()) else _TREES5))
+        k = data.draw(st.integers(0, 4))
+        elems_a, elems_b = list(A.elements()), list(B.elements())
+        abar = [data.draw(st.sampled_from(elems_a)) for _ in range(k)]
+        how = data.draw(st.sampled_from(["draw", "reorder", "multiples"]))
+        if how == "reorder" and B is A:
+            bbar = data.draw(st.permutations(abar))
+        else:
+            bbar = [data.draw(st.sampled_from(elems_b)) for _ in range(k)]
+        if how == "multiples" and k:
+            # p-multiples of entries, on either side, make some maps ill
+            # defined or non-injective
+            for tup in (abar, bbar):
+                i = data.draw(st.integers(0, k - 1))
+                tup[i] = tup[data.draw(st.integers(0, k - 1))].times_p()
+        want = generated_iso_by_pairs(A, abar, B, bbar) is not None
+        assert _generated_iso_exists(A, abar, B, bbar) == want
+        assert _generated_iso_exists(B, bbar, A, abar) == want
+
+    def test_order_route_cases(self):
+        t = GroupTree(3, {"r": None, "a": "r", "b": "a", "c": "r", "d": "c"})
+        a, b, c, d = (t.node(v) for v in "abcd")
+        # b and d generate Z9 + Z9; a sum of them is no new direction
+        assert _generated_iso_exists(t, [b, d], t, [d, b])
+        assert _generated_iso_exists(t, [b, d, b + d], t, [d, b, b + d])
+        assert not _generated_iso_exists(t, [b, d, b + d], t, [d, b, b - d])
+        # 3b = a, so b -> d, a -> c is well defined, a -> a is not
+        assert _generated_iso_exists(t, [b, a], t, [d, c])
+        assert not _generated_iso_exists(t, [b, a], t, [d, a])
+        # equal entry orders, but a -> a, c -> a is not injective
+        assert not _generated_iso_exists(t, [a, c], t, [a, a])
+
+    def test_order_route_across_primes(self):
+        # only empty or zero tuples correspond, as on the pair tower
+        t2, t3 = chain(2, 2), chain(3, 2)
+        assert _generated_iso_exists(t2, [], t3, [])
+        assert _generated_iso_exists(t2, [t2.zero(), t2.zero()], t3, [t3.zero()] * 2)
+        assert not _generated_iso_exists(t2, [t2.node("c1")], t3, [t3.node("c1")])
+        assert not _generated_iso_exists(
+            t2, [t2.zero(), t2.node("c2")], t3, [t3.zero(), t3.zero()]
+        )
+
+    def test_order_route_refusals(self):
+        t, u = chain(2, 2), chain(2, 2)
+        with pytest.raises(ValueError, match="equal length"):
+            _generated_iso_exists(t, [t.node("c1")], u, [])
+        with pytest.raises(ValueError, match="does not belong"):
+            _generated_iso_exists(t, [u.node("c1")], u, [u.node("c1")])
+        with pytest.raises(ValueError, match="does not belong"):
+            _generated_iso_exists(t, [t.node("c1")], u, [t.node("c1")])
+
+    def test_element_orders_on_the_corpus(self):
+        for t in _TREES:
+            d = t.decomposition
+            for x in t.elements():
+                assert d.order_of(d.encode(x)) == x.order()
 
     def _z2_z4(self):
         z2 = Fragment(2, (FragmentGen("a", (), nat(0)),))
