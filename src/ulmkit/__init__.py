@@ -20,7 +20,7 @@ from .ordinal import (
     nat,
     parse_ordinal,
 )
-from .pgroup import GroupTree, generated_iso
+from .pgroup import GroupTree
 from .ulm import (
     OMEGA_VALUE,
     Clause,
@@ -84,7 +84,6 @@ __all__ = [
     "nat",
     "parse_ordinal",
     "GroupTree",
-    "generated_iso",
     "Clause",
     "Profile",
     "invariants_of",

@@ -19,10 +19,12 @@ So <=_1 is "B embeds into A with bbar -> abar" and <=_beta for beta >= 2 is
 `find_embedding`, which builds no whole-group table. It works on the
 coordinates of both trees' cyclic decompositions. Each pin pair's orders
 and heights are screened first; then the pinned correspondence is listed
-as one tower of coordinate pairs, checked for heights without decoding, and
-the socle images are kept in one echelon with their sources, seeded by the
-socle of the pinned subgroup, so a choice that contradicts a pin is refused
-where it is made rather than when the pin's support is complete.
+as one tower of coordinate pairs, built there from the screened pins'
+encodings (``pgroup``'s pair tower adds coefficient tuples only), checked
+for heights without decoding, and the socle images are kept in one echelon
+with their sources, seeded by the socle of the pinned subgroup, so a choice
+that contradicts a pin is refused where it is made rather than when the
+pin's support is complete.
 
 Route two (`leq_barker` for tuples in one group, `leq_paper` for groups
 carrying limit-infinite invariant profiles): closed forms at the threshold
@@ -68,7 +70,6 @@ from .pgroup import (
     _coeff_adder,
     _generated_iso_exists,
     _injective,
-    _pair_tower,
     _tower_step,
     echelon_add,
     echelon_reduce,
@@ -114,10 +115,12 @@ def find_embedding(
     socle vector of each placement must raise the source, image and paired
     GF(p) ranks together, which fixes the image of every placement whose
     source is already spanned. Without pins this is independence of the
-    socle images. Raises
-    BoundExceeded when a socle layer the candidates come from has more
-    than DEFAULT_BOUND elements. The answer is memoized on dst (trees are
-    immutable), so it dies with dst.
+    socle images. Raises BoundExceeded when the pins generate more than
+    DEFAULT_BOUND pairs (all 20 leaves of the (Z2)^20 star pinned on both
+    sides, say, where ``leq_barker`` counts orders and answers) or a socle
+    layer the candidates come from has more than DEFAULT_BOUND elements.
+    The answer is memoized on dst (trees are immutable), so it dies with
+    dst.
     """
     if src.p != dst.p or len(src_pins) != len(dst_pins):
         return None
@@ -155,25 +158,36 @@ def _find_embedding_uncached(src, src_pins, dst, dst_pins, onto):
 
     # each pin pair must keep its order and heights, which refuses most
     # failing pins before any tower is listed
+    pins = []
     for x, y in zip(src_pins, dst_pins):
         zx, zy = sdec.encode(x), dec.encode(y)
         if sdec.order_of(zx) != dec.order_of(zy) or not keeps(zx, zy):
             return None
+        pins.append(zx + zy)
 
     # an embedding carrying the pins restricts to the isomorphism <src_pins>
     # -> <dst_pins>: the pair tower on both decompositions' coordinates,
     # source part first. Keys are unique, so only tower[0] is zero.
-    tower, cut = _pair_tower(src, src_pins, dst, dst_pins)
+    both, cut = sdec.moduli + dec.moduli, len(sdec.zero)
+
+    def add(z, w):
+        return tuple([(a + b) % m for a, b, m in zip(z, w, both)])
+
+    tower = subgroup_elements(
+        sdec.zero + dec.zero, pins, add, operator.itemgetter(slice(cut))
+    )
     if tower is None or not _injective(tower, cut):
         return None
     if not all(keeps(z[:cut], z[cut:]) for z in tower[1:]):
         return None
 
     # parents before children; within a depth, nodes appearing in pin
-    # supports first, so pin images get fixed near the root of the search
+    # supports first, so pin images get fixed near the root of the search,
+    # then higher ranks first, as they have the fewest candidates
     pinned_sup = {v for x in src_pins for v, _ in x.terms()}
     order = sorted(
-        src.nonroot, key=lambda v: (src.depth(v), v not in pinned_sup, v)
+        src.nonroot,
+        key=lambda v: (src.depth(v), v not in pinned_sup, -src.rank(v), v),
     )
     pos = {v: i for i, v in enumerate(order)}
     p, mods = dst.p, dec.moduli
@@ -221,7 +235,6 @@ def _find_embedding_uncached(src, src_pins, dst, dst_pins, onto):
     # three or none. Rising is fixed by the sigmas alone; a placement that
     # does not rise has its image forced by the pairs placed so far. With
     # no pins every placement rises, and the rule is image independence.
-    both = sdec.moduli + mods
     src_basis: list = []  # echelon rows, row[pivot] = 1
     paired: list = []  # echelon rows of (src k | dst k), pivots in src k
     basis: list = []  # echelon rows of the image socle span

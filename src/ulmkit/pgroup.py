@@ -2,13 +2,14 @@
 
 A Fragment is built by iterated one-generator extensions: generator i comes
 with a prescribed height (an ordinal) and a p-image, an element over the
-earlier generators. Elements are coefficient vectors in [0, p)^r; carries
-replace p*g_i by its p-image, which only touches lower coordinates, so
-normal forms are unique. The height of a nonzero normal form is the minimum
-generator height over its support; h(0) = infinity.
+earlier generators stored sparsely, as the sorted (index, coefficient)
+pairs of its nonzero coefficients. Elements are coefficient vectors in
+[0, p)^r; carries replace p*g_i by its p-image, which only touches lower
+coordinates, so normal forms are unique. The height of a nonzero normal
+form is the minimum generator height over its support; h(0) = infinity.
 
 That min rule is a valuation provided every creation obeys
-h(pimage) >= height + 1, which the constructor enforces:
+h(pimage) >= height + 1, which ``Fragment._admit`` enforces:
 
   * h(x + y) >= min(h(x), h(y)): support(x + y) is contained in
     support(x) | support(y) together with generators a carry lands on, and
@@ -33,14 +34,13 @@ dim (p^k G)[p] = N_k - N_(k+1), the count ``socle_dims`` keeps per rank.
 Every enumeration of elements (whole groups, socles, generated subgroups,
 socle layers) refuses to go past ``DEFAULT_BOUND`` elements; ``verify``
 recomputes the counts and heights from it as the independent cross-check.
-Generated subgroups are built as towers of coordinate tuples and wrapped as
-elements only at the end: trees add in the coordinates of
-``CyclicDecomposition``, fragments on raw coefficient tuples normalized by
-their carries. A tower grows by ``_tower_step``, one generator at a time,
-so a caller that adjoins generators one by one (``baf.extend_tuple``) keeps
-one tower that gains a step per adjoin. ``generated_iso`` builds the
-correspondence dict from that tower, and ``baf.find_embedding`` reads
-heights and socle vectors off the tower's coordinate tuples
+Generated subgroups are built as towers of coefficient tuples normalized
+by the carries and wrapped as elements only at the end; a tree's are those
+of its fragment. A tower grows by ``_tower_step``, one generator at a
+time, so a caller that adjoins generators one by one (``baf.extend_tuple``)
+keeps one tower that gains a step per adjoin. ``generated_iso`` builds the
+correspondence dict from that tower. ``baf.find_embedding`` builds its own
+pin tower on ``CyclicDecomposition`` coordinates and reads heights off it
 (``CyclicDecomposition.height_of``). Callers that only ask whether the
 correspondence exists use ``_generated_iso_exists``, which decodes no
 pairs; on two trees it lists none either, comparing element orders
@@ -48,8 +48,9 @@ pairs; on two trees it lists none either, comparing element orders
 p-adic echelon with no element budget).
 
 Fragments are immutable: ``Fragment.extend`` returns a new fragment with
-one generator appended, reusing the parent's carries, name index and
-height order and checking only the new creation.
+one generator appended, copying the parent's name index and height order
+and admitting only the new generator, through the one method
+(``_admit``) that checks and indexes every generator of a fragment.
 """
 
 from __future__ import annotations
@@ -86,7 +87,9 @@ def _is_prime(n: int) -> bool:
 @dataclass(frozen=True)
 class FragmentGen:
     name: str
-    pimage: tuple[int, ...]  # normalized coefficients over earlier generators
+    # (index, coefficient) over earlier generators, indices increasing and
+    # coefficients in [1, p)
+    pimage: tuple[tuple[int, int], ...]
     height: Ordinal
 
 
@@ -156,47 +159,45 @@ class Fragment:
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
-        self.gens: tuple[FragmentGen, ...] = tuple(gens)
-        self.rank = len(self.gens)
-        self.size = p**self.rank
-        self.index = {g.name: i for i, g in enumerate(self.gens)}
-        if len(self.index) != self.rank:
-            raise ValueError("generator names must be distinct")
-        # nonzero p-image entries
-        self._carries = [self._checked_carries(i, g) for i, g in enumerate(self.gens)]
+        self.gens: tuple[FragmentGen, ...] = ()
+        self.index: dict[str, int] = {}
         # the first supported generator in this order has the least height
-        self._by_height = sorted(
-            ((i, g.height) for i, g in enumerate(self.gens)), key=_HEIGHT
-        )
-        for g, carries in zip(self.gens, self._carries):
-            self._check_creation(g, carries)
+        self._by_height: list[tuple[int, Ordinal]] = []
+        self._admit(gens)
+
+    def _admit(self, new: Iterable[FragmentGen]) -> None:
+        """Append the generators `new` in order, checking each against the
+        ones before it and indexing it by name and by height (after the
+        generators of equal height, where a stable sort puts it)."""
+        start = len(self.gens)
+        self.gens += tuple(new)
+        for i in range(start, len(self.gens)):
+            g = self.gens[i]
+            if g.name in self.index:
+                raise ValueError("generator names must be distinct")
+            idx = [j for j, _ in g.pimage]
+            if idx and max(idx) >= i:
+                raise ValueError(f"pimage of {g.name} uses later generators")
+            if not isinstance(g.height, Ordinal):
+                raise ValueError(f"height of {g.name} must be an ordinal")
+            if idx != sorted(set(idx)) or not all(
+                j >= 0 and 0 < c < self.p for j, c in g.pimage
+            ):
+                raise ValueError(f"pimage of {g.name} is not normalized")
+            # the min rule is a valuation only if h(pimage) >= h(g) + 1
+            zh = min((self.gens[j].height for j in idx), default=INFINITY)
+            if not zh >= g.height + 1:
+                raise ValueError(
+                    f"creating {g.name} at height {g.height} needs its "
+                    f"p-image at height >= {g.height + 1}, got {zh}"
+                )
+            self.index[g.name] = i
+            bisect.insort(self._by_height, (i, g.height), key=_HEIGHT)
+        self.rank = len(self.gens)
+        self.size = self.p**self.rank
         self._zero = FragmentElement(self, (0,) * self.rank)
 
-    def _checked_carries(self, i: int, g: FragmentGen) -> list[tuple[int, int]]:
-        """The nonzero entries of g's p-image, g coming after i generators."""
-        carries = list(itertools.compress(enumerate(g.pimage), g.pimage))
-        if len(g.pimage) > i:
-            raise ValueError(f"pimage of {g.name} uses later generators")
-        if not isinstance(g.height, Ordinal):
-            raise ValueError(f"height of {g.name} must be an ordinal")
-        if any(c < 0 or c >= self.p for _, c in carries):
-            raise ValueError(f"pimage of {g.name} is not normalized")
-        return carries
-
-    def _check_creation(self, g: FragmentGen, carries) -> None:
-        """Refuse g unless its p-image sits at height >= h(g) + 1."""
-        zh = min((self.gens[j].height for j, _ in carries), default=INFINITY)
-        if not zh >= g.height + 1:
-            raise ValueError(
-                f"creating {g.name} at height {g.height} needs its "
-                f"p-image at height >= {g.height + 1}, got {zh}"
-            )
-
     # -- vectors -------------------------------------------------------------
-
-    @staticmethod
-    def _pad(vec: Sequence[int], n: int) -> tuple[int, ...]:
-        return tuple(vec) + (0,) * (n - len(vec))
 
     def _height_of_vec(self, vec: Sequence[int]) -> HeightValue:
         for i, h in self._by_height:
@@ -205,12 +206,12 @@ class Fragment:
         return INFINITY
 
     def _normalize(self, vec: list[int]) -> tuple[int, ...]:
-        p = self.p
+        p, gens = self.p, self.gens
         for i in range(len(vec) - 1, -1, -1):
             q, c = divmod(vec[i], p)
             vec[i] = c
             if q:
-                for j, zc in self._carries[i]:
+                for j, zc in gens[i].pimage:
                     vec[j] += q * zc
         return tuple(vec)
 
@@ -311,31 +312,18 @@ class Fragment:
         """This fragment with one generator appended: `name` (default
         g<rank>) at `height`, with p-image `pimage`.
 
-        The child copies the parent's carries, name index and height order
-        and adds the new generator to each, after the generators of equal
-        height (where a stable sort puts it). Only the new creation is
-        checked, with the messages ``Fragment`` gives; the parent's
-        generators passed those checks when it was built.
+        The child copies the parent's name index and height order and
+        admits only the new generator, through the checks ``Fragment``
+        runs on each of its generators.
         """
         if pimage.fragment is not self:
             raise ValueError("p-image must live in this fragment")
-        if name is None:
-            name = f"g{self.rank}"
-        if name in self.index:
-            raise ValueError("generator names must be distinct")
-        gen = FragmentGen(name, pimage.coeffs, height)
-        carries = self._checked_carries(self.rank, gen)
-        self._check_creation(gen, carries)
+        sparse = tuple((j, c) for j, c in enumerate(pimage.coeffs) if c)
         child = Fragment.__new__(Fragment)
-        child.p = self.p
-        child.gens = self.gens + (gen,)
-        child.rank = self.rank + 1
-        child.size = self.size * self.p
-        child.index = {**self.index, name: self.rank}
-        child._carries = self._carries + [carries]
-        child._by_height = self._by_height[:]
-        bisect.insort(child._by_height, (self.rank, height), key=_HEIGHT)
-        child._zero = FragmentElement(child, (0,) * child.rank)
+        child.p, child.gens = self.p, self.gens
+        child.index, child._by_height = dict(self.index), self._by_height[:]
+        name = f"g{self.rank}" if name is None else name
+        child._admit([FragmentGen(name, sparse, height)])
         return child
 
     def is_prefix_of(self, other: "Fragment") -> bool:
@@ -350,7 +338,7 @@ class Fragment:
             return x
         if not x.fragment.is_prefix_of(self):
             raise ValueError("element does not come from a prefix fragment")
-        return FragmentElement(self, self._pad(x.coeffs, self.rank))
+        return FragmentElement(self, x.coeffs + (0,) * (self.rank - len(x.coeffs)))
 
     def socle_height_dims(self) -> dict[Ordinal, int]:
         """dim(S_beta / S_{beta+}) per realized height beta, S = order-p part.
@@ -370,7 +358,9 @@ class Fragment:
         ):
             above = have
             for i, _ in group:
-                vec = self._pad(self.gens[i].pimage, self.rank)
+                vec = [0] * self.rank
+                for j, c in self.gens[i].pimage:
+                    vec[j] = c
                 have += 1 - echelon_add(basis, vec, self.p)
             if have > above:
                 dims[beta] = have - above
@@ -461,7 +451,7 @@ class GroupTree:
         gens = []
         for v in order:
             u = self.parent[v]
-            pimage = () if u == self.root else (0,) * index[u] + (1,)
+            pimage = () if u == self.root else ((index[u], 1),)
             gens.append(FragmentGen(v, pimage, nat(self._rank[v])))
         return Fragment(self.p, gens)
 
@@ -560,11 +550,9 @@ class CyclicDecomposition:
         # heights as ordinals, indexed by valuation, so height_of allocates none
         self._heights = tuple(nat(k) for k in range(max(self.exponents, default=0)))
         # memos that die with the tree, each at most one entry per element
-        # (per sibling pair for socle vectors)
         self._decoded: dict[tuple[int, ...], FragmentElement] = {}
         self._encoded: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._layers: dict[tuple[int, bool], dict] = {}
-        self._socle_vectors: dict[tuple, tuple[int, ...]] = {}
 
     def socle_layer(self, r: int, exact: bool) -> dict:
         """Socle elements of height >= r (exactly r when `exact`), keyed by
@@ -584,19 +572,14 @@ class CyclicDecomposition:
     def socle_vector(self, v: str, w: Optional[str] = None) -> tuple[int, ...]:
         """GF(p) coordinates k of the socle element v (a child of the root)
         or v - w (siblings v and w): coordinate j is k_j * p^(e_j - 1)."""
-        got = self._socle_vectors.get((v, w))
-        if got is None:
-            index, p = self.tree.fragment.index, self.tree.p
-            acc = [0] * len(self.moduli)
-            for j, a in self._coords[index[v]]:
-                acc[j] += a
-            if w is not None:
-                for j, a in self._coords[index[w]]:
-                    acc[j] -= a
-            got = self._socle_vectors[(v, w)] = tuple(
-                a % m * p // m for a, m in zip(acc, self.moduli)
-            )
-        return got
+        index, p = self.tree.fragment.index, self.tree.p
+        acc = [0] * len(self.moduli)
+        for j, a in self._coords[index[v]]:
+            acc[j] += a
+        if w is not None:
+            for j, a in self._coords[index[w]]:
+                acc[j] -= a
+        return tuple(a % m * p // m for a, m in zip(acc, self.moduli))
 
     def height_of(self, z: tuple[int, ...]) -> HeightValue:
         """h of the element with coordinates z: the least p-adic valuation
@@ -749,55 +732,45 @@ def _tower_step(elems, seen, g, add, key) -> bool:
 def _coeff_adder(frags: Sequence[Fragment]):
     """Addition of normalized coefficient tuples of the fragments in
     `frags`, laid end to end: add coordinatewise, then carry each block's
-    overflow from its top generator down, as ``Fragment._normalize`` does.
-    Carries stay inside their block."""
+    overflow from its top generator down into its p-image, as
+    ``Fragment._normalize`` does. Carries stay inside their block."""
     blocks, off = [], 0
     for f in frags:
-        blocks.append((off, range(off + f.rank - 1, off - 1, -1), f.p, f._carries))
+        blocks.append((off, range(off + f.rank - 1, off - 1, -1), f.p, f.gens))
         off += f.rank
 
     def add(x, y):
         v = list(map(operator.add, x, y))
-        for off, top_down, p, carries in blocks:
+        for off, top_down, p, gens in blocks:
             for i in top_down:
                 if v[i] >= p:
                     q, v[i] = divmod(v[i], p)
-                    for j, c in carries[i - off]:
+                    for j, c in gens[i - off].pimage:
                         v[off + j] += q * c
         return tuple(v)
 
     return add
 
 
-def _pair_tower(A, abar, B, bbar):
-    """The group of pairs generated by the (abar[i], bbar[i]), keyed by
-    their left part, as coordinate tuples: A's coordinates, then B's.
+def _as_fragment(G) -> Fragment:
+    return G.fragment if isinstance(G, GroupTree) else G
 
-    Two trees add in the coordinates of their cyclic decompositions; any
-    other pair in coefficient tuples (a tree's being those of
-    ``GroupTree.fragment``). Returns (tuples or None, cut): the tuples come
-    zero first, None when the correspondence is not well defined, and the
-    left part of each is its first `cut` entries.
+
+def _pair_tower(fa: Fragment, abar, fb: Fragment, bbar):
+    """The group of pairs generated by the (abar[i], bbar[i]), keyed by
+    their left part, as coefficient tuples: fa's, then fb's. Returns the
+    tuples, zero first, or None when the correspondence is not well
+    defined; the left part of each is its first fa.rank entries.
     """
     if len(abar) != len(bbar):
         raise ValueError("tuples must have equal length")
-    if isinstance(A, GroupTree) and isinstance(B, GroupTree):
-        da, db = A.decomposition, B.decomposition
-        mods = da.moduli + db.moduli
-
-        def add(x, y):
-            return tuple([(a + b) % m for a, b, m in zip(x, y, mods)])
-
-        enc_a, enc_b, zero_a, zero_b = da.encode, db.encode, da.zero, db.zero
-    else:
-        fa, fb = (G.fragment if isinstance(G, GroupTree) else G for G in (A, B))
-        add = _coeff_adder((fa, fb))
-        enc_a, enc_b = fa.coords, fb.coords
-        zero_a, zero_b = fa._zero.coeffs, fb._zero.coeffs
-    cut = len(zero_a)
-    gens = [enc_a(x) + enc_b(y) for x, y in zip(abar, bbar)]
-    zs = subgroup_elements(zero_a + zero_b, gens, add, lambda z: z[:cut])
-    return zs, cut
+    gens = [fa.coords(x) + fb.coords(y) for x, y in zip(abar, bbar)]
+    return subgroup_elements(
+        fa._zero.coeffs + fb._zero.coeffs,
+        gens,
+        _coeff_adder((fa, fb)),
+        operator.itemgetter(slice(fa.rank)),
+    )
 
 
 def _injective(zs, cut: int) -> bool:
@@ -819,8 +792,9 @@ def _generated_iso_exists(A, abar, B, bbar) -> bool:
     does.
     """
     if not (isinstance(A, GroupTree) and isinstance(B, GroupTree)):
-        zs, cut = _pair_tower(A, abar, B, bbar)
-        return zs is not None and _injective(zs, cut)
+        fa, fb = _as_fragment(A), _as_fragment(B)
+        zs = _pair_tower(fa, abar, fb, bbar)
+        return zs is not None and _injective(zs, fa.rank)
     if len(abar) != len(bbar):
         raise ValueError("tuples must have equal length")
     da, db = A.decomposition, B.decomposition
@@ -846,20 +820,14 @@ def generated_iso(A, abar, B, bbar):
     It is the group of pairs (a, b) generated by the (abar[i], bbar[i])
     keyed by a: the relations m*a_i = w of the tower present <abar>, so the
     map is well defined iff each m*b_i is the image of w, and injective iff
-    the images differ. The tower adds coordinate tuples (decomposition
-    coordinates for two trees, coefficient tuples otherwise) and decodes
-    each pair once, at the end, so this route lists every pair and refuses
-    more than DEFAULT_BOUND of them. ``_generated_iso_exists`` answers the
-    existence question alone: on two trees it counts orders instead.
+    the images differ. A tree stands for its ``GroupTree.fragment``; the
+    tower adds coefficient tuples and wraps each pair once, at the end, so
+    this route lists every pair and refuses more than DEFAULT_BOUND of
+    them. ``_generated_iso_exists`` answers the existence question alone:
+    on two trees it counts orders instead.
     """
-    zs, cut = _pair_tower(A, abar, B, bbar)
+    fa, fb = _as_fragment(A), _as_fragment(B)
+    zs, cut = _pair_tower(fa, abar, fb, bbar), fa.rank
     if zs is None or not _injective(zs, cut):
         return None
-    # decoders are built here, so existence checks never pay for them
-    if isinstance(A, GroupTree) and isinstance(B, GroupTree):
-        left, right = A.decomposition.decode, B.decomposition.decode
-    else:
-        fa, fb = (G.fragment if isinstance(G, GroupTree) else G for G in (A, B))
-        left = functools.partial(FragmentElement, fa)
-        right = functools.partial(FragmentElement, fb)
-    return {left(z[:cut]): right(z[cut:]) for z in zs}
+    return {FragmentElement(fa, z[:cut]): FragmentElement(fb, z[cut:]) for z in zs}

@@ -13,9 +13,9 @@ groups (so they refuse groups above ``DEFAULT_BOUND``): ``pk_chain`` and
 (order-p independence counted from that chain), ``check_valuation`` (the
 valuation laws of a fragment's min rule), ``socle_dims_by_enumeration``
 (a fragment's socle layers counted element by element),
-``leq_game_reference`` (the literal recursive game) and
-``generated_iso_by_pairs`` (the generated correspondence built from
-element pairs, with no coordinates).
+``leq_game_reference`` (the literal recursive game, deciding level 0 by
+``generated_iso_by_pairs``) and ``generated_iso_by_pairs`` (the generated
+correspondence built from element pairs, with no coordinates).
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ from .pgroup import (
     Fragment,
     FragmentElement,
     GroupTree,
-    generated_iso,
     subgroup_elements,
 )
 from .ulm import invariants_of, make_G_hat, ulm_equal, value_ge
@@ -255,7 +254,7 @@ def leq_game_reference(
     if key in _memo:
         return _memo[key]
     if beta == 0:
-        out = generated_iso(A, abar, B, bbar) is not None
+        out = generated_iso_by_pairs(A, abar, B, bbar) is not None
         _memo[key] = out
         return out
     _memo[key] = True  # provisional, cycles cannot occur (beta decreases)

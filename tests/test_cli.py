@@ -147,6 +147,17 @@ class TestBaf:
         assert code == 2
         assert "exceeds" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("beta", ["1", "2"])
+    def test_game_refuses_a_large_pinned_subgroup(self, files, capsys, beta):
+        # all 20 leaves pinned: the pins' pair tower has 2^20 elements
+        star = GroupTree(2, {"r": None, **{f"l{i}": "r" for i in range(20)}})
+        side = files("star20.json", star) + "," + ",".join(f"l{i}" for i in range(20))
+        code = main(
+            ["baf", "--beta", beta, "--left", side, "--right", side, "--method", "game"]
+        )
+        assert code == 2
+        assert "subgroup exceeds" in capsys.readouterr().err
+
     def test_game_rejects_infinite_level(self, files, capsys):
         t = files("t.json", CHAIN2)
         code = main(

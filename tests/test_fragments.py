@@ -20,6 +20,12 @@ from ulmkit.ulm import OMEGA_VALUE, Clause, Profile, make_G_hat
 from ulmkit.verify import check_valuation, height_of_by_chain, socle_dims_by_enumeration
 
 
+def sparse(vec):
+    """A p-image given by its coefficient vector, as (index, coefficient)
+    pairs over its support."""
+    return tuple((j, c) for j, c in enumerate(vec) if c)
+
+
 def flat(p, heights):
     """Fragment with independent order-p generators at the given heights."""
     return Fragment(
@@ -34,7 +40,7 @@ class TestConstruction:
             2,
             (
                 FragmentGen("a", (), OMEGA + 1),
-                FragmentGen("b", (1,), OMEGA),
+                FragmentGen("b", ((0, 1),), OMEGA),
             ),
         )
         assert good.gen_named("b").height() == OMEGA
@@ -43,13 +49,22 @@ class TestConstruction:
                 2,
                 (
                     FragmentGen("a", (), nat(3)),
-                    FragmentGen("b", (1,), nat(3)),
+                    FragmentGen("b", ((0, 1),), nat(3)),
                 ),
             )
 
     def test_pimage_must_be_earlier(self):
         with pytest.raises(ValueError):
-            Fragment(2, (FragmentGen("a", (0, 1), nat(0)),))
+            Fragment(2, (FragmentGen("a", ((1, 1),), nat(0)),))
+
+    @pytest.mark.parametrize(
+        "pimage", [((0, 0),), ((0, 2),), ((1, 1), (0, 1)), ((0, 1), (0, 1)), ((-1, 1),)]
+    )
+    def test_pimage_must_be_sparse_and_normalized(self, pimage):
+        # coefficients in [1, p), indices increasing from 0
+        gens = (FragmentGen("a", (), nat(2)), FragmentGen("b", (), nat(2)))
+        with pytest.raises(ValueError, match="c is not normalized"):
+            Fragment(2, gens + (FragmentGen("c", pimage, nat(0)),))
 
     def test_p_must_be_prime(self):
         with pytest.raises(ValueError, match="not prime"):
@@ -60,7 +75,7 @@ class TestConstruction:
             2,
             (
                 FragmentGen("a", (), nat(5)),
-                FragmentGen("b", (1,), nat(2)),
+                FragmentGen("b", ((0, 1),), nat(2)),
             ),
         )
         b = f.gen_named("b")
@@ -81,7 +96,7 @@ class TestConstruction:
             2,
             (
                 FragmentGen("a", (), nat(9)),
-                FragmentGen("b", (1,), nat(1)),
+                FragmentGen("b", ((0, 1),), nat(1)),
                 FragmentGen("c", (), nat(4)),
             ),
         )
@@ -104,7 +119,7 @@ def fragment_specs(draw, max_gens: int):
         vec = [0] * i
         for j in high:
             vec[j] = draw(st.integers(0, p - 1))
-        gens.append(FragmentGen(f"g{i}", tuple(vec), h))
+        gens.append(FragmentGen(f"g{i}", sparse(vec), h))
     return p, gens
 
 
@@ -122,7 +137,7 @@ class TestValuationProperties:
         j = data.draw(st.integers(0, len(gens) - 1))
         # the p-image g_j sits at h(g_j), below the required height + 1
         height: Ordinal = gens[j].height
-        pimage = (0,) * j + (1,)
+        pimage = ((j, 1),)
         with pytest.raises(ValueError, match="needs its p-image"):
             Fragment(p, gens + [FragmentGen("new", pimage, height)])
 
@@ -142,15 +157,15 @@ class TestExtendOneGenerator:
         for j in high:
             vec[j] = data.draw(st.integers(0, p - 1))
         child = f.extend(f.element(vec), h)
-        fresh = Fragment(p, gens + [FragmentGen(f"g{f.rank}", tuple(vec), h)])
+        fresh = Fragment(p, gens + [FragmentGen(f"g{f.rank}", sparse(vec), h)])
         assert child.gens == fresh.gens and child.rank == fresh.rank
-        assert child._carries == fresh._carries
         assert child._by_height == fresh._by_height
         assert child.index == fresh.index
         assert child.size == fresh.size
         assert child.zero().coeffs == fresh.zero().coeffs
         # the parent is untouched
-        assert f._carries == Fragment(p, gens)._carries and f.rank == len(gens)
+        assert f.gens == tuple(gens) and f.rank == len(gens)
+        assert f._by_height == Fragment(p, gens)._by_height
 
     @settings(max_examples=40, deadline=None)
     @given(fragment_specs(5), st.data())
@@ -167,7 +182,7 @@ class TestExtendOneGenerator:
             with pytest.raises(ValueError, match=match) as grown:
                 f.extend(pimage, height, name)
             with pytest.raises(ValueError) as fresh:
-                Fragment(p, gens + [FragmentGen(name, pimage.coeffs, height)])
+                Fragment(p, gens + [FragmentGen(name, sparse(pimage.coeffs), height)])
             assert str(grown.value) == str(fresh.value)
 
 
