@@ -181,13 +181,26 @@ def _find_embedding_uncached(src, src_pins, dst, dst_pins, onto):
     if not all(keeps(z[:cut], z[cut:]) for z in tower[1:]):
         return None
 
-    # parents before children; within a depth, nodes appearing in pin
-    # supports first, so pin images get fixed near the root of the search,
-    # then higher ranks first, as they have the fewest candidates
+    # Shapes of subtrees are numbered, and contact with a pin support is
+    # flagged, bottom-up, deepest first: v is touched when it or a node
+    # below it lies in a pin's support.
     pinned_sup = {v for x in src_pins for v, _ in x.terms()}
+    shape: dict[str, int] = {}
+    shapes: dict[tuple, int] = {}
+    touched: dict[str, bool] = {}
+    for v in sorted(src.nodes, key=lambda u: -src.depth(u)):
+        cs = src.children[v]
+        shape[v] = shapes.setdefault(tuple(sorted(shape[c] for c in cs)), len(shapes))
+        touched[v] = v in pinned_sup or any(touched[c] for c in cs)
+
+    # The touched nodes come first, so every pin is forced (at the last
+    # node of its support) before any untouched node is tried; then higher
+    # ranks first, as they have the fewest candidates. Rank falls strictly
+    # from parent to child and touched nodes' parents are touched, so
+    # parents still come before children.
     order = sorted(
         src.nonroot,
-        key=lambda v: (src.depth(v), v not in pinned_sup, -src.rank(v), v),
+        key=lambda v: (not touched[v], -src.rank(v), src.depth(v), v),
     )
     pos = {v: i for i, v in enumerate(order)}
     p, mods = dst.p, dec.moduli
@@ -205,15 +218,9 @@ def _find_embedding_uncached(src, src_pins, dst, dst_pins, onto):
 
     # symmetry break: sibling subtrees of identical shape that no pin
     # touches are interchangeable, so force their root images into
-    # increasing order and search one representative per orbit. Shapes
-    # are numbered and pin contact flagged bottom-up, deepest first.
-    shape: dict[str, int] = {}
-    shapes: dict[tuple, int] = {}
-    touched: dict[str, bool] = {}
-    for v in sorted(src.nodes, key=lambda u: -src.depth(u)):
-        cs = src.children[v]
-        shape[v] = shapes.setdefault(tuple(sorted(shape[c] for c in cs)), len(shapes))
-        touched[v] = v in pinned_sup or any(touched[c] for c in cs)
+    # increasing order and search one representative per orbit. Such
+    # siblings share their sort key up to the name, so the earlier one is
+    # placed first.
     sym_pred: dict[str, str] = {}
     for parent_node in src.nodes:
         groups: dict[int, list[str]] = {}

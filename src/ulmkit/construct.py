@@ -15,36 +15,40 @@ table row e drives one growth requirement:
 
 A row with only finitely many true cells therefore forces the e-th
 invariant to come out infinite, and a row that is true unboundedly often
-(flagged cofinal in the table) leaves it finite. Closure requirements list
-sums of already-listed pairs; audit requirements record the truth of
-"x + y = z" for listed triples. The listed set generates the group, so
-invariant estimates read off the chain-depth histogram.
+(flagged cofinal) leaves it finite. Closure requirements list sums of
+already-listed pairs; audit requirements record the truth of "x + y = z"
+for listed triples. The listed set generates the group, so invariant
+estimates read off the chain-depth histogram.
 
-A stage does only new work. It relies on five pieces of bookkeeping:
+A row's chains are slot numbers, not elements: the chain in slot k is
+listed as the generators 1/p^j, j up to `chains[k]`. A row keeps three
+slot lists, in the order the slots were allocated: the slots it started,
+the slots it treated, and its watch list (started but not yet treated).
+The watched chains all sit at depth e+1 and are retired as one batch:
 
-  * a cursor per row over its true columns: a treatment uses the least
-    fresh true cell, so the used columns Y[e] are a prefix of the row's
-    sorted true columns and the next one is found without a rescan;
-  * a watch list per row equal to X[e] - Xt[e], grown with X[e] and
-    emptied when the row is treated;
-  * a depth histogram kept in step with `chains` (every write goes
-    through `_set_depth`), which `estimates` reads;
-  * settled closure rows: once both operands are listed the sum is
-    listed too, and since chains only deepen and extras only grow, the
-    row has nothing more to do and is dropped;
-  * pending and live audit rows: listing is monotone for the same
-    reason, so a row whose three operands are all listed stays listed.
-    It moves from the pending list to the live list as (key, a + b, c),
-    with the sum computed once; pending rows re-check only `contains`.
+  * a growth step takes the next free slot, sets its depth to e+1, counts
+    it in the depth histogram and appends it to the started and watch
+    lists; it builds no element;
+  * a treatment takes the least fresh true cell (a cursor over the row's
+    sorted true columns, so the used columns Y[e] are a prefix of them)
+    and the least unused r, sets every watched slot to depth e+r+1, moves
+    the whole batch in the histogram at once and appends it to the
+    treated list.
 
-Decoded elements are memoized on the state, and each closure or audit
-row decodes its operands once, when it is first attended. Every live
-row's memoized sum is still compared with c against the diagram at
-every stage, so a flipped diagram fact is caught.
+`X` and `Xt` are read-only views of the started and treated lists: X[e]
+builds row e's chain generators 1/p as a set of `PElement`s when asked.
+
+Closure and audit rows decode their operands once, when first attended.
+Listing is monotone (chains only deepen and extras only grow), so a
+closure row whose operands are both listed has listed its sum and is
+dropped, and an audit row whose three operands are listed goes live with
+its truth a + b == c computed once. Every live row's truth is still
+compared with the diagram D at every stage, so a flipped fact is caught.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from math import isqrt
 from typing import Optional
@@ -90,7 +94,7 @@ class PElement:
     `PElement(p, parts)` validates its input: sorted distinct slots, each
     fraction in lowest terms. The results of `+`, unary `-` and `times_p`
     are normalized by construction and skip the check (`_trusted`), as
-    does the chain generator 1/p that a construction stage creates.
+    do the chain generators 1/p that `ConstructionState.X` builds.
     """
 
     p: int
@@ -221,6 +225,24 @@ class PredicateTable:
         return e not in self.cofinal_rows
 
 
+class _SlotRows(Mapping):
+    """Read-only view of per-row slot lists: row e maps to the set of its
+    slots' chain generators 1/p, built on each lookup."""
+
+    def __init__(self, p: int, rows: dict[int, list[int]]):
+        self._p, self._rows = p, rows
+
+    def __getitem__(self, e: int) -> set[PElement]:
+        p = self._p
+        return {PElement._trusted(p, ((k, 1, 1),)) for k in self._rows[e]}
+
+    def __iter__(self):
+        return iter(self._rows)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+
 class ConstructionState:
     """Mutable state of one construction: chains, listed sums, diagram."""
 
@@ -234,22 +256,25 @@ class ConstructionState:
         self.extras: set[PElement] = set()
         self.D: dict[tuple, bool] = {}
         self.Y: dict[int, set[int]] = {}
-        self.X: dict[int, set[PElement]] = {}
-        self.Xt: dict[int, set[PElement]] = {}
         self.T: dict[int, set[int]] = {}
+        self._started: dict[int, list[int]] = {}  # row -> slots it started
+        self._treated: dict[int, list[int]] = {}  # row -> slots it treated
+        self._watch: dict[int, list[int]] = {}  # row -> started, not treated
+        self._cursor: dict[int, Optional[int]] = {}  # row -> its `_next_true`
+        self.X = _SlotRows(p, self._started)
+        self.Xt = _SlotRows(p, self._treated)
         self._free = 0  # slots are allocated in increasing order
         self._true_cols: dict[int, list[int]] = {}  # row -> true columns < bound
         for e, y in sorted(table.trues):
             self._true_cols.setdefault(e, []).append(y)
-        self._watch: dict[int, set[PElement]] = {}  # row -> X[e] - Xt[e]
         self._hist: dict[int, int] = {}  # depth -> number of chains
         self._elems: dict[int, PElement] = {}
         # closure rows not yet settled, as their operand pairs (a, b)
         self._open_closures: list[tuple[PElement, PElement]] = []
         # audit rows with an operand not yet listed: (key, a, b, c)
         self._pending_audits: list[tuple[tuple, PElement, PElement, PElement]] = []
-        # audit rows with every operand listed: (key, a + b, c), in D's key order
-        self._live_audits: list[tuple[tuple, PElement, PElement]] = []
+        # audit rows with every operand listed: (key, a + b == c), in D's key order
+        self._live_audits: list[tuple[tuple, bool]] = []
 
     def elem(self, m: int) -> PElement:
         x = self._elems.get(m)
@@ -266,18 +291,6 @@ class ConstructionState:
             if num == 1 and j <= self.chains.get(s, 0):
                 return True
         return x in self.extras
-
-    def next_slot(self) -> int:
-        while self._free in self.chains:
-            self._free += 1
-        return self._free
-
-    def _set_depth(self, k: int, depth: int) -> None:
-        old = self.chains.get(k)
-        if old is not None:
-            self._hist[old] -= 1
-        self.chains[k] = depth
-        self._hist[depth] = self._hist.get(depth, 0) + 1
 
     def _next_true(self, e: int) -> Optional[int]:
         """Least true column of row e not yet used, or None; the used
@@ -296,41 +309,49 @@ class ConstructionState:
         s = self.stage
         if s:
             e = s - 1  # the row first attended at this stage
-            self.Y[e], self.X[e], self.Xt[e] = set(), set(), set()
-            self._watch[e] = set()
+            self.Y[e] = set()
+            self._started[e], self._treated[e], self._watch[e] = [], [], []
+            self._cursor[e] = self._next_true(e)
             m1, m2 = cantor_unpair(e)
             self._open_closures.append((self.elem(m1), self.elem(m2)))
             i, j, k = decode_triple(e)
             key = ("sum", i, j, k)
             self._pending_audits.append((key, self.elem(i), self.elem(j), self.elem(k)))
+        chains, hist, cursor = self.chains, self._hist, self._cursor
         for e in range(s):
-            self._attend_growth(e, s)
+            y = cursor[e]
+            if y is not None and y < s:
+                if self._watch[e]:
+                    self._treat(e, y)
+                continue
+            # no fresh true cell: start a chain of depth e+1 in the next slot
+            k = self._free
+            self._free = k + 1
+            chains[k] = e + 1
+            hist[e + 1] = hist.get(e + 1, 0) + 1
+            self._started[e].append(k)
+            self._watch[e].append(k)
         self._open_closures = [ab for ab in self._open_closures if not self._attend_closure(*ab)]
         self._attend_audits()
         self.stage = s + 1
 
-    def _attend_growth(self, e: int, s: int) -> None:
-        y = self._next_true(e)
-        fresh = y is not None and y < s
-        watch = self._watch[e]
-        if fresh and watch:
-            r = 1
-            taken = self.T.setdefault(e, set())
-            while r in taken:
-                r += 1
-            for x in watch:
-                k = x.parts[0][0]
-                self._set_depth(k, max(self.chains[k], e + r + 1))
-            taken.add(r)
-            self.Xt[e] |= watch
-            watch.clear()
-            self.Y[e].add(y)
-        elif not fresh:
-            k = self.next_slot()
-            self._set_depth(k, e + 1)
-            x = PElement._trusted(self.p, ((k, 1, 1),))
-            self.X[e].add(x)
-            watch.add(x)
+    def _treat(self, e: int, y: int) -> None:
+        """Retire row e's watched batch, all at depth e+1, with the fresh
+        true cell y: the batch moves to depth e+r+1, r the least unused."""
+        r = 1
+        taken = self.T.setdefault(e, set())
+        while r in taken:
+            r += 1
+        taken.add(r)
+        watch, depth, chains = self._watch[e], e + r + 1, self.chains
+        for k in watch:
+            chains[k] = depth
+        self._hist[e + 1] -= len(watch)
+        self._hist[depth] = self._hist.get(depth, 0) + len(watch)
+        self._treated[e] += watch
+        watch.clear()
+        self.Y[e].add(y)
+        self._cursor[e] = self._next_true(e)
 
     def _attend_closure(self, a: PElement, b: PElement) -> bool:
         """List the sum of a listed pair; True once both operands are
@@ -347,19 +368,18 @@ class ConstructionState:
 
         Pending rows whose operands are now all listed go live, after the
         rows already live, so the live list keeps D's key order; then
-        every live row compares its memoized sum with c against D."""
+        every live row's memoized truth is compared against D."""
         contains = self.contains
         pending = []
         for row in self._pending_audits:
             key, a, b, c = row
             if contains(a) and contains(b) and contains(c):
-                self._live_audits.append((key, a + b, c))
+                self._live_audits.append((key, a + b == c))
             else:
                 pending.append(row)
         self._pending_audits = pending
         D = self.D
-        for key, total, c in self._live_audits:
-            val = total == c
+        for key, val in self._live_audits:
             if D.setdefault(key, val) != val:
                 raise AssertionError(f"diagram fact {key} flipped")
 

@@ -32,6 +32,13 @@ class Ordinal:
                 raise ValueError("CNF exponents must strictly decrease")
             last = exp
 
+    @classmethod
+    def _trusted(cls, terms: tuple[tuple[int, int], ...]) -> "Ordinal":
+        """An ordinal from terms already known to be in Cantor normal form."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "terms", terms)
+        return x
+
     # -- structure --------------------------------------------------------
 
     @property
@@ -92,7 +99,8 @@ class Ordinal:
         for exp, coeff in self.terms:
             if exp == lead:
                 merged[0] = (lead, coeff + merged[0][1])
-        return Ordinal(tuple(kept) + tuple(merged))
+        # merged is in CNF and every kept exponent exceeds its lead: CNF
+        return Ordinal._trusted(tuple(kept) + tuple(merged))
 
     def __radd__(self, other: int) -> "Ordinal":
         return nat(other) + self
@@ -120,10 +128,16 @@ OMEGA = Ordinal(((1, 1),))
 OMEGA_SQUARED = Ordinal(((2, 1),))
 
 
+# the naturals most callers ask for, built once; immutable, so shared safely
+_SMALL_NATS = (ZERO,) + tuple(Ordinal(((0, n),)) for n in range(1, 64))
+
+
 def nat(n: int) -> Ordinal:
     if n < 0:
         raise ValueError("naturals only")
-    return Ordinal(((0, n),)) if n else ZERO
+    if n < len(_SMALL_NATS):
+        return _SMALL_NATS[n]
+    return Ordinal(((0, n),))
 
 
 def omega_power(k: int, coeff: int = 1) -> Ordinal:

@@ -136,11 +136,6 @@ class FragmentElement:
         gens = self.fragment.gens
         return tuple(sorted((gens[i].name, c) for i, c in enumerate(self.coeffs) if c))
 
-    def stable_key(self) -> tuple:
-        """Enumeration key preserved by fragment extension (zero padding)."""
-        top = max((i + 1 for i, c in enumerate(self.coeffs) if c), default=0)
-        return (top, self.coeffs[:top])
-
     def __str__(self) -> str:
         if self.is_zero:
             return "0"

@@ -346,6 +346,21 @@ class TestSearchOrder:
         if k == 6:  # 2^9 elements to map
             check_witness(t, [], t, [], found)
 
+    def test_pin_support_is_placed_before_untouched_nodes(self):
+        # the pin v3+v7+v8 spans depths 1 and 2; placed by depth, the leaf
+        # v6 under v2 and the node v4 were tried millions of times before
+        # the pin's last support node fixed its image (over 90 s on a
+        # 2-vCPU machine); pin supports and their ancestors now come first
+        parent = {
+            "r": None, "v0": "r", "v1": "v0", "v2": "r", "v3": "v0", "v4": "v1",
+            "v5": "v2", "v6": "v2", "v7": "v0", "v8": "v1", "v9": "r", "v10": "v4",
+        }
+        t = GroupTree(2, parent)
+        a = (t.element({"v2": 1, "v8": 1}),)
+        b = (t.element({"v3": 1, "v7": 1, "v8": 1}),)
+        with alarm(2.0):
+            assert leq_std_game(t, a, t, b, 1)
+
 
 class TestFormerlySlowQueries:
     """Answers recorded with the earlier whole-group-table search, which

@@ -222,7 +222,13 @@ class RescanStepper(ConstructionState):
     """The construction as first written: every stage rescans each row for
     fresh true cells, rebuilds its watch set, decodes every closure and
     audit operand again and recounts the depth histogram. Kept only as a
-    cross-check of the incremental stages."""
+    cross-check of the incremental stages. It keeps X and Xt as plain
+    dicts of element sets, where the incremental state keeps slot lists."""
+
+    def __init__(self, table: PredicateTable, p: int = 2):
+        super().__init__(table, p)
+        self.X: dict[int, set[PElement]] = {}
+        self.Xt: dict[int, set[PElement]] = {}
 
     def advance(self) -> None:
         s = self.stage
@@ -242,7 +248,7 @@ class RescanStepper(ConstructionState):
                 self.Xt[e] |= watch
                 used_y.add(fresh[0])
             elif not fresh:
-                k = self.next_slot()
+                k = len(self.chains)  # slots 0, 1, 2, ... in order
                 self.chains[k] = e + 1
                 self.X[e].add(PElement(self.p, ((k, 1, 1),)))
         for e in range(s):
@@ -348,3 +354,22 @@ class TestIncrementalStages:
         for _ in range(150):
             state.advance()
         assert len(state.D) <= calls <= 149 + 149
+
+    def test_growth_builds_no_elements(self, monkeypatch):
+        # a growth step writes a slot's depth and appends it to its row's
+        # slot lists, and a treatment moves the row's batch of slots: over
+        # 150 stages only closure and audit sums build elements, one each
+        calls = 0
+        trusted = PElement._trusted.__func__
+
+        def counting_trusted(cls, p, parts):
+            nonlocal calls
+            calls += 1
+            return trusted(cls, p, parts)
+
+        monkeypatch.setattr(PElement, "_trusted", classmethod(counting_trusted))
+        state = ConstructionState(ALL_FALSE)
+        for _ in range(150):
+            state.advance()
+        assert len(state.chains) == 149 * 150 // 2
+        assert calls <= 149 + 149

@@ -102,6 +102,23 @@ class TestCNF:
     def test_addition_associative(self, a, b, c):
         assert (a + b) + c == a + (b + c)
 
+    @given(ords(), st.one_of(ords(), st.integers(0, 100)))
+    def test_sums_pass_validation(self, a, b):
+        # __add__ skips the constructor's CNF check: its result must be
+        # exactly what validation would accept
+        total = a + b
+        assert isinstance(total, Ordinal)
+        assert Ordinal(total.terms) == total
+
+    @given(st.integers(0, 200))
+    def test_nat_is_the_one_term_ordinal(self, n):
+        assert nat(n) == (Ordinal(((0, n),)) if n else ZERO)
+        assert nat(n).as_int() == n
+
+    def test_nat_refuses_negatives(self):
+        with pytest.raises(ValueError):
+            nat(-1)
+
     def test_addition_absorbs(self):
         assert nat(5) + OMEGA == OMEGA
         assert OMEGA + nat(3) + OMEGA == omega_power(1, 2)
