@@ -38,18 +38,35 @@ The watched chains all sit at depth e+1 and are retired as one batch:
 `X` and `Xt` are read-only views of the started and treated lists: X[e]
 builds row e's chain generators 1/p as a set of `PElement`s when asked.
 
-Closure and audit rows decode their operands once, when first attended.
-Listing is monotone (chains only deepen and extras only grow), so a
-closure row whose operands are both listed has listed its sum and is
-dropped, and an audit row whose three operands are listed goes live with
-its truth a + b == c computed once. Every live row's truth is still
-compared with the diagram D at every stage, so a flipped fact is caught.
+Closure and audit rows decode their operands once, when first attended,
+and are checked again only when an operand they wait for is listed.
+Listing is monotone (chains only deepen and extras only grow), so a row
+that finds an operand unlisted parks on it, in a dict keyed by that
+element. A generator 1/p^j in slot k is also noted under slot k: it is
+listed by its chain reaching depth j, never by a sum, since every sum of
+listed elements lies within its slots' chain depths.
+
+  * a growth step or treatment that deepens a slot wakes the rows parked
+    on the generators it lists, and a sum added to the extras wakes the
+    rows parked on that sum;
+  * a woken row checks its operands again and either settles or parks on
+    the next unlisted one; a settled closure row lists its sum once, and
+    a settled audit row goes live with its truth a + b == c computed once.
+
+Within a stage the order is that of a rescan of every open row. A row is
+first checked at the stage that attends it. After the growth steps, the
+due closure rows are checked in increasing row order; a sum listed by
+row i wakes the later rows for this pass and the earlier ones for the
+next stage's. Then the due audit rows go live in increasing row order.
+Every live fact is still compared with the diagram D at every stage (one
+subset test of dict items), so a flipped fact is caught.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from math import isqrt
 from typing import Optional
 
@@ -269,12 +286,19 @@ class ConstructionState:
             self._true_cols.setdefault(e, []).append(y)
         self._hist: dict[int, int] = {}  # depth -> number of chains
         self._elems: dict[int, PElement] = {}
-        # closure rows not yet settled, as their operand pairs (a, b)
-        self._open_closures: list[tuple[PElement, PElement]] = []
-        # audit rows with an operand not yet listed: (key, a, b, c)
-        self._pending_audits: list[tuple[tuple, PElement, PElement, PElement]] = []
-        # audit rows with every operand listed: (key, a + b == c), in D's key order
-        self._live_audits: list[tuple[tuple, bool]] = []
+        # row -> its closure operands (a, b) / its audit row (key, a, b, c)
+        self._closures: list[tuple[PElement, PElement]] = []
+        self._audits: list[tuple[tuple, PElement, PElement, PElement]] = []
+        # unlisted element -> the closure / audit rows parked on it
+        self._closures_on: dict[PElement, list[int]] = {}
+        self._audits_on: dict[PElement, list[int]] = {}
+        # slot -> {j: 1/p^j in that slot}, for the generators rows park on
+        self._gens_on: dict[int, dict[int, PElement]] = {}
+        # rows to check at this stage's closure and audit passes
+        self._due_closures: list[int] = []
+        self._due_audits: list[int] = []
+        # live audit rows: key -> a + b == c, in D's key order
+        self._facts: dict[tuple, bool] = {}
 
     def elem(self, m: int) -> PElement:
         x = self._elems.get(m)
@@ -313,11 +337,13 @@ class ConstructionState:
             self._started[e], self._treated[e], self._watch[e] = [], [], []
             self._cursor[e] = self._next_true(e)
             m1, m2 = cantor_unpair(e)
-            self._open_closures.append((self.elem(m1), self.elem(m2)))
+            self._closures.append((self.elem(m1), self.elem(m2)))
+            self._due_closures.append(e)
             i, j, k = decode_triple(e)
-            key = ("sum", i, j, k)
-            self._pending_audits.append((key, self.elem(i), self.elem(j), self.elem(k)))
+            self._audits.append((("sum", i, j, k), self.elem(i), self.elem(j), self.elem(k)))
+            self._due_audits.append(e)
         chains, hist, cursor = self.chains, self._hist, self._cursor
+        first_new = self._free
         for e in range(s):
             y = cursor[e]
             if y is not None and y < s:
@@ -331,7 +357,11 @@ class ConstructionState:
             hist[e + 1] = hist.get(e + 1, 0) + 1
             self._started[e].append(k)
             self._watch[e].append(k)
-        self._open_closures = [ab for ab in self._open_closures if not self._attend_closure(*ab)]
+        gens_on = self._gens_on
+        if gens_on:
+            for k in [k for k in gens_on if first_new <= k < self._free]:
+                self._deepened(k, chains[k])
+        self._attend_closures()
         self._attend_audits()
         self.stage = s + 1
 
@@ -344,8 +374,11 @@ class ConstructionState:
             r += 1
         taken.add(r)
         watch, depth, chains = self._watch[e], e + r + 1, self.chains
+        gens_on = self._gens_on
         for k in watch:
             chains[k] = depth
+            if k in gens_on:
+                self._deepened(k, depth)
         self._hist[e + 1] -= len(watch)
         self._hist[depth] = self._hist.get(depth, 0) + len(watch)
         self._treated[e] += watch
@@ -353,35 +386,90 @@ class ConstructionState:
         self.Y[e].add(y)
         self._cursor[e] = self._next_true(e)
 
-    def _attend_closure(self, a: PElement, b: PElement) -> bool:
-        """List the sum of a listed pair; True once both operands are
-        listed, after which the row can do nothing more."""
-        if not (self.contains(a) and self.contains(b)):
-            return False
-        c = a + b
-        if not c.is_zero and not self.contains(c):
-            self.extras.add(c)
-        return True
+    # -- parking and waking closure and audit rows ---------------------------
+
+    def _unlisted(self, xs: tuple[PElement, ...]) -> Optional[PElement]:
+        """The first of xs not listed yet, or None."""
+        for x in xs:
+            if not self.contains(x):
+                return x
+        return None
+
+    def _park(self, on: dict[PElement, list[int]], row: int, x: PElement) -> None:
+        """Park a row on its unlisted operand x; a generator 1/p^j is also
+        noted under its slot, since its chain deepening lists it."""
+        rows = on.get(x)
+        if rows is None:
+            rows = on[x] = []
+            if len(x.parts) == 1 and x.parts[0][1] == 1:
+                k, _, j = x.parts[0]
+                self._gens_on.setdefault(k, {})[j] = x
+        rows.append(row)
+
+    def _listed(self, x: PElement) -> list[int]:
+        """x has just been listed: wake the rows parked on it. The audit
+        rows are due at this stage's audit pass; the closure rows are
+        returned."""
+        self._due_audits += self._audits_on.pop(x, ())
+        return self._closures_on.pop(x, [])
+
+    def _deepened(self, k: int, depth: int) -> None:
+        """Slot k's chain reached `depth`: wake the rows parked on its
+        generators 1/p^j, j <= depth, for this stage's closure pass."""
+        gens = self._gens_on[k]
+        for j in [j for j in gens if j <= depth]:
+            self._due_closures += self._listed(gens.pop(j))
+        if not gens:
+            del self._gens_on[k]
+
+    def _attend_closures(self) -> None:
+        """List the sums of the due closure rows whose operands are listed.
+
+        Rows are checked in increasing order, as a rescan of every open
+        row would: a sum listed by row i wakes the later rows parked on it
+        for this pass and the earlier ones for the next stage's."""
+        due = sorted(self._due_closures)  # a sorted list is a heap
+        self._due_closures = later = []
+        rows, extras = self._closures, self.extras
+        while due:
+            i = heappop(due)
+            a, b = rows[i]
+            x = self._unlisted((a, b))
+            if x is not None:
+                self._park(self._closures_on, i, x)
+                continue
+            c = a + b
+            if not c.is_zero and not self.contains(c):
+                extras.add(c)
+                for h in self._listed(c):
+                    if h > i:
+                        heappush(due, h)
+                    else:
+                        later.append(h)
 
     def _attend_audits(self) -> None:
-        """Record "a + b = c" for every audit row whose operands are listed.
+        """Record "a + b = c" for every due audit row whose operands are listed.
 
-        Pending rows whose operands are now all listed go live, after the
-        rows already live, so the live list keeps D's key order; then
-        every live row's memoized truth is compared against D."""
-        contains = self.contains
-        pending = []
-        for row in self._pending_audits:
-            key, a, b, c = row
-            if contains(a) and contains(b) and contains(c):
-                self._live_audits.append((key, a + b == c))
-            else:
-                pending.append(row)
-        self._pending_audits = pending
-        D = self.D
-        for key, val in self._live_audits:
+        First every live fact is compared with D: one subset test, and on
+        a mismatch the loop that names the flipped fact and re-inserts a
+        deleted one. Then the due rows go live in increasing order, after
+        the rows already live, so the facts keep D's key order."""
+        D, facts = self.D, self._facts
+        if not facts.items() <= D.items():
+            for key, val in facts.items():
+                if D.setdefault(key, val) != val:
+                    raise AssertionError(f"diagram fact {key} flipped")
+        rows = self._audits
+        for i in sorted(self._due_audits):
+            key, a, b, c = rows[i]
+            x = self._unlisted((a, b, c))
+            if x is not None:
+                self._park(self._audits_on, i, x)
+                continue
+            val = facts[key] = a + b == c
             if D.setdefault(key, val) != val:
                 raise AssertionError(f"diagram fact {key} flipped")
+        self._due_audits = []
 
     # -- reading the assembled group ----------------------------------------
 

@@ -272,10 +272,6 @@ class Fragment:
         dies with the fragment."""
         return []
 
-    def socle(self) -> list[FragmentElement]:
-        """Elements of order dividing p, in lex order."""
-        return [x for x in self.elements() if x.times_p().is_zero]
-
     @functools.cached_property
     def iso_memo(self) -> dict:
         """baf._corresponds answers keyed by (other carrier, tuples); growth

@@ -194,7 +194,7 @@ def check_valuation(frag: Fragment) -> None:
 
 def socle_dims_by_enumeration(frag: Fragment) -> dict[Ordinal, int]:
     """``Fragment.socle_height_dims`` counted from the enumerated socle."""
-    socle = [x for x in frag.socle() if not x.is_zero]
+    socle = [x for x in frag.elements() if not x.is_zero and x.times_p().is_zero]
     dims: dict[Ordinal, int] = {}
     above = 0  # log_p |S_{> current}|
     for beta in sorted({x.height() for x in socle}, reverse=True):

@@ -362,6 +362,76 @@ class TestSearchOrder:
             assert leq_std_game(t, a, t, b, 1)
 
 
+def random_tree(rng: random.Random, p: int, n: int) -> GroupTree:
+    """n non-root nodes, each under a uniformly drawn earlier node."""
+    parent = {"r": None}
+    for i in range(n):
+        parent[f"v{i}"] = rng.choice(list(parent))
+    return GroupTree(p, parent)
+
+
+def random_element(rng: random.Random, t: GroupTree):
+    nodes = sorted(t.nonroot)
+    support = rng.sample(nodes, rng.randint(1, min(3, len(nodes))))
+    return t.element({v: rng.randrange(1, t.p) for v in support})
+
+
+def matched_entry(rng: random.Random, t: GroupTree, x):
+    """A drawn element of x's order and height; x itself if none turns up."""
+    for _ in range(200):
+        y = random_element(rng, t)
+        if (y.order(), y.height()) == (x.order(), x.height()):
+            return y
+    return x
+
+
+def matched_queries(rng: random.Random, t: GroupTree):
+    """Pins of length 1 or 2 on t, each right entry matched to its left
+    entry's order and height."""
+    abar = tuple(random_element(rng, t) for _ in range(rng.randint(1, 2)))
+    return abar, tuple(matched_entry(rng, t, x) for x in abar)
+
+
+class TestSearchStress:
+    """Seeded random trees with pins matched by order and height: the
+    queries where a search by depth alone backtracked for seconds."""
+
+    def test_no_query_takes_a_second(self):
+        # 100 trees, p = 2 with 12-16 non-root nodes or p = 3 with 9-11,
+        # two queries each at beta 1 or 2
+        rng = random.Random("search-stress")
+        answers = []
+        for _ in range(100):
+            p, n = rng.choice([(2, rng.randint(12, 16)), (3, rng.randint(9, 11))])
+            t = random_tree(rng, p, n)
+            for _ in range(2):
+                abar, bbar = matched_queries(rng, t)
+                beta = rng.choice((1, 2))
+                with alarm(1.0):
+                    answers.append(leq_std_game(t, abar, t, bbar, beta))
+        assert len(answers) == 200
+        assert 0 < sum(answers) < 200
+
+    def test_small_trees_agree_with_the_reference_game(self):
+        # the literal game enumerates up to |B|^(2 * leaves) challenges at
+        # beta 1, so the trees stay at 2-3 nodes with at most 2 leaves, and
+        # max_ext = leaves gives the full relation
+        rng = random.Random("search-reference")
+        answers = []
+        while len(answers) < 30:
+            p, n = rng.choice([(2, rng.randint(2, 3)), (3, 2)])
+            t = random_tree(rng, p, n)
+            leaves = sum(v not in t.parent.values() for v in t.nonroot)
+            if leaves > 2:
+                continue
+            abar, bbar = matched_queries(rng, t)
+            with alarm(1.0):
+                got = leq_std_game(t, abar, t, bbar, 1)
+            assert got == leq_game_reference(t, abar, t, bbar, 1, max_ext=leaves)
+            answers.append(got)
+        assert 0 < sum(answers) < 30
+
+
 class TestFormerlySlowQueries:
     """Answers recorded with the earlier whole-group-table search, which
     took seconds on the first three; each is now a small search."""

@@ -19,6 +19,8 @@ from ulmkit.construct import (
 from ulmkit.ordinal import nat
 from ulmkit.ulm import invariants_of
 
+from test_baf import alarm
+
 
 class TestCoding:
     @given(st.integers(0, 10_000), st.integers(0, 10_000))
@@ -292,16 +294,84 @@ def state_of(st_: ConstructionState) -> tuple:
     return (st_.chains, st_.extras, st_.D, st_.X, st_.Xt, st_.Y, st_.T)
 
 
+def wake_events(table: PredicateTable, p: int, stages: int) -> set[str]:
+    """How closure rows got their last operand listed in a rescan run.
+
+    "deepened": a treatment listed a generator 1/p^j, j > 1, of a slot
+    that existed before the stage, and the row's new sum is listed in
+    the same stage. "deferred": a sum listed by a later row in the same
+    pass, so the row's new sum is listed one stage later. Both are read
+    off which elements are listed after each stage.
+    """
+    state = RescanStepper(table, p)
+    listed_at: dict[PElement, int] = {}  # element -> first stage listing it
+    slots_at: dict[PElement, int] = {}  # element -> slots before that stage
+    rows = []  # closure row -> (a, b, a + b)
+    for s in range(stages):
+        slots = len(state.chains)
+        state.advance()
+        if s:  # row s - 1 is first attended at this stage
+            a, b = (decode_elem(m, p) for m in cantor_unpair(s - 1))
+            rows.append((a, b, a + b))
+        for row in rows:
+            for x in row:
+                if x not in listed_at and state.contains(x):
+                    listed_at[x], slots_at[x] = s, slots
+    events = set()
+    for h, (a, b, c) in enumerate(rows):
+        if a not in listed_at or b not in listed_at:
+            continue
+        x = max((a, b), key=listed_at.__getitem__)
+        ready = listed_at[x]
+        if ready <= h + 1 or c.is_zero:
+            continue  # row h is first checked at stage h + 1; 0 lists nothing
+        if len(x.parts) == 1 and listed_at.get(c) == ready:
+            k, num, j = x.parts[0]
+            if num == 1 and j > 1 and k < slots_at[x]:
+                events.add("deepened")
+        if listed_at.get(c) == ready + 1:
+            events.add("deferred")
+    return events
+
+
+def table_waking(p: int, wanted: set[str], stages: int) -> PredicateTable:
+    """The first seeded mixed table whose rescan run shows `wanted`."""
+    for seed in range(40):
+        table = mixed_table(seed)
+        if wanted <= wake_events(table, p, stages):
+            return table
+    raise AssertionError(f"no seeded table shows {wanted}")
+
+
 class TestIncrementalStages:
     @pytest.mark.parametrize("seed", range(4))
     def test_state_equals_the_rescan_stepper_after_every_stage(self, seed):
         table = mixed_table(seed)
         fast, slow = ConstructionState(table), RescanStepper(table)
-        for _ in range(60):
+        for _ in range(120):
             fast.advance()
             slow.advance()
             assert state_of(fast) == state_of(slow)
             assert fast.estimates(10) == slow.estimates(10)
+
+    @pytest.mark.parametrize(
+        "p, wanted",
+        [(2, {"deepened", "deferred"}), (3, {"deferred"})],
+    )
+    def test_rows_woken_by_deepening_and_by_sums(self, p, wanted):
+        # a row parked on a generator wakes when a treatment deepens its
+        # slot; a row parked on a sum wakes when a closure row lists it,
+        # and an earlier row woken that way is checked at the next stage
+        table = table_waking(p, wanted, 120)  # raises when no table shows them
+        fast, slow = ConstructionState(table, p), RescanStepper(table, p)
+        for _ in range(120):
+            fast.advance()
+            slow.advance()
+            assert state_of(fast) == state_of(slow)
+            # every listed sum lies within its slots' chain depths, so a
+            # generator 1/p^j is listed by its chain and never by a sum
+            chains = fast.chains
+            assert all(j <= chains[k] for x in fast.extras for k, _, j in x.parts)
 
     @pytest.mark.parametrize(
         "table",
@@ -373,3 +443,27 @@ class TestIncrementalStages:
             state.advance()
         assert len(state.chains) == 149 * 150 // 2
         assert calls <= 149 + 149
+
+    def test_rows_are_checked_only_when_woken(self, monkeypatch):
+        # a closure or audit row is checked when first attended and again
+        # only when an operand it is parked on gets listed; rescanning
+        # every open row at every stage made 11,874 calls here
+        calls = 0
+        contains = ConstructionState.contains
+
+        def counting_contains(self, x):
+            nonlocal calls
+            calls += 1
+            return contains(self, x)
+
+        monkeypatch.setattr(ConstructionState, "contains", counting_contains)
+        state = ConstructionState(ALL_FALSE)
+        for _ in range(150):
+            state.advance()
+        assert calls <= 1000
+
+    def test_eight_hundred_stages_with_the_gc_on(self):
+        # a plain call, the GC running as usual
+        with alarm(2.0):
+            run = run_construction(PredicateTable(1), 800)
+        assert run.history[-1][0] == 799

@@ -193,7 +193,7 @@ class TestOrdersHeights:
 class TestSubspaces:
     def test_socle_dims(self):
         t = GroupTree(2, MIXED)  # Z_4 + Z_2: socle = Z_2 x Z_2
-        assert len(t.fragment.socle()) == 4
+        assert sum(x.times_p().is_zero for x in t.fragment.elements()) == 4
         _, d0 = t.p_beta_space(0)
         _, d1 = t.p_beta_space(1)
         _, d2 = t.p_beta_space(2)
