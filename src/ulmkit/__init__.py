@@ -71,7 +71,6 @@ from .formats import (
     save_table,
     save_tree,
 )
-from .verify import CriterionResult, SUITES, run_all, run_suite
 
 __all__ = [
     "INFINITY",
@@ -127,8 +126,4 @@ __all__ = [
     "parse_element",
     "save_table",
     "save_tree",
-    "CriterionResult",
-    "SUITES",
-    "run_all",
-    "run_suite",
 ]

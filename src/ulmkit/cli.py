@@ -3,11 +3,14 @@
 Exit codes follow one convention across verbs: 0 for success (and for
 yes answers to yes/no questions), 1 for a no answer, 2 for bad input or
 an impossible computation. Output is deterministic given the inputs.
+The parser is built once per process and never mutated, so in-process
+callers of `main` do not rebuild it on every call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Optional, Sequence
 
@@ -27,6 +30,7 @@ from .pgroup import BoundExceeded
 from .ulm import invariants_of, ulm_equal
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ulmkit",

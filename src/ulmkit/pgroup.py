@@ -549,11 +549,11 @@ class CyclicDecomposition:
         """Socle elements of height >= r (exactly r when `exact`), keyed by
         their GF(p) coordinates k: coordinate j is k_j * p^(e_j - 1).
         Refuses a layer drawn from more than DEFAULT_BOUND socle elements."""
-        p, exps = self.tree.p, self.exponents
-        if p ** sum(e > r for e in exps) > DEFAULT_BOUND:
-            raise BoundExceeded(f"socle layer at height {r} exceeds {DEFAULT_BOUND}")
         got = self._layers.get((r, exact))
         if got is None:
+            p, exps = self.tree.p, self.exponents
+            if p ** sum(e > r for e in exps) > DEFAULT_BOUND:
+                raise BoundExceeded(f"socle layer at height {r} exceeds {DEFAULT_BOUND}")
             got = self._layers[(r, exact)] = {}
             for k in itertools.product(*(range(p if e > r else 1) for e in exps)):
                 if not exact or any(c for c, e in zip(k, exps) if e == r + 1):

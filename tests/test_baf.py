@@ -283,6 +283,75 @@ class TestEmbeddingAgainstBruteForce:
                         checked += 1
         assert checked > 500 and found > 100
 
+    # Trees whose placement order is not depth order. The search places
+    # touched nodes (a pin's support and its ancestors) first, then higher
+    # ranks, then shallower nodes:
+    #   zc4: pin b and b (depth 2) comes before the leaf l;
+    #   z8: pin x (or none) and y (rank 1, depth 2) comes before l;
+    #   broom: pin l1 and the touched l1 comes between the orbit {l0, l2};
+    #   fork: pin u1 and u1 is u's first placed child, so the sigmas of u0
+    #   and u2 are u0 - u1 and u2 - u1, with u0 < u2 an orbit around it;
+    #   zc44: pin b and the deeper b comes before the orbit {l0, l1}; pin
+    #   l1 and it is the root's first placed child, ahead of a and l0.
+    ORDER_SHAPES = {
+        "zc4": (GroupTree(2, {"r": None, "a": "r", "b": "a", "l": "r"}), "b"),
+        "z8": (GroupTree(2, {"r": None, "x": "r", "y": "x", "z": "y", "l": "r"}), "x"),
+        "broom": (star(2, 3), "l1"),
+        "fork": (GroupTree(2, {"r": None, "u": "r", "u0": "u", "u1": "u", "u2": "u"}), "u1"),
+        "zc44": (GroupTree(2, {"r": None, "a": "r", "b": "a", "l0": "r", "l1": "r"}), "b"),
+    }
+
+    @staticmethod
+    def placement_order(src, pinned):
+        """The order `_find_embedding_uncached` documents: touched nodes,
+        then descending rank, then depth, then name."""
+        touched = {src.root}
+        for v in pinned:
+            while v not in touched:
+                touched.add(v)
+                v = src.parent[v]
+        return sorted(
+            src.nonroot, key=lambda v: (v not in touched, -src.rank(v), src.depth(v), v)
+        )
+
+    @pytest.mark.parametrize("name", sorted(ORDER_SHAPES))
+    def test_placement_order_is_not_depth_order(self, name):
+        """Every 0- and 1-pin query, and every 2-pin query that pins the
+        named node and one more nonzero element, each pin having an
+        embedding alone, from the named tree into every ORDER_SHAPES tree
+        it fits in, answers as the brute force does; every map found is
+        checked as a witness."""
+        src, pin = self.ORDER_SHAPES[name]
+        order = self.placement_order(src, [pin])
+        assert order != sorted(order, key=lambda v: (src.depth(v), v)), order
+        src_elems = sorted(src.elements(), key=lambda e: e.terms())
+        named = src_elems.index(src.node(pin))
+        pairs = [(named, j) for j in range(1, len(src_elems)) if j != named]
+        checked = found = 0
+        for dst, _ in self.ORDER_SHAPES.values():
+            if dst.size < src.size:
+                continue
+            maps = brute_force_embeddings(src, dst)
+            dst_elems = sorted(dst.elements(), key=lambda e: e.terms())
+            alone = [{m[i] for m in maps} for i in range(len(src_elems))]
+            queries = [((), ())]
+            queries += [((i,), (a,)) for i in range(len(src_elems)) for a in range(len(dst_elems))]
+            queries += [
+                ((i, j), (a, b)) for i, j in pairs for a in alone[i] for b in alone[j]
+            ]
+            for xs, ys in queries:
+                want = any(all(m[i] == a for i, a in zip(xs, ys)) for m in maps)
+                src_pins = tuple(src_elems[i] for i in xs)
+                dst_pins = tuple(dst_elems[a] for a in ys)
+                for onto in (False, True) if src.size == dst.size else (False,):
+                    got = find_embedding(src, src_pins, dst, dst_pins, onto=onto)
+                    assert (got is not None) == want, (name, dst.parent, src_pins, dst_pins, onto)
+                    if got is not None:
+                        check_witness(src, src_pins, dst, dst_pins, got)
+                        found += 1
+                    checked += 1
+        assert 100 < found < checked
+
 
 @contextlib.contextmanager
 def alarm(seconds: float):

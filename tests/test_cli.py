@@ -1,5 +1,6 @@
 """Command-line behavior: verbs, exit codes, deterministic output."""
 
+import argparse
 import io
 import json
 import time
@@ -15,6 +16,7 @@ from ulmkit.alpha import (
     instruction_from_g,
     run_to_text,
 )
+from ulmkit import cli
 from ulmkit.cli import main
 from ulmkit.formats import save_table, save_tree
 from ulmkit.construct import PredicateTable
@@ -371,3 +373,64 @@ class TestParser:
     def test_entry_point_signature(self):
         # plain int return, suitable for sys.exit
         assert isinstance(main(["check", "--list"]), int)
+
+
+def _run(argv):
+    """(exit code, stdout, stderr) of one `main` call; SystemExit counts as
+    an exit code, as it would in a shell."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture
+def fresh_parser_cache():
+    build = cli._build_parser
+    build.cache_clear()
+    yield
+    build.cache_clear()
+
+
+class TestParserReuse:
+    def test_main_builds_the_parser_once(self, files, monkeypatch, fresh_parser_cache):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        t = files("t.json", CHAIN2)
+        assert _run(["invariants", t])[0] == 0
+        first = len(built)
+        assert first == 8  # the top-level parser and one per verb
+        assert _run(["iso", t, t])[0] == 0
+        assert _run(["baf", "--beta", "1", "--left", f"{t},c1", "--right", f"{t},c1"])[0] == 0
+        assert _run(["check", "--list"])[0] == 0
+        assert _run(["invariants", t])[0] == 0
+        assert len(built) == first
+
+    def test_reused_parser_answers_like_a_new_one(self, files, tmp_path, monkeypatch, fresh_parser_cache):
+        chain, star = files("chain.json", CHAIN2), files("star.json", STAR2)
+        calls = [
+            ["invariants", chain],
+            ["iso", chain, star],
+            ["baf", "--beta", "1", "--left", f"{chain},c1", "--right", f"{chain},c2"],
+            ["baf", "--beta", "1", "--left", f"{chain},c1+*", "--right", chain],
+            ["invariants", str(tmp_path / "nope.json")],
+            ["check", "--list"],
+            ["--help"],
+            ["iso", chain, chain],
+        ]
+        reused = [_run(argv) for argv in calls]
+        monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        fresh = [_run(argv) for argv in calls]
+        assert reused == fresh
+        assert [r[0] for r in reused] == [0, 1, 1, 2, 2, 0, 0, 0]
+        assert reused[6][1].startswith("usage: ulmkit")
+        assert reused[0][1] == "u_0=0\nu_1=1\n"

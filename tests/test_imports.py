@@ -1,4 +1,5 @@
-"""Import hygiene: every name a module imports is used in that module.
+"""Import hygiene: every name a module imports is used in that module, and
+importing the package leaves the cross-checks in ``verify`` unloaded.
 
 Read with the standard library's ast only. ``__init__.py`` is exempt: it
 imports names to re-export them.
@@ -7,6 +8,9 @@ imports names to re-export them.
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -49,3 +53,15 @@ def test_checker_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_package_import_skips_verify():
+    # verify.py holds the exhaustive cross-checks; only `ulmkit check` and
+    # the tests need them, so a CLI process or a plain import does not
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    code = "import sys, ulmkit; print(sorted(m for m in sys.modules if m.startswith('ulmkit')))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=60)
+    assert done.returncode == 0, done.stderr.decode()
+    loaded = done.stdout.decode()
+    assert "'ulmkit.pgroup'" in loaded
+    assert "'ulmkit.verify'" not in loaded
