@@ -225,9 +225,22 @@ class AlphaSystem:
 
     def find_pull_index(self, beta0: Level) -> Optional[int]:
         """Least j in 1..15 whose cofinal stage exceeds beta0 AND whose empty
-        letter verifiably sits below index 0 at level beta0 + 1."""
+        letter verifiably sits below index 0 at level beta0 + 1. Searched
+        once per level; the answer is kept on the system."""
         if isinstance(beta0, int):
             beta0 = nat(beta0)
+        memo = self._pull_indices
+        if beta0 not in memo:
+            memo[beta0] = self._search_pull_index(beta0)
+        return memo[beta0]
+
+    @functools.cached_property
+    def _pull_indices(self) -> dict:
+        """find_pull_index's answers (None included) by level; dies with
+        the system."""
+        return {}
+
+    def _search_pull_index(self, beta0: Ordinal) -> Optional[int]:
         empty0 = self.hat_letter()
         for j in range(1, 16):
             if not self.seq.at(j) > beta0:
@@ -399,7 +412,10 @@ def extend_run_letter(
     The result is padded to cover the first (len(sigma)+1)//2 elements.
     Raises ExtensionError when a pull or an extension is impossible.
     """
-    if len(sigma) % 2 == 0 or not sys.in_P(sigma):
+    # for odd-length sigma every breach in sigma is one in sigma.u, so
+    # sigma alone is scanned only to word the refusal
+    probs = sys.p_violations(tuple(sigma) + (u,)) if len(sigma) % 2 else None
+    if probs is None or probs and not sys.in_P(sigma):
         raise ValueError("sigma must be an admissible odd-length string")
     if u not in (0, 1):
         raise ValueError("u must be a bit")
@@ -407,7 +423,6 @@ def extend_run_letter(
         raise ValueError("chain must contain at least the final letter")
     if sigma[-1] != chain[0][0]:
         raise ValueError("sigma must end in the chain's first letter")
-    probs = sys.p_violations(tuple(sigma) + (u,))
     if probs:
         raise ValueError("; ".join(probs))
     letters = [ell for ell, _ in chain]

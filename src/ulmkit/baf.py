@@ -31,11 +31,14 @@ carrying limit-infinite invariant profiles): closed forms at the threshold
 w*delta (beta = 2*delta or 2*delta+1). Both check, in `_tuple_clauses`, (a)
 the generated-subgroup correspondence and (b) Barker's entrywise heights
 against the threshold. On two trees (a) counts orders and lists no pairs:
-|<abar>| = |<(abar, bbar)>| = |<bbar>| (`pgroup._generated_iso_exists`);
-carriers that are fragments list the pair tower. So the game and the closed
-form decide (a) by independent computations. Above the threshold, (b) asks
-the left invariants one thing: tau, the height up to which the socle stays
-infinite (`socle_finite_from`).
+|<abar>| = |<(abar, bbar)>| = |<bbar>| (`pgroup._generated_iso_exists`).
+On carriers that are fragments a tuple taken to itself in an extension of
+its fragment (a run letter against its successor, an extension's
+hypothesis) is an inclusion restricted, which holds without listing
+(`pgroup._is_inclusion`); any other pair lists the pair tower. So the game
+and the closed form decide (a) by independent computations. Above the
+threshold, (b) asks the left invariants one thing: tau, the height up to
+which the socle stays infinite (`socle_finite_from`).
 `leq_paper` is (b) with tau infinite, plus (c)/(d), invariant agreement
 below and just above the threshold.
 
@@ -70,6 +73,7 @@ from .pgroup import (
     _coeff_adder,
     _generated_iso_exists,
     _injective,
+    _is_inclusion,
     _tower_step,
     echelon_add,
     echelon_reduce,
@@ -451,9 +455,13 @@ def _carrier(G):
 def _corresponds(B, bbar, A, abar) -> bool:
     """Whether bbar[i] -> abar[i] extends to an isomorphism <bbar> -> <abar>.
 
-    Trees and fragments are immutable (growth builds a new fragment), so
-    the verdict is memoized on B and dies with it.
+    A tuple taken to itself in an extension of its fragment is an inclusion
+    restricted (``pgroup._is_inclusion``) and holds before any memo key is
+    built. Trees and fragments are immutable (growth builds a new
+    fragment), so the other verdicts are memoized on B and die with it.
     """
+    if _is_inclusion(B, bbar, A, abar):
+        return True
     # bbar and abar have one length, so one flat tuple keys them unambiguously
     key = (A, *[y.coeffs for y in bbar], *[x.coeffs for x in abar])
     hit = B.iso_memo.get(key)

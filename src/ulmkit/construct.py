@@ -21,14 +21,15 @@ for listed triples. The listed set generates the group, so invariant
 estimates read off the chain-depth histogram.
 
 A row's chains are slot numbers, not elements: the chain in slot k is
-listed as the generators 1/p^j, j up to `chains[k]`. A row keeps three
-slot lists, in the order the slots were allocated: the slots it started,
-the slots it treated, and its watch list (started but not yet treated).
-The watched chains all sit at depth e+1 and are retired as one batch:
+listed as the generators 1/p^j, j up to `chains[k]`. A row keeps two
+slot lists, in the order the slots were allocated: the slots it started
+and the slots it treated. A treatment retires the whole watch batch, so
+the treated slots are a prefix of the started ones and the watched slots
+(started but not yet treated) are the rest. They all sit at depth e+1:
 
   * a growth step takes the next free slot, sets its depth to e+1, counts
-    it in the depth histogram and appends it to the started and watch
-    lists; it builds no element;
+    it in the depth histogram and appends it to the started list; it
+    builds no element;
   * a treatment takes the least fresh true cell (a cursor over the row's
     sorted true columns, so the used columns Y[e] are a prefix of them)
     and the least unused r, sets every watched slot to depth e+r+1, moves
@@ -276,7 +277,6 @@ class ConstructionState:
         self.T: dict[int, set[int]] = {}
         self._started: dict[int, list[int]] = {}  # row -> slots it started
         self._treated: dict[int, list[int]] = {}  # row -> slots it treated
-        self._watch: dict[int, list[int]] = {}  # row -> started, not treated
         self._cursor: dict[int, Optional[int]] = {}  # row -> its `_next_true`
         self.X = _SlotRows(p, self._started)
         self.Xt = _SlotRows(p, self._treated)
@@ -334,7 +334,7 @@ class ConstructionState:
         if s:
             e = s - 1  # the row first attended at this stage
             self.Y[e] = set()
-            self._started[e], self._treated[e], self._watch[e] = [], [], []
+            self._started[e], self._treated[e] = [], []
             self._cursor[e] = self._next_true(e)
             m1, m2 = cantor_unpair(e)
             self._closures.append((self.elem(m1), self.elem(m2)))
@@ -343,11 +343,12 @@ class ConstructionState:
             self._audits.append((("sum", i, j, k), self.elem(i), self.elem(j), self.elem(k)))
             self._due_audits.append(e)
         chains, hist, cursor = self.chains, self._hist, self._cursor
+        started, treated = self._started, self._treated
         first_new = self._free
         for e in range(s):
             y = cursor[e]
             if y is not None and y < s:
-                if self._watch[e]:
+                if len(started[e]) > len(treated[e]):  # a watch batch
                     self._treat(e, y)
                 continue
             # no fresh true cell: start a chain of depth e+1 in the next slot
@@ -355,8 +356,7 @@ class ConstructionState:
             self._free = k + 1
             chains[k] = e + 1
             hist[e + 1] = hist.get(e + 1, 0) + 1
-            self._started[e].append(k)
-            self._watch[e].append(k)
+            started[e].append(k)
         gens_on = self._gens_on
         if gens_on:
             for k in [k for k in gens_on if first_new <= k < self._free]:
@@ -373,7 +373,9 @@ class ConstructionState:
         while r in taken:
             r += 1
         taken.add(r)
-        watch, depth, chains = self._watch[e], e + r + 1, self.chains
+        treated = self._treated[e]
+        watch = self._started[e][len(treated):]
+        depth, chains = e + r + 1, self.chains
         gens_on = self._gens_on
         for k in watch:
             chains[k] = depth
@@ -381,8 +383,7 @@ class ConstructionState:
                 self._deepened(k, depth)
         self._hist[e + 1] -= len(watch)
         self._hist[depth] = self._hist.get(depth, 0) + len(watch)
-        self._treated[e] += watch
-        watch.clear()
+        treated += watch
         self.Y[e].add(y)
         self._cursor[e] = self._next_true(e)
 

@@ -45,7 +45,9 @@ pin tower on ``CyclicDecomposition`` coordinates and reads heights off it
 correspondence exists use ``_generated_iso_exists``, which decodes no
 pairs; on two trees it lists none either, comparing element orders
 (``CyclicDecomposition.order_of``) and subgroup orders (``_span_order``, a
-p-adic echelon with no element budget).
+p-adic echelon with no element budget), and a tuple taken to itself in an
+extension of its fragment lists none, being an inclusion restricted
+(``_is_inclusion``).
 
 Fragments are immutable: ``Fragment.extend`` returns a new fragment with
 one generator appended, copying the parent's name index and height order
@@ -770,6 +772,34 @@ def _injective(zs, cut: int) -> bool:
     return all(any(z[cut:]) for z in itertools.islice(zs, 1, None))
 
 
+def _is_inclusion(A, abar, B, bbar) -> bool:
+    """Whether abar[i] -> bbar[i] is the restriction of an inclusion, which
+    settles that it extends to an isomorphism <abar> -> <bbar>.
+
+    It is when one carrier's fragment is a prefix of the other's (a tree
+    stands for its ``GroupTree.fragment``) and each entry on the longer
+    side is the matching shorter-side entry padded with zeros. Carries
+    only run to earlier generators, so padding with zeros is an injective
+    homomorphism from the prefix into the whole, and the correspondence is
+    its restriction to <abar> or the inverse of its restriction to <bbar>.
+    Two trees answer False: their order count lists no pairs anyway.
+    Entries of other fragments and tuples of unequal length answer False
+    too, leaving the refusal to the pair tower.
+    """
+    if isinstance(A, GroupTree) and isinstance(B, GroupTree):
+        return False
+    fa, fb = _as_fragment(A), _as_fragment(B)
+    if fa.rank > fb.rank:
+        fa, abar, fb, bbar = fb, bbar, fa, abar
+    if len(abar) != len(bbar) or not fa.is_prefix_of(fb):
+        return False
+    pad = (0,) * (fb.rank - fa.rank)
+    return all(
+        x.fragment is fa and y.fragment is fb and y.coeffs == x.coeffs + pad
+        for x, y in zip(abar, bbar)
+    )
+
+
 def _generated_iso_exists(A, abar, B, bbar) -> bool:
     """Whether ``generated_iso`` would return a map, without building it.
 
@@ -779,9 +809,13 @@ def _generated_iso_exists(A, abar, B, bbar) -> bool:
     |H| = |<bbar>|. Entry orders are compared first, which settles every
     tuple of length at most 1; the subgroup orders come from
     ``_span_order`` on decomposition coordinates, with no element budget.
-    Any other pair of carriers lists the pair tower, as ``generated_iso``
-    does.
+    Any other pair of carriers is first tried as an inclusion
+    (``_is_inclusion``: a tuple against itself, taken into an extension of
+    its fragment), which lists nothing; the rest list the pair tower, as
+    ``generated_iso`` does.
     """
+    if _is_inclusion(A, abar, B, bbar):
+        return True
     if not (isinstance(A, GroupTree) and isinstance(B, GroupTree)):
         fa, fb = _as_fragment(A), _as_fragment(B)
         zs = _pair_tower(fa, abar, fb, bbar)

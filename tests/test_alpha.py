@@ -353,12 +353,31 @@ class TestPull:
         src = InstructionSource({0: 2})
         find_run(system, instruction_from_g(src, 0), 4)
         assert system.verified_pull() == (1, 1)
-        # the flip step's own pull at its chain level is not the memo's
-        assert calls <= first + 1
+        # the flip step asks once more, at its chain level
+        assert calls == first + 1
         ref = weakref.ref(system)
         del system
         gc.collect()
         assert ref() is None
+
+    def test_switching_run_searches_each_level_once(self, monkeypatch):
+        searched = []
+        search = AlphaSystem._search_pull_index
+
+        def counting(self, beta0):
+            searched.append(beta0)
+            return search(self, beta0)
+
+        monkeypatch.setattr(AlphaSystem, "_search_pull_index", counting)
+        alpha = parse_ordinal("w*2")
+        system = AlphaSystem(alpha, canonical_cofinal(alpha))
+        src = InstructionSource({1: 4})
+        run = find_run(system, instruction_from_g(src, 1), 6)
+        assert [l.j for l in run.letters()] == [0, 0, 0, 1, 1, 1, 1]
+        # verified_pull searches down from the top sample level to 1; the
+        # flip step's pull at level 1 reuses that answer
+        assert searched == [nat(b) for b in reversed(system.sample_levels()) if b >= 1]
+        assert system.find_pull_index(1) == 1 and len(searched) == len(set(searched))
 
     def test_pull_ladder(self, sys2):
         got = [(b, sys2.find_pull_index(b)) for b in range(5)]
@@ -439,6 +458,26 @@ class TestFindRun:
         assert quiet_run.bits() == (0, 0, 0, 0)
         assert [len(l) for l in quiet_run.letters()] == [0, 1, 2, 3, 4]
         assert validate_run(sys2, quiet_run) == []
+
+    def test_quiet_run_lists_no_pair_tower(self, monkeypatch):
+        # every relation a quiet step checks holds between a letter and its
+        # successor, whose list extends it in an extension of its fragment:
+        # an inclusion, decided without listing the letter's subgroup
+        import ulmkit.pgroup
+
+        towers = []
+        real = ulmkit.pgroup._pair_tower
+
+        def counted(*args):
+            towers.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(ulmkit.pgroup, "_pair_tower", counted)
+        alpha = parse_ordinal("w*2")
+        system = AlphaSystem(alpha, canonical_cofinal(alpha))
+        run = find_run(system, instruction_from_g(InstructionSource({0: None}), 0), 24)
+        assert len(run.letters()) == 25 and set(run.bits()) == {0}
+        assert towers == []
 
     def test_zero_steps(self, sys2):
         run = find_run(sys2, lambda s: 0, 0)

@@ -1263,12 +1263,18 @@ class TestExtensionWork:
     def test_repeated_relation_reads_its_memos(self, monkeypatch, beta):
         import ulmkit.baf
 
-        A = ghat_pg(0, [(OMEGA + 2, 1), (nat(1), 1)])
+        # A's generators come in the other order, so its fragment is no
+        # prefix of B's and clause (a) reaches the memo; with equal
+        # generator lists the pair is an inclusion and reaches no memo
+        A = ghat_pg(0, [(nat(1), 1), (OMEGA + 2, 1)])
         B = ghat_pg(1, [(OMEGA + 2, 1), (nat(1), 1)])
-        abar = [A.fragment.gen(i) for i in range(2)]
+        abar = [A.fragment.gen(1), A.fragment.gen(0)]
         bbar = [B.fragment.gen(i) for i in range(2)]
         isos = _counting(monkeypatch, ulmkit.baf, "_generated_iso_exists")
         agree = _counting(monkeypatch, ulmkit.baf, "profiles_agree_on")
+        same = ghat_pg(0, [(OMEGA + 2, 1), (nat(1), 1)])
+        assert relation(same, [same.fragment.gen(i) for i in range(2)], B, bbar, beta)
+        assert isos == []
         first = relation(A, abar, B, bbar, beta)
         assert len(isos) == 1 and (beta == 0 or agree)
         del isos[:], agree[:]
@@ -1312,8 +1318,12 @@ class TestCorrespondenceRoutes:
         assert _generated_iso_exists(t, [b, c, b + c], t, [b, 2 * c, b + 2 * c])
         assert not _generated_iso_exists(t, [b, c, a], t, [b, c, c])
         assert steps == []
-        # a tree against a fragment still lists its pair tower
+        # a tuple against itself in the tree's own fragment is an inclusion
+        # and lists nothing; any other tree-against-fragment pair lists its
+        # pair tower
         assert _generated_iso_exists(t, [b, c], t.fragment, [b, c])
+        assert steps == []
+        assert _generated_iso_exists(t, [b, c], t.fragment, [b, 2 * c])
         assert steps
 
     def test_pins_of_unequal_orders_list_no_tower(self, monkeypatch):
@@ -1344,11 +1354,13 @@ class TestMemoLifetimes:
     with it: no module-level cache keeps a fragment or profile alive."""
 
     def test_fragment_iso_memo_dies_with_its_fragment(self):
+        # B's first generator differs from A's, so the pair is no inclusion
+        # and its verdict is memoized
         A = ghat_pg(0, [(OMEGA + 1, 1)])
-        B = ghat_pg(0, [(OMEGA + 1, 1)])
-        abar, bbar = [A.fragment.gen(0)], [B.fragment.gen(0)]
+        B = ghat_pg(0, [(nat(1), 1), (OMEGA + 1, 1)])
+        abar, bbar = [A.fragment.gen(0)], [B.fragment.gen(1)]
         assert relation(A, abar, B, bbar, 0)
-        assert B.fragment.iso_memo == {(A.fragment, (1,), (1,)): True}
+        assert B.fragment.iso_memo == {(A.fragment, (0, 1), (1,)): True}
         refs = [weakref.ref(x) for x in (A.fragment, B.fragment)]
         del A, B, abar, bbar
         gc.collect()

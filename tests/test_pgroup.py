@@ -20,6 +20,7 @@ from ulmkit.pgroup import (
     FragmentGen,
     GroupTree,
     _generated_iso_exists,
+    _is_inclusion,
     generated_iso,
 )
 from ulmkit.verify import (
@@ -415,12 +416,17 @@ class TestGeneratedIsoRoutes:
                     assert frag[x] == y
 
 
+def grown_fragments(p: int):
+    """A fragment grown from nothing, as ``extended_fragments`` grows one."""
+    return extended_fragments(Fragment(p))
+
+
 @st.composite
-def grown_fragments(draw, p: int) -> Fragment:
-    """A fragment grown one generator at a time: a height in 0..3 and a
-    p-image over the earlier generators that sit strictly higher."""
-    f = Fragment(p)
-    for _ in range(draw(st.integers(1, 4))):
+def extended_fragments(draw, f: Fragment, most: int = 4) -> Fragment:
+    """f grown by 1 to `most` generators, one at a time: a height in 0..3
+    and a p-image over the earlier generators that sit strictly higher."""
+    p = f.p
+    for _ in range(draw(st.integers(1, most))):
         h = draw(st.integers(0, 3))
         vec = [
             draw(st.integers(0, p - 1)) if g.height >= nat(h + 1) else 0
@@ -576,6 +582,56 @@ class TestGeneratedIsoTupleRoute:
             generated_iso(z2, [z4.gen(0)], z4, [z4.gen(0)])
         with pytest.raises(ValueError):
             z2.subgroup([z4.gen(0)])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_inclusion_route_matches_the_element_pair_route(self, data):
+        # a tuple against itself in an extension of its fragment lists no
+        # tower; one perturbed entry sends the pair back to the tower
+        f = data.draw(grown_fragments(data.draw(st.sampled_from([2, 3]))))
+        ext = data.draw(extended_fragments(f, 2))
+        abar = [data.draw(fragment_elements(f)) for _ in range(data.draw(st.integers(0, 3)))]
+        moved = [ext.migrate(x) for x in abar]
+        cases = [(f, abar, ext, moved), (ext, moved, f, abar)]
+        if abar:
+            i = data.draw(st.integers(0, len(abar) - 1))
+            other = data.draw(fragment_elements(ext).filter(lambda y: y != moved[i]))
+            bent = moved[:i] + [other] + moved[i + 1 :]
+            assert not _is_inclusion(f, abar, ext, bent)
+            cases.append((f, abar, ext, bent))
+        for A, xs, B, ys in cases:
+            want = generated_iso_by_pairs(A, xs, B, ys) is not None
+            assert _generated_iso_exists(A, xs, B, ys) == want
+
+    def test_inclusion_lists_no_tower(self, monkeypatch):
+        import ulmkit.pgroup
+
+        towers = []
+        real = ulmkit.pgroup._pair_tower
+
+        def counted(*args):
+            towers.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(ulmkit.pgroup, "_pair_tower", counted)
+        _, z4 = self._z2_z4()
+        b, c = z4.gen_named("b"), z4.gen_named("c")
+        big = z4.extend(z4.zero(), nat(0), "d")  # Z4 + Z2
+        d = big.gen_named("d")
+        # b -> b and c -> c in Z4 < Z4 + Z2 hold without listing, either
+        # way round
+        assert _generated_iso_exists(z4, [b, c], big, [big.migrate(b), big.migrate(c)])
+        assert _generated_iso_exists(big, [big.migrate(c)], z4, [c])
+        assert _generated_iso_exists(z4, [], big, [])
+        assert towers == []
+        # b -> d is no inclusion: the tower lists it and refuses (2d = 0)
+        assert not _generated_iso_exists(z4, [b], big, [d])
+        assert len(towers) == 1
+        # foreign entries and unequal lengths still reach the tower's refusals
+        with pytest.raises(ValueError, match="does not belong"):
+            _generated_iso_exists(z4, [big.migrate(b)], big, [big.migrate(b)])
+        with pytest.raises(ValueError, match="equal length"):
+            _generated_iso_exists(z4, [b], big, [])
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
