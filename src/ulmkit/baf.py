@@ -73,7 +73,6 @@ from .pgroup import (
     _coeff_adder,
     _generated_iso_exists,
     _injective,
-    _is_inclusion,
     _tower_step,
     echelon_add,
     echelon_reduce,
@@ -381,7 +380,7 @@ def _tuple_clauses(
     if len(abar) > len(bbar):
         return None
     bbar = bbar[: len(abar)]
-    if not _corresponds(B, bbar, A, abar):
+    if not _generated_iso_exists(B, bbar, A, abar):
         return None
     if beta.is_zero:
         return ZERO, 0  # every height is at least the threshold 0
@@ -450,24 +449,6 @@ def _carrier(G):
     if isinstance(G, ProfiledGroup):
         return G.fragment, G.profile
     raise TypeError(f"expected a tree or profiled group, got {type(G)!r}")
-
-
-def _corresponds(B, bbar, A, abar) -> bool:
-    """Whether bbar[i] -> abar[i] extends to an isomorphism <bbar> -> <abar>.
-
-    A tuple taken to itself in an extension of its fragment is an inclusion
-    restricted (``pgroup._is_inclusion``) and holds before any memo key is
-    built. Trees and fragments are immutable (growth builds a new
-    fragment), so the other verdicts are memoized on B and die with it.
-    """
-    if _is_inclusion(B, bbar, A, abar):
-        return True
-    # bbar and abar have one length, so one flat tuple keys them unambiguously
-    key = (A, *[y.coeffs for y in bbar], *[x.coeffs for x in abar])
-    hit = B.iso_memo.get(key)
-    if hit is None:
-        hit = B.iso_memo[key] = _generated_iso_exists(B, bbar, A, abar)
-    return hit
 
 
 def leq_paper(

@@ -274,13 +274,6 @@ class Fragment:
         dies with the fragment."""
         return []
 
-    @functools.cached_property
-    def iso_memo(self) -> dict:
-        """baf._corresponds answers keyed by (other carrier, tuples); growth
-        builds a new fragment, so they hold for this one's life and die
-        with it."""
-        return {}
-
     def subgroup(self, gens: Iterable[FragmentElement]) -> frozenset[FragmentElement]:
         """<gens>, built on coefficient tuples and wrapped once at the end."""
         vecs = [self.coords(g) for g in gens]
@@ -410,11 +403,9 @@ class GroupTree:
         ranks = Counter(self._rank[v] for v in self.nonroot)
         self.socle_dims = tuple(ranks[k] for k in range(len(ranks) + 1))
         self.size: int = p ** len(self.nonroot)
-        # memos that die with this tree: baf._corresponds answers keyed by
-        # (other carrier, tuples), baf.find_embedding answers into this
-        # tree keyed by (source tree, pin pairs, onto), and the profile
-        # ulm.invariants_of reads off socle_dims
-        self.iso_memo: dict = {}
+        # memos that die with this tree: baf.find_embedding answers into
+        # this tree keyed by (source tree, pin pairs, onto), and the
+        # profile ulm.invariants_of reads off socle_dims
         self.embed_memo: dict = {}
         self.invariants_memo = None
 

@@ -222,10 +222,10 @@ def profiles_agree_on(
     P: Profile, Q: Profile, lo: Ordinal, hi: Ordinal, mode: str = "eq"
 ) -> bool:
     """Compare invariants pointwise on [lo, hi): mode 'eq' or 'ge' (P >= Q)."""
-    if not lo < hi:
-        return True
     if mode not in ("eq", "ge"):
         raise ValueError(f"bad mode {mode!r}")
+    if not lo < hi:
+        return True
     agree = operator.eq if mode == "eq" else value_ge
     pts = {lo, hi}
     for bounds in (P.boundaries(), Q.boundaries()):

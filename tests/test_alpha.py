@@ -272,14 +272,15 @@ class TestMemoizedCoverage:
         assert any("misses 1 of the first 5" in v
                    for v in system.p_violations(strings[3]))
         assert any("fewer than 3" in v for v in system.p_violations(strings[2]))
-        # twice over, so the second pass reads the memos the first filled
+        # twice over, so the second pass reads the stable prefixes the
+        # first filled
         for _ in range(2):
             for s in strings:
                 assert system.p_violations(s) == p_violations_reference(s)
 
     def test_quiet_run_enumerates_each_prefix_once(self, monkeypatch):
-        # 24 steps re-check the whole string three times per step; without
-        # the memos that recounted 7,800 stable elements
+        # the finished 24-step run is scanned once; each fragment's stable
+        # prefix is enumerated once however often coverage is counted
         yields = 0
         stable = Fragment.elements_stable
 
@@ -451,6 +452,14 @@ class TestExtendRunLetter:
         with pytest.raises(ExtensionError, match="no nonzero index"):
             extend_run_letter(sys2, sigma, 1, [(sigma[-1], 3)])
 
+    def test_inadmissible_sigma_names_its_breach(self, sys2, quiet_run):
+        # bits 1 then 0: sigma itself is inadmissible, and the refusal
+        # says why rather than only that it is
+        sigma = list(quiet_run.entries[:5])
+        sigma[1] = 1
+        with pytest.raises(ValueError, match="bit 2 drops back to 0"):
+            extend_run_letter(sys2, tuple(sigma), 0, [(sigma[-1], 0)])
+
 
 class TestFindRun:
     def test_quiet_run_stays_at_zero(self, sys2, quiet_run):
@@ -499,6 +508,39 @@ class TestFindRun:
         src = InstructionSource({1: 2})
         again = find_run(sys2, instruction_from_g(src, 1), 3)
         assert run_to_text(again) == run_to_text(switch_run)
+
+    def test_run_is_scanned_once(self, monkeypatch):
+        # each step checks only its relation to the last letter; the
+        # admissibility scan runs once, over the finished run
+        scans = []
+        real = AlphaSystem.p_violations
+
+        def counting(self, string):
+            scans.append(len(string))
+            return real(self, string)
+
+        monkeypatch.setattr(AlphaSystem, "p_violations", counting)
+        alpha = parse_ordinal("w*2")
+        system = AlphaSystem(alpha, canonical_cofinal(alpha))
+        q = instruction_from_g(InstructionSource({0: None}), 0)
+        assert len(find_run(system, q, 24).letters()) == 25
+        assert scans == [49]
+
+    def test_letter_not_above_the_last_is_refused(self, sys2, monkeypatch):
+        import ulmkit.alpha
+
+        cover = ulmkit.alpha._cover_letter
+
+        def reversing(sys, letter, i):
+            # still covers the first i elements, but the old list is no
+            # longer its prefix
+            ell = cover(sys, letter, i)
+            return Letter(ell.j, ell.images[::-1], ell.group)
+
+        monkeypatch.setattr(ulmkit.alpha, "_cover_letter", reversing)
+        q = instruction_from_g(InstructionSource({0: None}), 0)
+        with pytest.raises(ExtensionError, match="step 2: the new letter"):
+            find_run(sys2, q, 4)
 
     def test_instruction_must_answer_bits(self, sys2):
         with pytest.raises(ValueError):
@@ -594,6 +636,26 @@ class TestCheckAxioms:
         report = check_axioms(_ShrinkingE(), 200, seed=3)
         assert not report.ok
         assert all("E-set not contained" in f for f in report.failures)
+
+    def test_planted_bad_witness_is_reported(self, monkeypatch):
+        import ulmkit.alpha
+
+        alpha = parse_ordinal("w*2")
+        system = AlphaSystem(alpha, canonical_cofinal(alpha))
+        system.sample_letters(None)  # build the reference runs unplanted
+        cover = ulmkit.alpha._cover_letter
+
+        def dropping(sys, letter, i):
+            ell = cover(sys, letter, i)
+            return Letter(ell.j, ell.images[:-1], ell.group)
+
+        monkeypatch.setattr(ulmkit.alpha, "_cover_letter", dropping)
+        report = check_axioms(system, 40, seed=1)
+        assert not report.ok
+        assert all(
+            f.startswith("extension witness rejected: result not admissible")
+            for f in report.failures
+        )
 
 
 class TestSecondInstance:

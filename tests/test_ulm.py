@@ -135,6 +135,13 @@ class TestComparisons:
         assert not profiles_agree_on(Q, P, nat(5), OMEGA, "ge")
         assert profiles_agree_on(P, Q, nat(7), nat(7), "eq")  # empty
 
+    @pytest.mark.parametrize("lo, hi", [(1, 1), (3, 1), (0, 2)])
+    def test_bad_mode_refused_on_any_interval(self, lo, hi):
+        # an empty interval is no excuse for an unknown mode
+        P = Profile(OMEGA, (Clause(nat(0), OMEGA, "any", OMEGA_VALUE),))
+        with pytest.raises(ValueError, match="bad mode 'bogus'"):
+            profiles_agree_on(P, P, nat(lo), nat(hi), "bogus")
+
 
 class TestSocleMass:
     """socle_finite_from is tau: P_theta is infinite exactly for theta < tau."""
