@@ -29,7 +29,7 @@ from .ulm import (
     make_G_hat,
     ulm_equal,
 )
-from .fragments import Fragment, FragmentElement, ProfiledGroup, canonical_fragment, from_tree
+from .fragments import Fragment, FragmentElement, ProfiledGroup, canonical_fragment
 from .baf import (
     ExtensionError,
     check_extension,
@@ -92,7 +92,6 @@ __all__ = [
     "FragmentElement",
     "ProfiledGroup",
     "canonical_fragment",
-    "from_tree",
     "ExtensionError",
     "check_extension",
     "extend_tuple",

@@ -35,7 +35,7 @@ from typing import Callable, Iterator, Optional, Sequence
 from .baf import ExtensionError, extend_tuple, relation
 from .fragments import FragmentElement, ProfiledGroup, canonical_fragment
 from .ordinal import ZERO, CofinalSequence, Ordinal, hat_alpha, nat
-from .pgroup import _is_prime
+from .pgroup import _require_prime
 from .ulm import make_G_hat
 
 Level = int | Ordinal
@@ -140,8 +140,7 @@ class AlphaSystem:
             raise ValueError(f"alpha must be a limit ordinal, got {self.alpha}")
         if self.seq.limit != self.alpha:
             raise ValueError("cofinal sequence must converge to alpha")
-        if not _is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
+        _require_prime(self.p)
 
     @property
     def alpha_hat(self) -> Ordinal:

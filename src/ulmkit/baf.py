@@ -28,9 +28,13 @@ pin's support is complete.
 
 Route two (`leq_barker` for tuples in one group, `leq_paper` for groups
 carrying limit-infinite invariant profiles): closed forms at the threshold
-w*delta (beta = 2*delta or 2*delta+1). Both check, in `_tuple_clauses`, (a)
-the generated-subgroup correspondence and (b) Barker's entrywise heights
-against the threshold. On two trees (a) counts orders and lists no pairs:
+w*delta (beta = 2*delta or 2*delta+1). Their carriers are explicit groups,
+passed as their `GroupTree`, or `ProfiledGroup`s, and `_carrier` reads
+either as the holder of its elements (the tree, or the fragment) and its
+invariants. Both check, in `_tuple_clauses`, (a) the generated-subgroup
+correspondence and (b) Barker's entrywise heights against the threshold;
+above level 0 both carriers must have one prime. On two trees (a) counts
+orders and lists no pairs:
 |<abar>| = |<(abar, bbar)>| = |<bbar>| (`pgroup._generated_iso_exists`).
 On carriers that are fragments a tuple taken to itself in an extension of
 its fragment (a run letter against its successor, an extension's
@@ -44,8 +48,8 @@ below and just above the threshold.
 
 `extend_tuple` is the constructive content: given the hypothesis relation
 at beta it extends the right-hand tuple to answer new elements at any
-eta < beta, creating elements in growable fragments or finding them in
-explicit ones, with machine-checkable records.
+eta < beta, creating elements in a profiled group's fragment or finding
+them in an explicit group's tree, with machine-checkable records.
 """
 
 from __future__ import annotations
@@ -303,10 +307,7 @@ def _find_embedding_uncached(src, src_pins, dst, dst_pins, onto):
             # leaves (0 | -kappa), and k_v = kappa + k_(added)
             rest = echelon_reduce(paired, sigma + (0,) * len(mods), p)
             k = tuple((b - a) % p for a, b in zip(rest[cut:], socle_k[added]))
-            if pinned_here:
-                cands = [c for c in cands if c[0] == k]
-            else:
-                cands = ((k, layer[k]),) if k in layer else ()
+            cands = [c for c in cands if c[0] == k]
         for k, s in cands:
             if prev is not None and k <= socle_k[prev]:
                 continue  # order within orbits (siblings share y0)
@@ -374,8 +375,11 @@ def _tuple_clauses(
     the left height may exceed the right below tau, where the socle is
     infinite: leq_barker's left `socle_finite_from`, INFINITY for
     leq_paper. Returns beta's split (delta, parity) when both hold, for
-    leq_paper's (c)/(d), else None.
+    leq_paper's (c)/(d), else None. Above level 0 carriers of different
+    primes raise ValueError.
     """
+    if not beta.is_zero and A.p != B.p:
+        raise ValueError(f"the closed forms need one prime, got {A.p} and {B.p}")
     abar, bbar = tuple(abar), tuple(bbar)
     if len(abar) > len(bbar):
         return None
@@ -425,8 +429,8 @@ def leq_barker(
 ) -> bool:
     """Height/subgroup characterization of <=_beta for tuples in one group.
 
-    Also accepts two carriers with equal invariants (unequal ones raise
-    ValueError); the socle-finiteness case split is read off the left
+    Also accepts two carriers with equal invariants and one prime (others
+    raise ValueError); the socle-finiteness case split is read off the left
     profile. For explicit finite groups every case lands in the
     finite-socle branch: heights must match entrywise on top of the
     generated-subgroup correspondence.
@@ -434,16 +438,17 @@ def leq_barker(
     beta = _level(beta)
     if beta < nat(1):
         raise ValueError("the characterization needs beta >= 1")
-    holderA, profileA = _carrier(A)
-    holderB, profileB = _carrier(B)
+    (holderA, P), (holderB, Q) = _carrier(A), _carrier(B)
     trees = isinstance(A, GroupTree) and isinstance(B, GroupTree)
-    if A.socle_dims != B.socle_dims if trees else not ulm_equal(profileA, profileB):
+    if A.socle_dims != B.socle_dims if trees else not ulm_equal(P, Q):
         raise ValueError("the characterization needs equal invariants")
-    tau = profileA.socle_finite_from
+    tau = P.socle_finite_from
     return _tuple_clauses(holderA, abar, holderB, bbar, beta, tau) is not None
 
 
 def _carrier(G):
+    """An explicit group's tree and invariants, or a profiled group's
+    fragment and profile: what holds the elements, and the invariants."""
     if isinstance(G, GroupTree):
         return G, invariants_of(G)
     if isinstance(G, ProfiledGroup):
@@ -452,9 +457,9 @@ def _carrier(G):
 
 
 def leq_paper(
-    A: ProfiledGroup,
+    A: Union[GroupTree, ProfiledGroup],
     abar: Sequence[FragmentElement],
-    B: ProfiledGroup,
+    B: Union[GroupTree, ProfiledGroup],
     bbar: Sequence[FragmentElement],
     beta: Ordinal,
 ) -> bool:
@@ -468,14 +473,15 @@ def leq_paper(
     dominate on [w*delta, w*delta+w).
     """
     beta = _level(beta)
-    for P in (A.profile, B.profile):
-        if not (P.length.is_limit and P.limit_infinite):
+    (holderA, P), (holderB, Q) = _carrier(A), _carrier(B)
+    for R in (P, Q):
+        if not (R.length.is_limit and R.limit_infinite):
             raise ValueError(
                 "the modified relation expects limit length and "
                 "limit-infinite profiles"
             )
-    level = _tuple_clauses(A.fragment, abar, B.fragment, bbar, beta, INFINITY)
-    return level is not None and _profile_clauses(A.profile, B.profile, *level)
+    level = _tuple_clauses(holderA, abar, holderB, bbar, beta, INFINITY)
+    return level is not None and _profile_clauses(P, Q, *level)
 
 
 def _profile_clauses(P: Profile, Q: Profile, delta: Ordinal, parity: int) -> bool:
@@ -496,25 +502,27 @@ def _profile_clauses(P: Profile, Q: Profile, delta: Ordinal, parity: int) -> boo
 
 
 def relation(
-    A: ProfiledGroup,
+    A: Union[GroupTree, ProfiledGroup],
     abar: Sequence[FragmentElement],
-    B: ProfiledGroup,
+    B: Union[GroupTree, ProfiledGroup],
     bbar: Sequence[FragmentElement],
     beta: Ordinal,
 ) -> bool:
     """(A, abar) <=_beta (B, bbar) by whichever closed form applies.
 
-    Limit-infinite profiles on both sides use the modified relation; finite
-    carriers fall back to the single-group characterization. Level 0 is
-    quantifier-free type containment in either case.
+    Each carrier is a profiled group or an explicit group passed as its
+    GroupTree, whose invariants are its profile and whose correspondence
+    clause counts orders. Limit-infinite profiles on both sides use the
+    modified relation; other carriers fall back to the single-group
+    characterization. Level 0 is quantifier-free type containment in
+    either case.
     """
     beta = _level(beta)
+    (holderA, P), (holderB, Q) = _carrier(A), _carrier(B)
     if beta.is_zero:
-        level = _tuple_clauses(A.fragment, abar, B.fragment, bbar, beta, INFINITY)
+        level = _tuple_clauses(holderA, abar, holderB, bbar, beta, INFINITY)
         return level is not None
-    if all(
-        P.length.is_limit and P.limit_infinite for P in (A.profile, B.profile)
-    ):
+    if all(R.length.is_limit and R.limit_infinite for R in (P, Q)):
         return leq_paper(A, abar, B, bbar, beta)
     return leq_barker(A, abar, B, bbar, beta)
 
@@ -530,16 +538,19 @@ class CreationRecord:
 
 @dataclass(frozen=True)
 class ExtendResult:
-    A: ProfiledGroup  # possibly grown
+    """An extension's answer. A is the left carrier: a profiled group grown
+    by the created elements, or the explicit group's tree as given."""
+
+    A: Union[GroupTree, ProfiledGroup]
     left: tuple[FragmentElement, ...]  # bbar followed by dbar
     right: tuple[FragmentElement, ...]  # matching images in A
     records: tuple[CreationRecord, ...]
 
 
 def extend_tuple(
-    A: ProfiledGroup,
+    A: Union[GroupTree, ProfiledGroup],
     abar: Sequence[FragmentElement],
-    B: ProfiledGroup,
+    B: Union[GroupTree, ProfiledGroup],
     bbar: Sequence[FragmentElement],
     beta: Ordinal,
     eta: Ordinal,
@@ -551,10 +562,11 @@ def extend_tuple(
     Each demand is worked down its p-power chain to the generated subgroup;
     every intermediate element is replaced by a proper coset representative
     d' and answered by some c with p*c = f(p*d') at the height
-    `_answer_heights` picks from the eta clauses. In growable fragments c is
-    created (fresh directions are automatically proper); in explicit ones it
-    is found by search. Raises ExtensionError when the height bookkeeping
-    cannot be satisfied.
+    `_answer_heights` picks from the eta clauses. When A is a profiled group
+    c is created in its fragment (fresh directions are automatically
+    proper); when A is an explicit group, passed as its GroupTree, c is
+    found by search over the tree's elements. Raises ExtensionError when
+    the height bookkeeping cannot be satisfied.
 
     The correspondence f from the B side's span to cur_a's is one tower of
     pairs, B's coefficients then A's, keyed by the B part: built once from
@@ -620,7 +632,7 @@ def extend_tuple(
         gamma_c = None
         refusals: list[str] = []
         for gamma in _answer_heights(best_h, z.height(), thr, parity):
-            if grown.growable:
+            if isinstance(grown, ProfiledGroup):
                 try:
                     next_grown, c = grown.create_element(z, gamma)
                 except ValueError as exc:
@@ -714,13 +726,13 @@ def _answer_heights(
 
 
 def _find_explicit_image(
-    pg: ProfiledGroup,
+    tree: GroupTree,
     cur_a: Sequence[FragmentElement],
     z: FragmentElement,
     gamma: Ordinal,
 ) -> Optional[FragmentElement]:
-    sub_a = pg.fragment.subgroup(cur_a)
-    for c in pg.fragment.elements():  # in coefficient lex order
+    sub_a = tree.fragment.subgroup(cur_a)
+    for c in tree.elements():  # in coefficient lex order
         if c in sub_a:
             continue
         if c.times_p() != z or c.height() != gamma:
@@ -731,7 +743,7 @@ def _find_explicit_image(
 
 
 def check_extension(
-    B: ProfiledGroup,
+    B: Union[GroupTree, ProfiledGroup],
     eta: Ordinal,
     result: ExtendResult,
 ) -> list[str]:

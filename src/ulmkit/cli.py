@@ -25,7 +25,7 @@ from .formats import (
     load_tree,
     parse_element,
 )
-from .ordinal import CofinalSequence, cofinal_from_text, nat, parse_ordinal
+from .ordinal import cofinal_from_text, nat, parse_ordinal
 from .pgroup import BoundExceeded
 from .ulm import invariants_of, ulm_equal
 
@@ -159,20 +159,9 @@ def cmd_construct(args) -> int:
     return 0
 
 
-def _cofinal_for(alpha, spec: str) -> CofinalSequence:
-    if "," not in spec:
-        return cofinal_from_text(alpha, spec)
-    entries = tuple(parse_ordinal(t.strip()) for t in spec.split(","))
-    # past the listed prefix the sequence continues in unit steps
-    def rule(i: int, _e=entries):
-        return _e[i - 1] if i <= len(_e) else _e[-1] + nat(i - len(_e))
-
-    return CofinalSequence(alpha, rule, label=f"list:{spec}")
-
-
 def cmd_alpha_run(args) -> int:
     alpha = parse_ordinal(args.alpha)
-    seq = _cofinal_for(alpha, args.cofinal)
+    seq = cofinal_from_text(alpha, args.cofinal)
     system = AlphaSystem(alpha, seq)
     src, row = load_instruction(args.g)
     run = find_run(system, instruction_from_g(src, row), args.steps)

@@ -71,7 +71,7 @@ from heapq import heappop, heappush
 from math import isqrt
 from typing import Optional
 
-from .pgroup import GroupTree, _is_prime
+from .pgroup import GroupTree, _require_prime
 
 
 def cantor_pair(a: int, b: int) -> int:
@@ -265,8 +265,7 @@ class ConstructionState:
     """Mutable state of one construction: chains, listed sums, diagram."""
 
     def __init__(self, table: PredicateTable, p: int = 2):
-        if not _is_prime(p):
-            raise ValueError(f"{p} is not prime")
+        _require_prime(p)
         self.table = table
         self.p = p
         self.stage = 0

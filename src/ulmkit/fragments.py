@@ -3,10 +3,11 @@
 ``Fragment`` (in ``pgroup``) is the one element type for finite groups:
 height-decorated generators with p-images, where the height of an element
 is the least generator height over its support. A ``ProfiledGroup`` pairs
-a fragment with an invariant profile. Growable ones stand for infinitely
-generated groups and gain generators as extension demands them, within the
-room the profile leaves; non-growable ones wrap a tree group, whose
-``GroupTree.fragment`` names its generators after the nodes.
+a fragment with an invariant profile. It stands for an infinitely
+generated group and gains generators as extension demands them, within the
+room the profile leaves. An explicit group is no profiled group: it is
+passed as its ``GroupTree``, whose ``fragment`` names its generators after
+the nodes.
 """
 
 from __future__ import annotations
@@ -15,27 +16,20 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .ordinal import Ordinal
-from .pgroup import (
-    Fragment,
-    FragmentElement,
-    FragmentGen,
-    GroupTree,
-)
-from .ulm import Profile, invariants_of, value_ge
+from .pgroup import Fragment, FragmentElement, FragmentGen
+from .ulm import Profile, value_ge
 
 
 @dataclass(frozen=True)
 class ProfiledGroup:
     """A group known by its invariant profile plus a realized finite fragment.
 
-    growable fragments stand for infinitely generated groups: new elements
-    may be created at any height the profile has room for. Non-growable ones
-    wrap explicit tree groups, where extension must find elements instead.
+    The fragment stands for an infinitely generated group: new elements may
+    be created at any height the profile has room for.
     """
 
     profile: Profile
     fragment: Fragment
-    growable: bool = True
 
     def zero(self) -> FragmentElement:
         return self.fragment.zero()
@@ -58,10 +52,8 @@ class ProfiledGroup:
     def create_element(
         self, pimage: FragmentElement, height: Ordinal
     ) -> tuple["ProfiledGroup", FragmentElement]:
-        if not self.growable:
-            raise ValueError("cannot create elements of an explicit group")
         frag = self.fragment.extend(self.fragment.migrate(pimage), height)
-        grown = ProfiledGroup(self.profile, frag, True)
+        grown = ProfiledGroup(self.profile, frag)
         grown.validate_capacity()
         return grown, frag.gen(frag.rank - 1)
 
@@ -82,11 +74,7 @@ def canonical_fragment(
         for _ in range(count):
             gens.append(FragmentGen(f"g{idx}", (), height))
             idx += 1
-    pg = ProfiledGroup(profile, Fragment(p, tuple(gens)), True)
+    pg = ProfiledGroup(profile, Fragment(p, tuple(gens)))
     pg.validate_capacity()
     return pg
 
-
-def from_tree(tree: GroupTree) -> ProfiledGroup:
-    """Wrap an explicit tree group as a (non-growable) profiled group."""
-    return ProfiledGroup(invariants_of(tree), tree.fragment, False)

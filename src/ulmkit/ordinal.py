@@ -348,7 +348,16 @@ def canonical_cofinal(alpha: Ordinal) -> CofinalSequence:
 
 
 def cofinal_from_text(alpha: Ordinal, rule: str) -> CofinalSequence:
-    """Rules: ``auto`` (canonical), ``w*i``, or ``<ordinal>+i``."""
+    """Rules: ``auto`` (canonical), ``w*i``, ``<ordinal>+i``, or a comma
+    list of ordinals, continued past its end in unit steps."""
+    if "," in rule:
+        entries = tuple(parse_ordinal(t.strip()) for t in rule.split(","))
+
+        def listed(i: int) -> Ordinal:
+            n = len(entries)
+            return entries[i - 1] if i <= n else entries[-1] + nat(i - n)
+
+        return CofinalSequence(alpha, listed, label=f"list:{rule}")
     spec = rule.strip().replace(" ", "")
     if spec == "auto":
         return canonical_cofinal(alpha)

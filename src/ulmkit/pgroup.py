@@ -77,13 +77,13 @@ class BoundExceeded(RuntimeError):
     """An enumeration would exceed its element budget."""
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for d in range(2, int(n**0.5) + 1):
-        if n % d == 0:
-            return False
-    return True
+def _require_prime(p: int) -> None:
+    """Refuse p unless it is a prime below 2^31, which trial division
+    settles in milliseconds."""
+    if p >= 2**31:
+        raise ValueError(f"{p} is not below the prime limit 2^31")
+    if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        raise ValueError(f"{p} is not prime")
 
 
 @dataclass(frozen=True)
@@ -153,8 +153,7 @@ class FragmentElement:
 
 class Fragment:
     def __init__(self, p: int, gens: Sequence[FragmentGen] = ()):
-        if not _is_prime(p):
-            raise ValueError(f"{p} is not prime")
+        _require_prime(p)
         self.p = p
         self.gens: tuple[FragmentGen, ...] = ()
         self.index: dict[str, int] = {}
@@ -360,8 +359,7 @@ class Fragment:
 
 class GroupTree:
     def __init__(self, p: int, parent: Mapping[str, Optional[str]]):
-        if not _is_prime(p):
-            raise ValueError(f"{p} is not prime")
+        _require_prime(p)
         self.p = p
         self.parent: dict[str, Optional[str]] = dict(parent)
         roots = [v for v, u in self.parent.items() if u is None]

@@ -29,7 +29,6 @@ from ulmkit.fragments import (
     FragmentGen,
     ProfiledGroup,
     canonical_fragment,
-    from_tree,
 )
 from ulmkit.ordinal import (
     OMEGA,
@@ -665,7 +664,9 @@ class TestGameAgainstBarkerSameGroup:
     def test_profiled_carriers_with_unequal_invariants_are_refused(self):
         # the game says Z_2 embeds into Z_4 here; the closed form must not
         # answer, whichever carrier type holds the groups
-        z4, z2 = from_tree(chain(2, 2)), from_tree(chain(2, 1))
+        t4, t2 = chain(2, 2), chain(2, 1)
+        z4 = ProfiledGroup(invariants_of(t4), t4.fragment)
+        z2 = ProfiledGroup(invariants_of(t2), t2.fragment)
         abar = (z4.fragment.gen_named("c1"),)
         bbar = (z2.fragment.gen_named("c1"),)
         with pytest.raises(ValueError, match="equal invariants"):
@@ -683,6 +684,35 @@ class TestGameAgainstBarkerSameGroup:
                     got = leq_std_game(A, abar, B, bbar, beta)
                     want = leq_barker(A, abar, B, bbar, beta)
                     assert got == want
+
+
+class TestPrimesMustMatch:
+    """Above level 0 the closed forms refuse carriers of different primes.
+    Z_4 and Z_9 have the same socle dimensions, and one profile serves a
+    p = 2 and a p = 3 fragment, but no map joins groups of two primes."""
+
+    @pytest.mark.parametrize("beta", [1, 2, 3])
+    def test_leq_barker_refuses_two_prime_trees(self, beta):
+        z4, z9 = chain(2, 2), chain(3, 2)
+        assert z4.socle_dims == z9.socle_dims
+        assert leq_std_game(z4, (), z9, (), beta) is False
+        with pytest.raises(ValueError, match="one prime"):
+            leq_barker(z4, (), z9, (), beta)
+        with pytest.raises(ValueError, match="one prime"):
+            relation(z4, (), z9, (), beta)
+
+    @pytest.mark.parametrize("beta", [1, 2, 3])
+    def test_leq_paper_refuses_two_prime_fragments(self, beta):
+        P = make_G_hat(W2, SEQ2, 0)
+        G2, G3 = canonical_fragment(P, 2), canonical_fragment(P, 3)
+        with pytest.raises(ValueError, match="one prime"):
+            leq_paper(G2, (), G3, (), beta)
+        with pytest.raises(ValueError, match="one prime"):
+            relation(G2, (), G3, (), beta)
+
+    def test_level_0_keeps_its_answer(self):
+        # quantifier-free types of empty tuples agree whatever the prime
+        assert relation(chain(2, 2), (), chain(3, 2), (), 0)
 
 
 class TestKnownClosedFormGap:
@@ -774,9 +804,9 @@ class TestBarkerCaseSplit:
 
 class TestModifiedRelationProfiles:
     def test_rejects_finite_profiles(self):
-        pg = from_tree(chain(2, 2))
+        t = chain(2, 2)
         with pytest.raises(ValueError):
-            leq_paper(pg, (), pg, (), 2)
+            leq_paper(t, (), t, (), 2)
 
     def test_comparison_groups_over_w2(self):
         G0, G1, G2 = ghat_pg(0), ghat_pg(1), ghat_pg(2)
@@ -963,8 +993,8 @@ class TestExtendGrowable:
 
 class TestExtendExplicit:
     def test_finds_images_in_a_tree_group(self):
-        A = from_tree(chain(2, 2))
-        B = from_tree(chain(2, 2))
+        A = chain(2, 2)
+        B = chain(2, 2)
         d = B.fragment.gen_named("c2")  # order 4 generator
         res = extend_tuple(A, (), B, (), 2, 1, [d])
         assert res.A is A  # explicit groups never grow
@@ -973,8 +1003,8 @@ class TestExtendExplicit:
         assert check_extension(B, 1, res) == []
 
     def test_reports_when_no_image_exists(self):
-        A = from_tree(star(2, 2))
-        B = from_tree(chain(2, 2))
+        A = star(2, 2)
+        B = chain(2, 2)
         d = B.fragment.gen_named("c2")
         with pytest.raises(ExtensionError, match="cannot answer below"):
             extend_tuple(A, (), B, (), 1, 0, [d], check_hypothesis=False)
@@ -982,8 +1012,8 @@ class TestExtendExplicit:
     def test_hypothesis_check_refuses_unequal_invariants(self):
         # star and chain have different invariants, outside the closed
         # form's domain, so the hypothesis cannot be decided
-        A = from_tree(star(2, 2))
-        B = from_tree(chain(2, 2))
+        A = star(2, 2)
+        B = chain(2, 2)
         d = B.fragment.gen_named("c2")
         with pytest.raises(ValueError, match="equal invariants"):
             extend_tuple(A, (), B, (), 1, 0, [d])
@@ -1049,7 +1079,7 @@ def extend_tuple_by_rebuild(A, abar, B, bbar, beta, eta, dbar, check_hypothesis=
     def create_by_rebuild(pg, pimage, height):
         frag = pg.fragment
         gen = FragmentGen(f"g{frag.rank}", sparse(frag.migrate(pimage).coeffs), height)
-        out = ProfiledGroup(pg.profile, Fragment(frag.p, frag.gens + (gen,)), True)
+        out = ProfiledGroup(pg.profile, Fragment(frag.p, frag.gens + (gen,)))
         out.validate_capacity()
         return out, out.fragment.gen(frag.rank)
 
@@ -1070,7 +1100,7 @@ def extend_tuple_by_rebuild(A, abar, B, bbar, beta, eta, dbar, check_hypothesis=
         c = gamma_c = None
         refusals = []
         for gamma in _answer_heights(best.height(), z.height(), thr, parity):
-            if grown.growable:
+            if isinstance(grown, ProfiledGroup):
                 try:
                     grown, c = create_by_rebuild(grown, z, gamma)
                 except ValueError as exc:
@@ -1120,8 +1150,7 @@ def extension_outcome(extend, *args):
         return (type(exc).__name__, str(exc))
     return (
         res.A.fragment.gens,
-        res.A.profile,
-        res.A.growable,
+        res.A if isinstance(res.A, GroupTree) else res.A.profile,
         [_plain(x) for x in res.left],
         [_plain(x) for x in res.right],
         [
@@ -1177,18 +1206,17 @@ TREES = {p: corpus_trees(n, (p,)) for p, n in ((2, 4), (3, 3))}
 
 @st.composite
 def tree_extension_cases(draw):
-    """Two non-growable tree carriers (often one tree twice), an optional
-    pinned pair, and 1-2 random demands: extension must find its answers
-    with _find_explicit_image."""
+    """Two explicit groups passed as their trees (often one tree twice), an
+    optional pinned pair, and 1-2 random demands: extension must find its
+    answers with _find_explicit_image."""
     p = draw(st.sampled_from([2, 3]))
-    tb = draw(st.sampled_from(TREES[p]))
-    ta = draw(st.sampled_from([tb, tb] + TREES[p]))
-    A, B = from_tree(ta), from_tree(tb)
-    elems_a, elems_b = list(ta.elements()), list(tb.elements())
+    B = draw(st.sampled_from(TREES[p]))
+    A = draw(st.sampled_from([B, B] + TREES[p]))
+    elems_a, elems_b = list(A.elements()), list(B.elements())
     abar, bbar = [], []
     if draw(st.booleans()):
         y = draw(st.sampled_from(elems_b))
-        x = y if ta is tb else draw(st.sampled_from(elems_a))
+        x = y if A is B else draw(st.sampled_from(elems_a))
         abar, bbar = [x], [y]
     dbar = draw(st.lists(st.sampled_from(elems_b), min_size=1, max_size=2))
     eta = draw(st.integers(0, 2))
@@ -1207,6 +1235,10 @@ class TestExtendAgainstRebuild:
     def test_tree_carriers(self, case):
         got = extension_outcome(extend_tuple, *case)
         assert got == extension_outcome(extend_tuple_by_rebuild, *case)
+        A, abar, B, bbar, beta, eta, dbar, check_hypothesis = case
+        if check_hypothesis and not isinstance(got[0], str):  # answered
+            res = extend_tuple(*case)
+            assert check_extension(B, eta, res) == []
 
     def test_fixed_cases_with_several_adjoins(self):
         A = ghat_pg(0, [(OMEGA + 2, 1)])
@@ -1219,11 +1251,35 @@ class TestExtendAgainstRebuild:
             assert got == extension_outcome(extend_tuple_by_rebuild, *args)
             assert len(got[-1]) >= 2  # records
         t = chain(3, 3)
-        G = from_tree(t)
-        args = (G, (t.node("c1"),), G, (t.node("c1"),), 2, 1, [t.node("c3")], True)
+        args = (t, (t.node("c1"),), t, (t.node("c1"),), 2, 1, [t.node("c3")], True)
         got = extension_outcome(extend_tuple, *args)
         assert got == extension_outcome(extend_tuple_by_rebuild, *args)
         assert len(got[-1]) == 2  # c2, then c3, found in the tree
+
+
+TREES_UP_TO_4 = corpus_trees(4, (2, 3))
+
+
+@st.composite
+def tree_relation_cases(draw):
+    """A tree with up to 4 non-root nodes, two random tuples of 0-3 of its
+    elements, and a level from 0 to 3."""
+    t = draw(st.sampled_from(TREES_UP_TO_4))
+    elems = st.sampled_from(list(t.elements()))
+    abar = draw(st.lists(elems, max_size=3))
+    bbar = draw(st.lists(elems, max_size=3))
+    return t, abar, bbar, draw(st.integers(0, 3))
+
+
+class TestTreeCarriersAgainstTheirFragments:
+    @settings(max_examples=300, deadline=None)
+    @given(tree_relation_cases())
+    def test_order_count_equals_the_pair_tower(self, case):
+        # a tree decides clause (a) by counting subgroup orders; the same
+        # group as a profiled fragment lists the pair tower
+        t, abar, bbar, beta = case
+        P = ProfiledGroup(invariants_of(t), t.fragment)
+        assert relation(t, abar, t, bbar, beta) == relation(P, abar, P, bbar, beta)
 
 
 def _counting(monkeypatch, target, name):
@@ -1293,6 +1349,17 @@ class TestCorrespondenceRoutes:
             assert leq_barker(t, leaves, t, leaves, 1)
             took = time.perf_counter() - start
         assert took < 1.0
+
+    def test_relation_on_a_large_star_tree_counts_orders(self):
+        # an explicit group is passed as its tree, so relation's clause (a)
+        # counts orders: the rotated leaves answer at every level, where a
+        # listed tower of 2^20 pairs would be refused
+        t = star(2, 20)
+        leaves = [t.node(f"l{i}") for i in range(20)]
+        rotated = leaves[1:] + leaves[:1]
+        with alarm(5.0):
+            for beta in (0, 1, 2):
+                assert relation(t, leaves, t, rotated, beta), beta
 
     @pytest.mark.parametrize("beta", [1, 2])
     def test_the_game_refuses_all_leaves_of_a_large_star_pinned(self, beta):

@@ -3,6 +3,7 @@
 import argparse
 import io
 import json
+import signal
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -57,6 +58,24 @@ class TestInvariants:
         assert capsys.readouterr().out.splitlines()[-1] == "u_15=1"
         assert main(["iso", path, path]) == 0
         assert capsys.readouterr().out == "isomorphic\n"
+
+    def test_a_prime_past_the_limit_exits_2_at_once(self, files, capsys):
+        # trial division up to the square root of 2^61 - 1 would run for
+        # hours; primes are refused from 2^31 on
+        path = files("big.json", {"p": 2**61 - 1, "nodes": [{"id": "r", "parent": None}]})
+
+        def ring(signum, frame):
+            raise TimeoutError
+
+        previous = signal.signal(signal.SIGALRM, ring)
+        signal.setitimer(signal.ITIMER_REAL, 5.0)
+        try:
+            code = main(["invariants", path])
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code == 2
+        assert "2^31" in capsys.readouterr().err
 
     def test_missing_file_exits_2(self, files, capsys, tmp_path):
         assert main(["invariants", str(tmp_path / "nope.json")]) == 2
@@ -139,6 +158,14 @@ class TestBaf:
         )
         assert code == 2
         assert "equal invariants" in capsys.readouterr().err
+
+    def test_closed_form_refuses_two_primes(self, files, capsys):
+        # Z_2 and Z_3 have the same socle dimensions, but no map joins them
+        z2 = files("z2.json", GroupTree(2, {"r": None, "a": "r"}))
+        z3 = files("z3.json", GroupTree(3, {"r": None, "a": "r"}))
+        code = main(["baf", "--beta", "1", "--left", z2, "--right", z3, "--method", "closed"])
+        assert code == 2
+        assert "one prime" in capsys.readouterr().err
 
     def test_game_refuses_a_large_socle(self, files, capsys):
         star = GroupTree(2, {"r": None, **{f"l{i}": "r" for i in range(30)}})

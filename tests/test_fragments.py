@@ -12,7 +12,6 @@ from ulmkit.fragments import (
     FragmentGen,
     ProfiledGroup,
     canonical_fragment,
-    from_tree,
 )
 from ulmkit.ordinal import INFINITY, OMEGA, Ordinal, canonical_cofinal, nat, parse_ordinal
 from ulmkit.pgroup import DEFAULT_BOUND, BoundExceeded, GroupTree, generated_iso
@@ -305,24 +304,21 @@ class TestTreeRoundTrip:
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_fragment_heights_match_tree(self, p):
-        # tree elements are the elements of from_tree's fragment, and the
+        # tree elements are the elements of the tree's fragment, and the
         # min rule gives the heights the p^k G chain gives
         for shape in self.SHAPES:
             t = GroupTree(p, shape)
-            pg = from_tree(t)
-            assert pg.fragment is t.fragment
-            assert [g.name for g in pg.fragment.gens] == sorted(
+            assert [g.name for g in t.fragment.gens] == sorted(
                 t.nonroot, key=lambda v: (t.depth(v), v)
             )
             for x in t.elements():
-                assert x.fragment is pg.fragment
+                assert x.fragment is t.fragment
                 assert x.height() == height_of_by_chain(t, x), (p, shape, x)
 
     def test_generated_iso_works_on_fragments(self):
         t = GroupTree(2, self.SHAPES[1])
-        pg = from_tree(t)
         a = t.node("b")
-        f = generated_iso(pg.fragment, [a], pg.fragment, [a])
+        f = generated_iso(t.fragment, [a], t.fragment, [a])
         assert f is not None and len(f) == 4
 
 
@@ -360,9 +356,3 @@ class TestProfiledGroups:
         grown2, _ = grown.create_element(grown.zero(), OMEGA + 1)
         with pytest.raises(ValueError):
             grown2.create_element(grown2.zero(), OMEGA + 1)
-
-    def test_explicit_groups_cannot_grow(self):
-        t = GroupTree(2, {"r": None, "a": "r"})
-        pg = from_tree(t)
-        with pytest.raises(ValueError):
-            pg.create_element(pg.fragment.zero(), nat(0))

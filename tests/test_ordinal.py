@@ -257,6 +257,11 @@ class TestCofinal:
         seq3 = cofinal_from_text(OMEGA_SQUARED, "auto")
         assert seq3.at(2) == omega_power(1, 2)
 
+    def test_comma_list_continues_in_unit_steps(self):
+        seq = cofinal_from_text(omega_power(1, 2), "w+1, w+3")
+        assert list(seq.take(4)) == [OMEGA + 1, OMEGA + 3, OMEGA + 4, OMEGA + 5]
+        assert seq.label == "list:w+1, w+3"
+
     def test_validation(self):
         with pytest.raises(ValueError):
             canonical_cofinal(OMEGA + 3)

@@ -10,7 +10,6 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ulmkit.fragments import from_tree
 from ulmkit.ordinal import INFINITY, nat
 from ulmkit.pgroup import (
     DEFAULT_BOUND,
@@ -393,9 +392,9 @@ class TestLargeChainFragment:
 
 class TestGeneratedIsoRoutes:
     def test_tree_coordinates_agree_with_fragment_arithmetic(self):
-        # two trees go through their fragments' coefficient tuples, their
-        # from_tree carriers through element pairs; the same pins must give
-        # the same answer
+        # two trees go through their fragments' coefficient tuples, the
+        # reference through element pairs of the same fragments; the same
+        # pins must give the same answer
         rng = random.Random("generated-iso-routes")
         trees = corpus_trees(4, (2, 3))
         for _ in range(400):
@@ -406,9 +405,8 @@ class TestGeneratedIsoRoutes:
             bbar = [rng.choice(list(B.elements())) for _ in range(k)]
             if rng.random() < 0.3:  # a correspondence that always extends
                 B, bbar = A, abar
-            fa, fb = from_tree(A), from_tree(B)
             got = generated_iso(A, abar, B, bbar)
-            frag = generated_iso_by_pairs(fa.fragment, abar, fb.fragment, bbar)
+            frag = generated_iso_by_pairs(A.fragment, abar, B.fragment, bbar)
             assert (got is None) == (frag is None), (A.parent, abar, B.parent, bbar)
             if got is not None:
                 assert len(got) == len(frag)
