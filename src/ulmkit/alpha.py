@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import Callable, Iterator, Optional, Sequence
 
-from .baf import ExtensionError, extend_tuple, relation
+from .baf import ExtensionError, _relation, extend_tuple
 from .fragments import FragmentElement, ProfiledGroup, canonical_fragment
 from .ordinal import ZERO, CofinalSequence, Ordinal, hat_alpha, nat
 from .pgroup import _require_prime
@@ -164,7 +164,7 @@ class AlphaSystem:
         return Letter(0, (), self.fresh_group(0))
 
     def leq(self, l1: Letter, l2: Letter, beta: Level) -> bool:
-        return relation(l1.group, l1.images, l2.group, l2.images, beta)
+        return _relation(l1.group, l1.images, l2.group, l2.images, beta)
 
     def E(self, letter: Letter) -> frozenset:
         return E_of(letter)

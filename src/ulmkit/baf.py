@@ -49,7 +49,9 @@ below and just above the threshold.
 `extend_tuple` is the constructive content: given the hypothesis relation
 at beta it extends the right-hand tuple to answer new elements at any
 eta < beta, creating elements in a profiled group's fragment or finding
-them in an explicit group's tree, with machine-checkable records.
+them in an explicit group's tree, with machine-checkable records. Its
+hypothesis is decided once: `relation` keeps verdicts on a profiled left
+carrier (``hypothesis_memo``), which `check_extension` never reads.
 """
 
 from __future__ import annotations
@@ -515,8 +517,21 @@ def relation(
     clause counts orders. Limit-infinite profiles on both sides use the
     modified relation; other carriers fall back to the single-group
     characterization. Level 0 is quantifier-free type containment in
-    either case.
+    either case. A profiled A keeps the verdict, never an error, in its
+    ``hypothesis_memo``, keyed by B's ``_carrier`` pair, the tuples and beta.
     """
+    beta, abar, bbar = _level(beta), tuple(abar), tuple(bbar)
+    if not isinstance(A, ProfiledGroup):
+        return _relation(A, abar, B, bbar, beta)
+    memo, key = A.hypothesis_memo, (*_carrier(B), beta, abar, bbar)
+    hit = memo.get(key)
+    if hit is None:
+        hit = memo[key] = _relation(A, abar, B, bbar, beta)
+    return hit
+
+
+def _relation(A, abar, B, bbar, beta) -> bool:
+    """``relation`` decided afresh, reading and writing no memo."""
     beta = _level(beta)
     (holderA, P), (holderB, Q) = _carrier(A), _carrier(B)
     if beta.is_zero:
@@ -574,7 +589,7 @@ def extend_tuple(
     only the new cosets are checked for well-definedness and injectivity. A
     creation appends a generator to A's fragment, so each A part gains a
     zero coordinate: a normal form in a prefix fragment stays normal in its
-    extension.
+    extension. The hypothesis goes through ``relation`` and its memo.
     """
     beta, eta = _level(beta), _level(eta)
     if not eta < beta:
@@ -770,7 +785,7 @@ def check_extension(
             problems.append(f"{c} is not proper over its prefix subgroup")
     try:
         migrated_right = tuple(frag.migrate(x) for x in result.right)
-        if not relation(B, result.left, result.A, migrated_right, eta):
+        if not _relation(B, result.left, result.A, migrated_right, eta):
             problems.append("concluded relation fails at eta")
     except (ValueError, BoundExceeded) as exc:
         problems.append(f"relation check errored: {exc}")

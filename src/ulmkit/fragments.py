@@ -12,8 +12,8 @@ the nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import Iterable, Optional, Sequence
 
 from .ordinal import Ordinal
 from .pgroup import Fragment, FragmentElement, FragmentGen
@@ -30,31 +30,47 @@ class ProfiledGroup:
 
     profile: Profile
     fragment: Fragment
+    # baf.relation's verdicts with this group on the left; they die with it
+    hypothesis_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def zero(self) -> FragmentElement:
         return self.fragment.zero()
 
     def validate_capacity(self) -> None:
-        """Realized socle dimensions must fit under the profile."""
-        for beta, d in self.fragment.socle_height_dims().items():
+        """Realized socle dimensions must fit under the profile; a table that
+        fits is kept on the group for ``create_element``."""
+        self._fit(self.fragment.socle_height_dims())
+
+    def _fit(self, dims: dict, at: Optional[Iterable[Ordinal]] = None) -> None:
+        for beta in dims if at is None else at:
             if not beta < self.profile.length:
                 raise ValueError(
                     f"fragment realizes height {beta} at or beyond the "
                     f"profile length {self.profile.length}"
                 )
             have = self.profile.value_at(beta)
-            if not value_ge(have, d):
+            if not value_ge(have, dims[beta]):
                 raise ValueError(
-                    f"fragment realizes {d} independent order-p elements at "
-                    f"height {beta}, profile allows {have}"
+                    f"fragment realizes {dims[beta]} independent order-p "
+                    f"elements at height {beta}, profile allows {have}"
                 )
+        self.__dict__["_socle"] = dims
 
     def create_element(
         self, pimage: FragmentElement, height: Ordinal
     ) -> tuple["ProfiledGroup", FragmentElement]:
-        frag = self.fragment.extend(self.fragment.migrate(pimage), height)
+        """A generator at `height` with p-image `pimage` appended. A kept table
+        changes only where ``Fragment.socle_rise`` says, and only there is it
+        checked; a group built directly, with no table, is checked in full."""
+        z = self.fragment.migrate(pimage)
+        frag = self.fragment.extend(z, height)
         grown = ProfiledGroup(self.profile, frag)
-        grown.validate_capacity()
+        dims = self.__dict__.get("_socle")
+        if dims is None:
+            grown.validate_capacity()
+        else:
+            at = self.fragment.socle_rise(z.coeffs, height)
+            grown._fit({**dims, **{b: dims.get(b, 0) + 1 for b in at}}, at)
         return grown, frag.gen(frag.rank - 1)
 
     def migrate(self, x: FragmentElement) -> FragmentElement:
@@ -67,14 +83,12 @@ def canonical_fragment(
     requests: Sequence[tuple[Ordinal, int]] = (),
 ) -> ProfiledGroup:
     """Profiled group whose fragment has `count` independent order-p
-    generators at each requested height."""
-    gens: list[FragmentGen] = []
-    idx = 0
-    for height, count in requests:
-        for _ in range(count):
-            gens.append(FragmentGen(f"g{idx}", (), height))
-            idx += 1
-    pg = ProfiledGroup(profile, Fragment(p, tuple(gens)))
-    pg.validate_capacity()
+    generators at each requested height; with p-images zero, its socle
+    table is the request counts."""
+    heights = [height for height, count in requests for _ in range(count)]
+    gens = [FragmentGen(f"g{i}", (), h) for i, h in enumerate(heights)]
+    pg = ProfiledGroup(profile, Fragment(p, gens))
+    if any(count < 0 for _, count in requests):
+        raise ValueError("request counts must be nonnegative")
+    pg._fit({h: heights.count(h) for h in sorted(set(heights), reverse=True)})
     return pg
-

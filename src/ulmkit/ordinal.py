@@ -86,6 +86,11 @@ class Ordinal:
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other: Union["Ordinal", int]) -> "Ordinal":
+        if type(other) is int and other > 0:  # x + n: grow the finite part
+            terms = self.terms
+            if terms and terms[-1][0] == 0:
+                return Ordinal._trusted(terms[:-1] + ((0, terms[-1][1] + other),))
+            return Ordinal._trusted(terms + ((0, other),))
         if isinstance(other, int):
             other = nat(other)
         if not isinstance(other, Ordinal):
@@ -245,34 +250,21 @@ class _Infinity:
     def __hash__(self):
         return hash("ulmkit-infinity")
 
+    # heights compare with heights only (_HEIGHTS, after this class)
     def __lt__(self, other):
-        if isinstance(other, (Ordinal, _Infinity)):
-            return False
-        return NotImplemented
+        return False if isinstance(other, _HEIGHTS) else NotImplemented
 
     def __le__(self, other):
-        if isinstance(other, _Infinity):
-            return True
-        if isinstance(other, Ordinal):
-            return False
-        return NotImplemented
+        return other is self if isinstance(other, _HEIGHTS) else NotImplemented
 
     def __gt__(self, other):
-        if isinstance(other, _Infinity):
-            return False
-        if isinstance(other, Ordinal):
-            return True
-        return NotImplemented
+        return other is not self if isinstance(other, _HEIGHTS) else NotImplemented
 
     def __ge__(self, other):
-        if isinstance(other, (Ordinal, _Infinity)):
-            return True
-        return NotImplemented
+        return True if isinstance(other, _HEIGHTS) else NotImplemented
 
     def __add__(self, other):
-        if isinstance(other, (Ordinal, int)):
-            return self
-        return NotImplemented
+        return self if isinstance(other, (Ordinal, int)) else NotImplemented
 
     def __str__(self):
         return "inf"
@@ -280,6 +272,7 @@ class _Infinity:
     __repr__ = __str__
 
 
+_HEIGHTS = (Ordinal, _Infinity)
 INFINITY = _Infinity()
 
 HeightValue = Ordinal | _Infinity

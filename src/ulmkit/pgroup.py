@@ -176,22 +176,23 @@ class Fragment:
                 raise ValueError(f"pimage of {g.name} uses later generators")
             if not isinstance(g.height, Ordinal):
                 raise ValueError(f"height of {g.name} must be an ordinal")
-            if idx != sorted(set(idx)) or not all(
-                j >= 0 and 0 < c < self.p for j, c in g.pimage
-            ):
-                raise ValueError(f"pimage of {g.name} is not normalized")
-            # the min rule is a valuation only if h(pimage) >= h(g) + 1
-            zh = min((self.gens[j].height for j in idx), default=INFINITY)
-            if not zh >= g.height + 1:
-                raise ValueError(
-                    f"creating {g.name} at height {g.height} needs its "
-                    f"p-image at height >= {g.height + 1}, got {zh}"
-                )
+            if idx:  # an order-p generator's p-image 0 passes both checks
+                if idx != sorted(set(idx)) or not all(
+                    j >= 0 and 0 < c < self.p for j, c in g.pimage
+                ):
+                    raise ValueError(f"pimage of {g.name} is not normalized")
+                # the min rule is a valuation only if h(pimage) >= h(g) + 1
+                zh = min(self.gens[j].height for j in idx)
+                if not zh >= g.height + 1:
+                    raise ValueError(
+                        f"creating {g.name} at height {g.height} needs its "
+                        f"p-image at height >= {g.height + 1}, got {zh}"
+                    )
             self.index[g.name] = i
             bisect.insort(self._by_height, (i, g.height), key=_HEIGHT)
         self.rank = len(self.gens)
         self.size = self.p**self.rank
-        self._zero = FragmentElement(self, (0,) * self.rank)
+        self._zeros = (0,) * self.rank  # an element here would be a cycle
 
     # -- vectors -------------------------------------------------------------
 
@@ -214,7 +215,7 @@ class Fragment:
     # -- elements --------------------------------------------------------------
 
     def zero(self) -> FragmentElement:
-        return self._zero
+        return FragmentElement(self, self._zeros)
 
     def gen(self, i: int) -> FragmentElement:
         vec = [0] * self.rank
@@ -276,9 +277,8 @@ class Fragment:
     def subgroup(self, gens: Iterable[FragmentElement]) -> frozenset[FragmentElement]:
         """<gens>, built on coefficient tuples and wrapped once at the end."""
         vecs = [self.coords(g) for g in gens]
-        zs = subgroup_elements(self._zero.coeffs, vecs, _coeff_adder((self,)))
-        # zs[0] is the zero tuple
-        return frozenset([self._zero] + [FragmentElement(self, z) for z in zs[1:]])
+        zs = subgroup_elements(self._zeros, vecs, _coeff_adder((self,)))
+        return frozenset(FragmentElement(self, z) for z in zs)
 
     def coords(self, x: FragmentElement) -> tuple[int, ...]:
         """x's coefficient tuple, refusing elements of other fragments."""
@@ -326,30 +326,43 @@ class Fragment:
         return FragmentElement(self, x.coeffs + (0,) * (self.rank - len(x.coeffs)))
 
     def socle_height_dims(self) -> dict[Ordinal, int]:
-        """dim(S_beta / S_{beta+}) per realized height beta, S = order-p part.
+        """dim(S_beta / S_{beta+}) per realized height beta, highest first,
+        S = order-p part: each generator adds one where ``socle_rise`` puts
+        it over the generators before it."""
+        dims: dict[Ordinal, int] = {}
+        for i, g in enumerate(self.gens):
+            for beta in self.socle_rise(self._pimage_vec(i), g.height, i):
+                dims[beta] = dims.get(beta, 0) + 1
+        return dict(sorted(dims.items(), reverse=True))
+
+    def socle_rise(self, z, height: Ordinal, n: Optional[int] = None) -> tuple:
+        """The heights (none or one) whose ``socle_height_dims`` entry grows,
+        by one, when a generator at `height` with p-image coefficients z
+        joins this fragment, or its first n generators.
 
         The elements of height >= beta form V_beta, spanned by the
         generators of height >= beta (their p-images sit strictly higher),
         and presented by those generators subject to p*g = pimage(g). So
         dim S_beta = dim V_beta / pV_beta = #{g : h(g) >= beta} - the GF(p)
-        rank of their p-images, counted here in one echelon pass over the
-        generators in descending height.
+        rank of their p-images. The new generator adds 1 - (rank gained)
+        for beta <= height: 1 where z lies in the span, which grows as beta
+        falls, so the table changes at the largest such beta, `height` or a
+        generator height below it.
         """
-        basis: list = []
-        dims: dict[Ordinal, int] = {}
-        have = 0  # dim S_beta at the current beta
-        for beta, group in itertools.groupby(
-            reversed(self._by_height), key=_HEIGHT
-        ):
-            above = have
+        basis, top = [], height
+        below = [e for e in reversed(self._by_height) if n is None or e[0] < n]
+        for beta, group in itertools.groupby(below, key=_HEIGHT):
+            if beta < height:
+                if not any(echelon_reduce(basis, z, self.p)):
+                    return (top,)
+                top = beta
             for i, _ in group:
-                vec = [0] * self.rank
-                for j, c in self.gens[i].pimage:
-                    vec[j] = c
-                have += 1 - echelon_add(basis, vec, self.p)
-            if have > above:
-                dims[beta] = have - above
-        return dims
+                if self.gens[i].pimage:
+                    echelon_add(basis, self._pimage_vec(i), self.p)
+        return () if any(echelon_reduce(basis, z, self.p)) else (top,)
+
+    def _pimage_vec(self, i: int) -> list[int]:
+        return list(map(dict(self.gens[i].pimage).get, range(self.rank), itertools.repeat(0)))
 
     def __str__(self) -> str:
         return f"Fragment(p={self.p}, rank={self.rank})"
@@ -748,7 +761,7 @@ def _pair_tower(fa: Fragment, abar, fb: Fragment, bbar):
         raise ValueError("tuples must have equal length")
     gens = [fa.coords(x) + fb.coords(y) for x, y in zip(abar, bbar)]
     return subgroup_elements(
-        fa._zero.coeffs + fb._zero.coeffs,
+        fa._zeros + fb._zeros,
         gens,
         _coeff_adder((fa, fb)),
         operator.itemgetter(slice(fa.rank)),

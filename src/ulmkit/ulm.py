@@ -172,6 +172,11 @@ class Profile:
                 return max(ends)
         return ZERO
 
+    def __hash__(self) -> int:  # the dataclass hash, computed once and kept
+        if "_hash" not in self.__dict__:
+            self.__dict__["_hash"] = hash((self.length, self.clauses))
+        return self.__dict__["_hash"]
+
     @functools.cached_property
     def relation_memo(self) -> dict:
         """baf.leq_paper's profile-clause verdicts with this profile on the

@@ -1046,6 +1046,106 @@ class TestCheckExtension:
         assert "concluded relation fails at eta" in problems
 
 
+class TestHypothesisMemo:
+    """relation keeps each verdict on its left carrier; extend_tuple's
+    hypothesis reads it, and check_extension's conclusion never does."""
+
+    def forged(self):
+        # an extension result whose concluded relation fails (see above)
+        A = ghat_pg(0)
+        B = ghat_pg(0, [(nat(0), 1), (nat(2), 1)])
+        res = extend_tuple(A, (), B, (), 3, 2, [B.fragment.gen(0)])
+        res2 = extend_tuple(A, (), B, (), 3, 2, [B.fragment.gen(1)])
+        return B, res, ExtendResult(res2.A, res.left, res2.right, ())
+
+    def plant(self, carrier, verdict):
+        memo = carrier.hypothesis_memo
+        assert memo
+        for key in memo:
+            memo[key] = verdict
+
+    def test_check_extension_reports_a_failure_the_memo_denies(self, monkeypatch):
+        import ulmkit.baf
+
+        B, _, forged = self.forged()
+        right = tuple(forged.A.fragment.migrate(x) for x in forged.right)
+        # warm B's memo under the concluding relation's key, then plant
+        # the wrong verdict there: relation now reads it back
+        assert not relation(B, forged.left, forged.A, right, 2)
+        self.plant(B, True)
+        assert relation(B, forged.left, forged.A, right, 2)
+        clauses = _counting(monkeypatch, ulmkit.baf, "_tuple_clauses")
+        assert "concluded relation fails at eta" in check_extension(B, 2, forged)
+        assert len(clauses) == 1  # decided afresh
+
+    def test_check_extension_accepts_an_answer_the_memo_refuses(self):
+        B, res, _ = self.forged()
+        right = tuple(res.A.fragment.migrate(x) for x in res.right)
+        assert relation(B, res.left, res.A, right, 2)
+        self.plant(B, False)
+        assert not relation(B, res.left, res.A, right, 2)
+        assert check_extension(B, 2, res) == []
+
+    def test_extend_tuple_reads_the_hypothesis_verdict(self, monkeypatch):
+        import ulmkit.baf
+
+        A = ghat_pg(0, [(OMEGA + 2, 1)])
+        B = ghat_pg(0, [(OMEGA + 2, 1), (nat(1), 1)])
+        abar, bbar = [A.fragment.gen(0)], [B.fragment.gen(0)]
+        assert relation(A, abar, B, bbar, 3)
+        fresh = _counting(monkeypatch, ulmkit.baf, "_relation")
+        for eta in range(3):
+            res = extend_tuple(A, abar, B, bbar, 3, eta, [B.fragment.gen(1)])
+            assert check_extension(B, eta, res) == []
+        assert len(fresh) == 3  # the three conclusions, no hypothesis
+        self.plant(A, False)
+        with pytest.raises(ExtensionError, match="hypothesis relation fails at beta"):
+            extend_tuple(A, abar, B, bbar, 3, 0, [B.fragment.gen(1)])
+
+    def test_groups_sharing_a_fragment_keep_their_own_verdicts(self):
+        P0, P1 = make_G_hat(W2, SEQ2, 0), make_G_hat(W2, SEQ2, 1)
+        F = canonical_fragment(P0, 2, [(OMEGA + 2, 1)]).fragment
+        A0, A1 = ProfiledGroup(P0, F), ProfiledGroup(P1, F)
+        B = ghat_pg(0, [(OMEGA + 2, 1)])
+        a, b = (F.gen(0),), (B.fragment.gen(0),)
+        for _ in range(2):  # decided, then read back
+            # on the left, each group keeps its own memo
+            assert relation(A0, a, B, b, 3) and not relation(A1, a, B, b, 3)
+            # on the right, the key names the profile as well as the fragment
+            assert relation(B, b, A0, a, 4) and not relation(B, b, A1, a, 4)
+        assert len(B.hypothesis_memo) == 2
+
+    def test_errors_are_not_stored(self):
+        A = ghat_pg(0, [(OMEGA + 2, 1)])
+        B = canonical_fragment(make_G_hat(W2, SEQ2, 0), 3, [(OMEGA + 2, 1)])
+        for _ in range(2):
+            with pytest.raises(ValueError, match="one prime"):
+                relation(A, [A.fragment.gen(0)], B, [B.fragment.gen(0)], 3)
+        assert A.hypothesis_memo == {}
+
+    def test_carriers_die_without_the_collector(self):
+        # bench/run.py pauses the collector for a pass: a reference cycle
+        # through a memo would keep every candidate's groups until it ends
+        P = make_G_hat(W2, SEQ2, 0)
+        gc.collect()
+        gc.disable()
+        try:
+            A = canonical_fragment(P, 2, [(OMEGA + 2, 1)])
+            B = canonical_fragment(P, 2, [(OMEGA + 2, 1), (OMEGA + 1, 1), (nat(1), 1)])
+            abar, bbar = [A.fragment.gen(0)], [B.fragment.gen(0)]
+            dbar = [B.fragment.gen(1), B.fragment.gen(2)]
+            assert relation(A, abar, B, bbar, 3)
+            res = extend_tuple(A, abar, B, bbar, 3, 2, dbar)
+            assert res.records and check_extension(B, 2, res) == []
+            assert relation(A, abar, A, abar, 3)  # A's memo names A's own fragment
+            carriers = (A, B, res.A)
+            refs = [weakref.ref(x) for G in carriers for x in (G, G.fragment)]
+            del A, B, res, carriers, abar, bbar, dbar
+            assert [ref() for ref in refs] == [None] * len(refs)
+        finally:
+            gc.enable()
+
+
 # -- the one-tower extension against the rebuild-every-adjoin reference ---------
 
 

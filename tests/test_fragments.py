@@ -18,6 +18,8 @@ from ulmkit.pgroup import DEFAULT_BOUND, BoundExceeded, GroupTree, generated_iso
 from ulmkit.ulm import OMEGA_VALUE, Clause, Profile, make_G_hat
 from ulmkit.verify import check_valuation, height_of_by_chain, socle_dims_by_enumeration
 
+from test_pgroup import extended_fragments, grown_fragments
+
 
 def sparse(vec):
     """A p-image given by its coefficient vector, as (index, coefficient)
@@ -218,6 +220,93 @@ class TestSocleDims:
             grown.create_element(grown.zero(), OMEGA + 3)  # odd slot: 0
 
 
+def refusal(fn):
+    """The ValueError text fn raises, or None."""
+    try:
+        fn()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def finite_profiles(draw):
+    """Length 1-5, one clause per height, values 0-2 or omega."""
+    values = draw(st.lists(st.sampled_from([0, 1, 2, OMEGA_VALUE]), min_size=1, max_size=5))
+    return Profile(
+        nat(len(values)),
+        tuple(Clause(nat(i), nat(i + 1), "any", v) for i, v in enumerate(values)),
+    )
+
+
+def appended(f: Fragment, child: Fragment):
+    """The p-image (as an element of f) and height of child's last generator."""
+    g = child.gens[-1]
+    vec = [0] * f.rank
+    for j, c in g.pimage:
+        vec[j] = c
+    return f.element(vec), g.height
+
+
+class TestCapacityByIncrement:
+    """create_element checks only the one height its generator changes in
+    the table a group keeps; validate_capacity from scratch is the
+    reference."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_socle_rise_is_the_one_changed_height(self, data):
+        f = data.draw(grown_fragments(data.draw(st.sampled_from([2, 3]))))
+        child = data.draw(extended_fragments(f, 1))
+        z, height = appended(f, child)
+        want = dict(f.socle_height_dims())
+        rise = f.socle_rise(z.coeffs, height)
+        assert len(rise) <= 1
+        for beta in rise:
+            want[beta] = want.get(beta, 0) + 1
+        assert child.socle_height_dims() == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_increment_refuses_as_the_full_check(self, data):
+        profile = data.draw(finite_profiles())
+        f = data.draw(grown_fragments(data.draw(st.sampled_from([2, 3]))))
+        pg = ProfiledGroup(profile, f)
+        if data.draw(st.booleans()):
+            # keeps its table when it fits; over capacity it keeps none
+            refusal(pg.validate_capacity)
+        for _ in range(data.draw(st.integers(1, 4))):
+            child = data.draw(extended_fragments(pg.fragment, 1))
+            z, height = appended(pg.fragment, child)
+            want = refusal(ProfiledGroup(profile, child).validate_capacity)
+            got = refusal(lambda: pg.create_element(z, height))
+            assert got == want
+            if got is not None:
+                break
+            pg, c = pg.create_element(z, height)
+            assert pg.fragment.gens == child.gens and c == pg.fragment.gen(child.rank - 1)
+
+    def test_a_directly_built_group_over_capacity_is_refused_when_grown(self):
+        profile = Profile(nat(2), (Clause(nat(0), nat(1), "any", 1), Clause(nat(1), nat(2), "any", 5)))
+        pg = ProfiledGroup(profile, flat(2, [nat(0), nat(0)]))
+        # the new generator changes height 1 only, which has room
+        with pytest.raises(ValueError, match="2 independent order-p elements at height 0"):
+            pg.create_element(pg.zero(), nat(1))
+
+    @settings(max_examples=300, deadline=None)
+    @given(finite_profiles(), st.lists(st.tuples(st.integers(0, 6).map(nat), st.integers(0, 3)), max_size=5))
+    def test_canonical_counts_refuse_as_the_rank_count(self, profile, requests):
+        # repeated heights, zero counts and heights past the length; the
+        # reference builds the same generators and counts by rank
+        heights = [h for h, count in requests for _ in range(count)]
+        frag = flat(2, heights)
+        want = refusal(ProfiledGroup(profile, frag).validate_capacity)
+        got = refusal(lambda: canonical_fragment(profile, 2, requests))
+        assert got == want
+        if got is None:
+            assert canonical_fragment(profile, 2, requests).fragment.gens == frag.gens
+
+
 class TestStableEnumeration:
     def test_enumerates_up_to_the_one_bound(self):
         # 2^14 elements, within DEFAULT_BOUND: fragments and trees share
@@ -341,6 +430,14 @@ class TestProfiledGroups:
         pg.validate_capacity()
         with pytest.raises(ValueError):
             canonical_fragment(self.profile(), 2, [(OMEGA + 1, 2)])
+
+    def test_negative_request_count_is_refused(self):
+        with pytest.raises(ValueError, match="request counts must be nonnegative"):
+            canonical_fragment(self.profile(), 2, [(nat(1), -3)])
+
+    def test_a_bad_height_is_named_before_a_bad_count(self):
+        with pytest.raises(ValueError, match="height of g0 must be an ordinal"):
+            canonical_fragment(self.profile(), 2, [(1, 1), (nat(1), -3)])
 
     def test_capacity_rejects_beyond_length(self):
         with pytest.raises(ValueError):

@@ -110,6 +110,22 @@ class TestCNF:
         assert isinstance(total, Ordinal)
         assert Ordinal(total.terms) == total
 
+    @given(ords(), st.integers(0, 130))
+    def test_adding_an_int_equals_adding_its_nat(self, a, n):
+        # n runs past the cached small naturals; the int path builds the
+        # sum's terms itself, so they must pass the constructor
+        total = a + n
+        assert total == a + nat(n)
+        assert Ordinal(total.terms) == total
+        assert hash(total) == hash(a + nat(n))
+        if n == 0:
+            assert total is a
+
+    @given(ords(), st.integers(-130, -1))
+    def test_adding_a_negative_int_is_refused(self, a, n):
+        with pytest.raises(ValueError, match="naturals only"):
+            a + n
+
     @given(st.integers(0, 200))
     def test_nat_is_the_one_term_ordinal(self, n):
         assert nat(n) == (Ordinal(((0, n),)) if n else ZERO)
@@ -229,6 +245,16 @@ class TestHeights:
         assert not nat(4) > INFINITY
         assert not omega_power(3, 9) >= INFINITY
         assert sorted([INFINITY, OMEGA, ZERO]) == [ZERO, OMEGA, INFINITY]
+
+    def test_infinity_compares_with_heights_only(self):
+        for x in (ZERO, nat(4), OMEGA, omega_power(3, 9), INFINITY):
+            top = x is INFINITY
+            got = (INFINITY < x, INFINITY <= x, INFINITY > x, INFINITY >= x)
+            assert got == (False, top, not top, True)
+        for op in ("__lt__", "__le__", "__gt__", "__ge__", "__add__"):
+            assert getattr(INFINITY, op)("w") is NotImplemented
+        with pytest.raises(TypeError):
+            INFINITY < 3
 
     def test_height_min(self):
         assert height_min(INFINITY, OMEGA) == OMEGA

@@ -437,6 +437,16 @@ class TestProfileIndex:
                 Profile(length, clauses)
 
     @given(raw_profiles(total=True))
+    def test_hash_is_the_dataclass_hash_kept(self, raw):
+        # computed once and kept on the profile, with the value the
+        # generated dataclass hash gives
+        P = Profile(*raw)
+        assert "_hash" not in P.__dict__
+        assert hash(P) == hash((P.length, P.clauses)) == hash(P)
+        assert P.__dict__["_hash"] == hash(P)
+        assert hash(Profile(*raw)) == hash(P) and {P: 1}[Profile(*raw)] == 1
+
+    @given(raw_profiles(total=True))
     def test_point_queries_match_the_scan(self, raw):
         P = Profile(*raw)
         for beta in PROBES + list(P.boundaries()):
