@@ -29,7 +29,7 @@ from .ulm import (
     make_G_hat,
     ulm_equal,
 )
-from .fragments import Fragment, FragmentElement, ProfiledGroup, canonical_fragment
+from .fragments import Fragment, ProfiledGroup, canonical_fragment
 from .baf import (
     ExtensionError,
     check_extension,
@@ -40,22 +40,13 @@ from .baf import (
     leq_std_game,
     relation,
 )
-from .construct import (
-    PElement,
-    PredicateTable,
-    decode_elem,
-    run_construction,
-)
+from .construct import PredicateTable, run_construction
 from .alpha import (
     AlphaSystem,
-    CheckReport,
     InstructionSource,
-    Letter,
-    Run,
     accumulate_E,
     check_axioms,
     code_true_in,
-    extend_run_letter,
     find_run,
     instruction_from_g,
     run_to_text,
@@ -63,7 +54,6 @@ from .alpha import (
 )
 from .formats import (
     FormatError,
-    element_to_text,
     export_dot,
     load_table,
     load_tree,
@@ -89,7 +79,6 @@ __all__ = [
     "make_G_hat",
     "ulm_equal",
     "Fragment",
-    "FragmentElement",
     "ProfiledGroup",
     "canonical_fragment",
     "ExtensionError",
@@ -100,25 +89,18 @@ __all__ = [
     "leq_paper",
     "leq_std_game",
     "relation",
-    "PElement",
     "PredicateTable",
-    "decode_elem",
     "run_construction",
     "AlphaSystem",
-    "CheckReport",
     "InstructionSource",
-    "Letter",
-    "Run",
     "accumulate_E",
     "check_axioms",
     "code_true_in",
-    "extend_run_letter",
     "find_run",
     "instruction_from_g",
     "run_to_text",
     "validate_run",
     "FormatError",
-    "element_to_text",
     "export_dot",
     "load_table",
     "load_tree",

@@ -213,9 +213,6 @@ class AlphaSystem:
                 out.append(f"letter {t + 1} changed index after the flip")
         return out
 
-    def in_P(self, string: Sequence) -> bool:
-        return not self.p_violations(string)
-
     # -- cross-index pulls ----------------------------------------------------
 
     def find_pull_index(self, beta0: Level) -> Optional[int]:
@@ -245,14 +242,10 @@ class AlphaSystem:
                 return j
         return None
 
+    @functools.cached_property
     def verified_pull(self) -> tuple[int, int]:
         """Largest sample level admitting a verified pull, paired with its
-        index. Raises when no sample level works."""
-        return self._verified_pull
-
-    @functools.cached_property
-    def _verified_pull(self) -> tuple[int, int]:
-        """Computed on first use and kept; dies with the system."""
+        index; kept on the system. Raises when no sample level works."""
         for b0 in reversed(self.sample_levels()):
             j = self.find_pull_index(b0)
             if j is not None:
@@ -304,7 +297,7 @@ class AlphaSystem:
             chain_letters[t].j != chain_letters[t + 1].j for t in range(k)
         )
         if first_flip or crosses_flip:
-            top = self.verified_pull()[0]
+            top = self.verified_pull[0]
         else:
             levels = self.sample_levels()
             top = rng.choice(levels[k:]) if len(levels) > k else len(levels) - 1
@@ -327,15 +320,6 @@ class InstructionSource:
             if n < 0 or (s is not None and s < 0):
                 raise ValueError(f"bad rule for row {n}")
         self._rules = dict(rules)
-
-    @classmethod
-    def from_spec(cls, spec: dict) -> "InstructionSource":
-        n = int(spec["n"])
-        if spec.get("always_zero"):
-            return cls({n: None})
-        if "switch_at" in spec:
-            return cls({n: int(spec["switch_at"])})
-        raise ValueError("need either always_zero or switch_at")
 
     def g(self, n: int, s: int) -> int:
         if n not in self._rules:
@@ -514,7 +498,7 @@ def find_run(
         last = entries[-1]
         flip = u == 1 and 1 not in sigma[1::2]
         if flip:
-            beta0, jstar = sys.verified_pull()
+            beta0, jstar = sys.verified_pull
         level = nat(beta0) if flip else ZERO
         ell = _build_witness(sys, sigma, u, [last], [level])
         if not sys.leq(last, ell, level):
@@ -540,15 +524,13 @@ def find_run(
     return run
 
 
-def validate_run(sys: AlphaSystem, run: Run, q: Optional[Callable] = None) -> list[str]:
-    """Independent re-check: admissibility clauses plus, when the
-    instruction function is supplied, bit-by-bit conformance."""
+def validate_run(sys: AlphaSystem, run: Run, q: Callable) -> list[str]:
+    """Independent re-check: admissibility clauses plus bit-by-bit
+    conformance to the instruction function q."""
     out = sys.p_violations(run.entries)
-    if q is not None:
-        for t in range(1, len(run.entries), 2):
-            sigma = run.entries[:t]
-            if run.entries[t] != q(sigma):
-                out.append(f"bit at position {t} disagrees with the instruction")
+    for t in range(1, len(run.entries), 2):
+        if run.entries[t] != q(run.entries[:t]):
+            out.append(f"bit at position {t} disagrees with the instruction")
     return out
 
 
@@ -579,7 +561,6 @@ def run_to_text(run: Run) -> str:
 class CheckReport:
     """Outcome of sampled conformance checks; failures carry witnesses."""
 
-    samples: int
     checks: int = 0
     failures: list[str] = field(default_factory=list)
 
@@ -598,7 +579,7 @@ def check_axioms(sys, samples: int, seed: int = 0) -> CheckReport:
     raised.
     """
     rng = Random(seed)
-    report = CheckReport(samples)
+    report = CheckReport()
     if samples <= 0:
         return report
     pool = sys.sample_letters(rng)

@@ -143,7 +143,8 @@ def find_embedding(
         for x, y in zip(src_pins, dst_pins)
         if not (x.is_zero and y.is_zero)
     })
-    key = (src, onto, *[c for pair in pairs for c in pair])
+    # src is None when it is dst, so dst's memo does not keep dst alive
+    key = (None if src is dst else src, onto, *[c for pair in pairs for c in pair])
     memo = dst.embed_memo
     if key not in memo:
         memo[key] = _find_embedding_uncached(src, src_pins, dst, dst_pins, onto)
@@ -490,7 +491,8 @@ def _profile_clauses(P: Profile, Q: Profile, delta: Ordinal, parity: int) -> boo
     """leq_paper's clauses (c) and (d), memoized on P (profiles are
     immutable): P = Q below w*delta, and at odd levels P >= Q on
     [w*delta, w*delta + w)."""
-    key = (Q, delta, parity)
+    # Q is None when it is P, so P's memo does not keep P alive
+    key = (None if Q is P else Q, delta, parity)
     hit = P.relation_memo.get(key)
     if hit is None:
         thr = omega_times(delta)

@@ -74,10 +74,6 @@ from typing import Optional
 from .pgroup import GroupTree, _require_prime
 
 
-def cantor_pair(a: int, b: int) -> int:
-    return (a + b) * (a + b + 1) // 2 + b
-
-
 def cantor_unpair(z: int) -> tuple[int, int]:
     w = (isqrt(8 * z + 1) - 1) // 2
     b = z - w * (w + 1) // 2
@@ -238,9 +234,6 @@ class PredicateTable:
         if y < self.bound:
             return (e, y) in self.trues
         return e in self.cofinal_rows
-
-    def in_S(self, e: int) -> bool:
-        return e not in self.cofinal_rows
 
 
 class _SlotRows(Mapping):

@@ -164,10 +164,14 @@ def instruction_from_dict(obj, where: str = "instruction") -> tuple[InstructionS
     if not isinstance(obj, dict) or "n" not in obj:
         raise FormatError(f"{where}: expected an object with row number 'n'")
     try:
-        src = InstructionSource.from_spec(obj)
-        return src, int(obj["n"])
+        n = int(obj["n"])
+        if obj.get("always_zero"):
+            return InstructionSource({n: None}), n
+        if "switch_at" in obj:
+            return InstructionSource({n: int(obj["switch_at"])}), n
     except (TypeError, ValueError) as exc:
         raise FormatError(f"{where}: {exc}") from exc
+    raise FormatError(f"{where}: need either always_zero or switch_at")
 
 
 def load_instruction(path: str) -> tuple[InstructionSource, int]:

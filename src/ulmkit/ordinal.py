@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterator, Union
+from typing import Callable, Union
 
 
 # the generated order compares term tuples lexicographically, which is ordinal
@@ -130,7 +130,6 @@ class Ordinal:
 
 ZERO = Ordinal()
 OMEGA = Ordinal(((1, 1),))
-OMEGA_SQUARED = Ordinal(((2, 1),))
 
 
 # the naturals most callers ask for, built once; immutable, so shared safely
@@ -311,9 +310,6 @@ class CofinalSequence:
         if i > 1 and not self.rule(i - 1) < value:
             raise ValueError(f"sequence not strictly increasing at {i}")
         return value
-
-    def take(self, n: int) -> Iterator[Ordinal]:
-        return (self.at(i) for i in range(1, n + 1))
 
     def __str__(self) -> str:
         return f"{self.label} -> {self.limit}"

@@ -288,14 +288,9 @@ class Fragment:
 
     # -- growth ----------------------------------------------------------------
 
-    def extend(
-        self,
-        pimage: FragmentElement,
-        height: Ordinal,
-        name: Optional[str] = None,
-    ) -> "Fragment":
-        """This fragment with one generator appended: `name` (default
-        g<rank>) at `height`, with p-image `pimage`.
+    def extend(self, pimage: FragmentElement, height: Ordinal) -> "Fragment":
+        """This fragment with one generator appended: g<rank> at `height`,
+        with p-image `pimage`.
 
         The child copies the parent's name index and height order and
         admits only the new generator, through the checks ``Fragment``
@@ -307,8 +302,7 @@ class Fragment:
         child = Fragment.__new__(Fragment)
         child.p, child.gens = self.p, self.gens
         child.index, child._by_height = dict(self.index), self._by_height[:]
-        name = f"g{self.rank}" if name is None else name
-        child._admit([FragmentGen(name, sparse, height)])
+        child._admit([FragmentGen(f"g{self.rank}", sparse, height)])
         return child
 
     def is_prefix_of(self, other: "Fragment") -> bool:
@@ -513,7 +507,9 @@ class CyclicDecomposition:
             v for v in tree.nonroot
             if parent[v] == tree.root or heavy[parent[v]] != v
         ]
-        self.tree = tree
+        # the tree's p and fragment, not the tree: the tree keeps this
+        # decomposition, and a cycle would outlive a paused collector
+        self.p, self.fragment = p, tree.fragment
         self.exponents = tuple(rank(t) + 1 for t in tops)
         self.moduli = tuple(p**e for e in self.exponents)
         self.zero = (0,) * len(tops)
@@ -555,7 +551,7 @@ class CyclicDecomposition:
         Refuses a layer drawn from more than DEFAULT_BOUND socle elements."""
         got = self._layers.get((r, exact))
         if got is None:
-            p, exps = self.tree.p, self.exponents
+            p, exps = self.p, self.exponents
             if p ** sum(e > r for e in exps) > DEFAULT_BOUND:
                 raise BoundExceeded(f"socle layer at height {r} exceeds {DEFAULT_BOUND}")
             got = self._layers[(r, exact)] = {}
@@ -567,7 +563,7 @@ class CyclicDecomposition:
     def socle_vector(self, v: str, w: Optional[str] = None) -> tuple[int, ...]:
         """GF(p) coordinates k of the socle element v (a child of the root)
         or v - w (siblings v and w): coordinate j is k_j * p^(e_j - 1)."""
-        index, p = self.tree.fragment.index, self.tree.p
+        index, p = self.fragment.index, self.p
         acc = [0] * len(self.moduli)
         for j, a in self._coords[index[v]]:
             acc[j] += a
@@ -579,7 +575,7 @@ class CyclicDecomposition:
     def height_of(self, z: tuple[int, ...]) -> HeightValue:
         """h of the element with coordinates z: the least p-adic valuation
         over its nonzero coordinates, infinite for 0."""
-        p, least = self.tree.p, None
+        p, least = self.p, None
         for c in z:
             if c:
                 k = 0
@@ -600,7 +596,7 @@ class CyclicDecomposition:
         return max(map(operator.floordiv, mods, map(math.gcd, z, mods)), default=1)
 
     def encode(self, x: FragmentElement) -> tuple[int, ...]:
-        if x.fragment is not self.tree.fragment:
+        if x.fragment is not self.fragment:
             raise ValueError("element does not belong to this tree")
         z = self._encoded.get(x.coeffs)
         if z is None:
@@ -617,7 +613,7 @@ class CyclicDecomposition:
     def decode(self, z: tuple[int, ...]) -> FragmentElement:
         x = self._decoded.get(z)
         if x is None:
-            frag = self.tree.fragment
+            frag = self.fragment
             vec = [0] * frag.rank
             for (leaf, partner), c in zip(self._gens, z):
                 vec[leaf] += c

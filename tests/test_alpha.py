@@ -24,6 +24,7 @@ from ulmkit.alpha import (
     validate_run,
 )
 from ulmkit.baf import ExtensionError
+from ulmkit.formats import FormatError, instruction_from_dict
 from ulmkit.ordinal import (
     OMEGA,
     CofinalSequence,
@@ -151,11 +152,11 @@ class TestSystem:
 
 class TestAdmissibility:
     def test_runs_are_admissible(self, sys2, quiet_run, switch_run):
-        assert sys2.in_P(quiet_run.entries)
-        assert sys2.in_P(switch_run.entries)
+        assert not sys2.p_violations(quiet_run.entries)
+        assert not sys2.p_violations(switch_run.entries)
 
     def test_empty_string(self, sys2):
-        assert not sys2.in_P(())
+        assert sys2.p_violations(())
 
     def test_start_must_be_empty_index_zero(self, sys2):
         bad = Letter(1, (), sys2.fresh_group(1))
@@ -192,7 +193,7 @@ class TestAdmissibility:
         assert any("changed index after the flip" in v for v in out)
 
     def test_accepts_string_ending_in_bit(self, sys2, quiet_run):
-        assert sys2.in_P(quiet_run.entries[:3] + (0,))
+        assert not sys2.p_violations(quiet_run.entries[:3] + (0,))
 
     def test_typing_checked_first(self, sys2):
         out = sys2.p_violations(("not a letter", 2))
@@ -308,13 +309,13 @@ class TestMemoizedCoverage:
 
 
 class TestInstructionSource:
-    def test_from_spec_forms(self):
-        always = InstructionSource.from_spec({"n": 2, "always_zero": True})
+    def test_spec_forms(self):
+        always, _ = instruction_from_dict({"n": 2, "always_zero": True})
         assert always.g(2, 100) == 0
-        switched = InstructionSource.from_spec({"n": 2, "switch_at": 4})
+        switched, _ = instruction_from_dict({"n": 2, "switch_at": 4})
         assert switched.g(2, 3) == 0 and switched.g(2, 4) == 1
-        with pytest.raises(ValueError):
-            InstructionSource.from_spec({"n": 2})
+        with pytest.raises(FormatError, match="always_zero or switch_at"):
+            instruction_from_dict({"n": 2})
 
     def test_unknown_row(self):
         with pytest.raises(KeyError):
@@ -334,7 +335,7 @@ class TestInstructionSource:
 
 class TestPull:
     def test_verified_pull(self, sys2):
-        assert sys2.verified_pull() == (1, 1)
+        assert sys2.verified_pull == (1, 1)
 
     def test_pull_is_found_once_and_dies_with_its_system(self, monkeypatch):
         calls = 0
@@ -348,12 +349,12 @@ class TestPull:
         monkeypatch.setattr(AlphaSystem, "find_pull_index", counting)
         alpha = parse_ordinal("w*2")
         system = AlphaSystem(alpha, canonical_cofinal(alpha))
-        assert system.verified_pull() == (1, 1)
+        assert system.verified_pull == (1, 1)
         first = calls
         assert first >= 1
         src = InstructionSource({0: 2})
         find_run(system, instruction_from_g(src, 0), 4)
-        assert system.verified_pull() == (1, 1)
+        assert system.verified_pull == (1, 1)
         # the flip step asks once more, at its chain level
         assert calls == first + 1
         ref = weakref.ref(system)
@@ -399,7 +400,7 @@ class TestExtendRunLetter:
         sigma = quiet_run.entries[:3]
         ell = extend_run_letter(sys2, sigma, 0, [(sigma[-1], 0)])
         assert ell.j == 0 and len(ell) >= 2
-        assert sys2.in_P(sigma + (0, ell))
+        assert not sys2.p_violations(sigma + (0, ell))
 
     def test_two_link_cascade(self, sys2, quiet_run):
         letters = quiet_run.letters()
@@ -466,7 +467,7 @@ class TestFindRun:
         assert [l.j for l in quiet_run.letters()] == [0, 0, 0, 0, 0]
         assert quiet_run.bits() == (0, 0, 0, 0)
         assert [len(l) for l in quiet_run.letters()] == [0, 1, 2, 3, 4]
-        assert validate_run(sys2, quiet_run) == []
+        assert validate_run(sys2, quiet_run, lambda s: 0) == []
 
     def test_quiet_run_lists_no_pair_tower(self, monkeypatch):
         # every relation a quiet step checks holds between a letter and its
@@ -666,7 +667,7 @@ class TestSecondInstance:
     def test_pull_index_scales_with_level(self, sysw2):
         got = [(b, sysw2.find_pull_index(b)) for b in range(6)]
         assert got == [(0, 1), (1, 1), (2, 2), (3, 2), (4, 3), (5, 3)]
-        assert sysw2.verified_pull() == (5, 3)
+        assert sysw2.verified_pull == (5, 3)
 
     def test_switch_run_lands_high(self, sysw2):
         src = InstructionSource({0: 2})

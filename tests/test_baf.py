@@ -353,6 +353,18 @@ class TestEmbeddingAgainstBruteForce:
 
 
 @contextlib.contextmanager
+def collector_paused():
+    """Run the block with the cyclic garbage collector off, so only
+    reference counting frees objects."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+@contextlib.contextmanager
 def alarm(seconds: float):
     """Fail the test when the block is still running after `seconds` of
     wall time: a SIGALRM interrupts it, instead of letting it hang."""
@@ -498,6 +510,36 @@ class TestSearchStress:
             assert got == leq_game_reference(t, abar, t, bbar, 1, max_ext=leaves)
             answers.append(got)
         assert 0 < sum(answers) < 30
+
+
+class TestKnownSearchThrash:
+    """Four copies under the root of a node with a 2-node chain and a leaf
+    below it (Z4 + Z2 each). Both pins have order 4 and heights 0 then 2,
+    so by Kaplansky an automorphism carries one to the other: leq_barker
+    holds at levels 1 and 2, and the game answers level 1 at once, but at
+    level 2 its search backtracks for over a minute."""
+
+    def case(self, beta):
+        parent = {"r": None}
+        for c in range(4):
+            top, mid, low, leaf = (f"v{4 * c + i:02d}" for i in (1, 2, 3, 4))
+            parent.update({top: "r", mid: top, low: mid, leaf: top})
+        t = GroupTree(2, parent)
+        a = t.node("v04") + t.node("v08") + t.node("v12")
+        b = t.node("v09") + t.node("v16")
+        return t, (a,), t, (b,), beta
+
+    def test_the_closed_form_and_level_one_answer(self):
+        assert leq_barker(*self.case(1)) and leq_barker(*self.case(2))
+        with alarm(2.0):
+            assert leq_std_game(*self.case(1)) is True
+
+    @pytest.mark.xfail(
+        strict=True, raises=pytest.fail.Exception, reason="the search thrashes at level 2"
+    )
+    def test_the_game_answers_level_two(self):
+        with alarm(2.0):
+            assert leq_std_game(*self.case(2)) is True
 
 
 class TestFormerlySlowQueries:
@@ -1127,9 +1169,7 @@ class TestHypothesisMemo:
         # bench/run.py pauses the collector for a pass: a reference cycle
         # through a memo would keep every candidate's groups until it ends
         P = make_G_hat(W2, SEQ2, 0)
-        gc.collect()
-        gc.disable()
-        try:
+        with collector_paused():
             A = canonical_fragment(P, 2, [(OMEGA + 2, 1)])
             B = canonical_fragment(P, 2, [(OMEGA + 2, 1), (OMEGA + 1, 1), (nat(1), 1)])
             abar, bbar = [A.fragment.gen(0)], [B.fragment.gen(0)]
@@ -1142,8 +1182,6 @@ class TestHypothesisMemo:
             refs = [weakref.ref(x) for G in carriers for x in (G, G.fragment)]
             del A, B, res, carriers, abar, bbar, dbar
             assert [ref() for ref in refs] == [None] * len(refs)
-        finally:
-            gc.enable()
 
 
 # -- the one-tower extension against the rebuild-every-adjoin reference ---------
@@ -1524,6 +1562,33 @@ class TestMemoLifetimes:
         del P, Q, A, B
         gc.collect()
         assert all(ref() is None for ref in refs)
+
+    # bench/run.py pauses the collector for a pass, so a carrier compared
+    # with itself must not reach itself through a memo or its decomposition
+
+    def test_a_tree_compared_by_the_closed_form_dies_without_the_collector(self):
+        with collector_paused():
+            t = mixed(2)
+            assert leq_barker(t, [t.node("b")], t, [t.node("b")], 2)
+            ref = weakref.ref(t)
+            del t
+            assert ref() is None
+
+    def test_a_tree_compared_by_the_game_dies_without_the_collector(self):
+        with collector_paused():
+            t = mixed(2)
+            assert leq_std_game(t, [t.node("b")], t, [t.node("b")], 2)
+            ref = weakref.ref(t)
+            del t
+            assert ref() is None
+
+    def test_a_profile_compared_with_itself_dies_without_the_collector(self):
+        with collector_paused():
+            A = canonical_fragment(make_G_hat(W2, SEQ2, 0), 2)
+            assert leq_paper(A, (), A, (), 3)
+            ref = weakref.ref(A.profile)
+            del A
+            assert ref() is None
 
 
 def leq_paper_inline_heights(A, abar, B, bbar, beta):

@@ -9,7 +9,6 @@ from ulmkit.construct import (
     ConstructionState,
     PElement,
     PredicateTable,
-    cantor_pair,
     cantor_unpair,
     decode_elem,
     decode_triple,
@@ -20,6 +19,11 @@ from ulmkit.ordinal import nat
 from ulmkit.ulm import invariants_of
 
 from test_baf import alarm
+
+
+def cantor_pair(a: int, b: int) -> int:
+    """The pairing that cantor_unpair inverts."""
+    return (a + b) * (a + b + 1) // 2 + b
 
 
 class TestCoding:
@@ -132,7 +136,7 @@ class TestPredicateTable:
 
     def test_classification(self):
         t = PredicateTable(4, set(), {1})
-        assert t.in_S(0) and not t.in_S(1)
+        assert 0 not in t.cofinal_rows and 1 in t.cofinal_rows
 
     def test_rejects_cells_beyond_bound(self):
         with pytest.raises(ValueError):
@@ -168,7 +172,7 @@ class TestGrowthDynamics:
         run = run_construction(table, 10)
         assert all(h[0] == 0 for h in run.history)
         assert run.state.X[0] == set()
-        assert not table.in_S(0)
+        assert 0 in table.cofinal_rows
 
     def test_runs_are_deterministic(self):
         t = PredicateTable(4, {(0, 3), (1, 2)}, {1})

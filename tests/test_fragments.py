@@ -180,18 +180,22 @@ class TestExtendOneGenerator:
     @given(fragment_specs(5), st.data())
     def test_refusals_match_a_fresh_build(self, spec, data):
         p, gens = spec
-        f = Fragment(p, gens)
         j = data.draw(st.integers(0, len(gens) - 1))
+        new = f"g{len(gens)}"  # the name extend gives the new generator
+        f = Fragment(p, gens)
+        # the parent with g_j renamed to that name
+        renamed = FragmentGen(new, gens[j].pimage, gens[j].height)
+        clash = Fragment(p, gens[:j] + [renamed] + gens[j + 1 :])
         refusals = [
             # a p-image at h(g_j), below the required height + 1
-            (f.gen(j), gens[j].height, "new", "needs its p-image"),
-            (f.zero(), nat(0), gens[j].name, "names must be distinct"),
+            (f, f.gen(j), gens[j].height, "needs its p-image"),
+            (clash, clash.zero(), nat(0), "names must be distinct"),
         ]
-        for pimage, height, name, match in refusals:
+        for parent, pimage, height, match in refusals:
             with pytest.raises(ValueError, match=match) as grown:
-                f.extend(pimage, height, name)
+                parent.extend(pimage, height)
             with pytest.raises(ValueError) as fresh:
-                Fragment(p, gens + [FragmentGen(name, sparse(pimage.coeffs), height)])
+                Fragment(p, [*parent.gens, FragmentGen(new, sparse(pimage.coeffs), height)])
             assert str(grown.value) == str(fresh.value)
 
 

@@ -65,3 +65,25 @@ def test_package_import_skips_verify():
     loaded = done.stdout.decode()
     assert "'ulmkit.pgroup'" in loaded
     assert "'ulmkit.verify'" not in loaded
+
+
+EXPORTS = [
+    "AlphaSystem", "Clause", "CofinalSequence", "ExtensionError", "FormatError",
+    "Fragment", "GroupTree", "INFINITY", "InstructionSource", "OMEGA", "OMEGA_VALUE",
+    "Ordinal", "PredicateTable", "Profile", "ProfiledGroup", "accumulate_E",
+    "canonical_cofinal", "canonical_fragment", "check_axioms", "check_extension",
+    "code_true_in", "export_dot", "extend_tuple", "find_embedding", "find_run",
+    "hat_alpha", "instruction_from_g", "invariants_of", "leq_barker", "leq_paper",
+    "leq_std_game", "load_table", "load_tree", "make_G_hat", "nat", "parse_element",
+    "parse_ordinal", "relation", "run_construction", "run_to_text", "save_table",
+    "save_tree", "ulm_equal", "validate_run",
+]
+
+
+def test_the_export_list_is_pinned():
+    # internals stay importable from their own modules; a name joins the
+    # package's exports only by being added here
+    import ulmkit
+
+    assert sorted(ulmkit.__all__) == EXPORTS
+    assert all(hasattr(ulmkit, name) for name in EXPORTS)

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from ulmkit.ordinal import (
     INFINITY,
     OMEGA,
-    OMEGA_SQUARED,
     ZERO,
     CofinalSequence,
     Ordinal,
@@ -22,6 +21,8 @@ from ulmkit.ordinal import (
     parse_ordinal,
     split_omega,
 )
+
+OMEGA_SQUARED = omega_power(2)
 
 
 def ords(max_exp=3, max_coeff=4):
@@ -265,11 +266,11 @@ class TestHeights:
 class TestCofinal:
     def test_canonical_omega_multiple(self):
         seq = canonical_cofinal(omega_power(1, 2))
-        assert list(seq.take(3)) == [OMEGA + 1, OMEGA + 2, OMEGA + 3]
+        assert [seq.at(i) for i in range(1, 4)] == [OMEGA + 1, OMEGA + 2, OMEGA + 3]
 
     def test_canonical_omega_squared(self):
         seq = canonical_cofinal(OMEGA_SQUARED)
-        assert list(seq.take(3)) == [OMEGA, omega_power(1, 2), omega_power(1, 3)]
+        assert [seq.at(i) for i in range(1, 4)] == [OMEGA, omega_power(1, 2), omega_power(1, 3)]
 
     def test_canonical_deeper(self):
         seq = canonical_cofinal(omega_power(2, 2))
@@ -285,7 +286,7 @@ class TestCofinal:
 
     def test_comma_list_continues_in_unit_steps(self):
         seq = cofinal_from_text(omega_power(1, 2), "w+1, w+3")
-        assert list(seq.take(4)) == [OMEGA + 1, OMEGA + 3, OMEGA + 4, OMEGA + 5]
+        assert [seq.at(i) for i in range(1, 5)] == [OMEGA + 1, OMEGA + 3, OMEGA + 4, OMEGA + 5]
         assert seq.label == "list:w+1, w+3"
 
     def test_validation(self):

@@ -614,8 +614,8 @@ class TestGeneratedIsoTupleRoute:
         monkeypatch.setattr(ulmkit.pgroup, "_pair_tower", counted)
         _, z4 = self._z2_z4()
         b, c = z4.gen_named("b"), z4.gen_named("c")
-        big = z4.extend(z4.zero(), nat(0), "d")  # Z4 + Z2
-        d = big.gen_named("d")
+        big = z4.extend(z4.zero(), nat(0))  # Z4 + Z2
+        d = big.gen(z4.rank)
         # b -> b and c -> c in Z4 < Z4 + Z2 hold without listing, either
         # way round
         assert _generated_iso_exists(z4, [b, c], big, [big.migrate(b), big.migrate(c)])
