@@ -656,7 +656,7 @@ def extend_tuple(
                     refusals.append(str(exc))
                     continue
                 grown = next_grown
-                cur_a[:] = [grown.migrate(x) for x in cur_a]
+                cur_a[:] = [grown.fragment.migrate(x) for x in cur_a]
                 pairs[:] = [w + (0,) for w in pairs]
                 pair_of.update(zip(map(key, pairs), pairs))
             else:

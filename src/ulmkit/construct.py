@@ -106,9 +106,9 @@ class PElement:
     """Finite sum of fractions mod 1, one per slot; parts sorted by slot.
 
     `PElement(p, parts)` validates its input: sorted distinct slots, each
-    fraction in lowest terms. The results of `+`, unary `-` and `times_p`
-    are normalized by construction and skip the check (`_trusted`), as
-    do the chain generators 1/p that `ConstructionState.X` builds.
+    fraction in lowest terms. A sum is normalized by construction and
+    skips the check (`_trusted`), as do the chain generators 1/p that
+    `ConstructionState.X` builds.
     """
 
     p: int
@@ -155,29 +155,6 @@ class PElement:
         return PElement._trusted(
             self.p, tuple((s, n, j) for s, (n, j) in sorted(acc.items()))
         )
-
-    def __neg__(self) -> "PElement":
-        return PElement._trusted(
-            self.p,
-            tuple((s, self.p**j - n, j) for s, n, j in self.parts),
-        )
-
-    def times_p(self) -> "PElement":
-        out = []
-        for s, n, j in self.parts:
-            if j == 1:
-                continue  # lands on an integer
-            n, J = n % self.p ** (j - 1), j - 1
-            if n == 0:
-                continue
-            while n % self.p == 0:
-                n //= self.p
-                J -= 1
-            out.append((s, n, J))
-        return PElement._trusted(self.p, tuple(out))
-
-    def order(self) -> int:
-        return self.p ** max((j for _, _, j in self.parts), default=0)
 
     def __str__(self) -> str:
         if self.is_zero:

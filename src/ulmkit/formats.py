@@ -107,13 +107,6 @@ def parse_element(tree: GroupTree, text: str) -> FragmentElement:
     return tree.element(raw)
 
 
-def element_to_text(x: FragmentElement) -> str:
-    if x.is_zero:
-        return "0"
-    parts = [v if c == 1 else f"{c}*{v}" for v, c in x.terms()]
-    return "+".join(parts)
-
-
 # -- predicate tables -------------------------------------------------------------
 
 

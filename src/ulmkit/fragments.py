@@ -73,9 +73,6 @@ class ProfiledGroup:
             grown._fit({**dims, **{b: dims.get(b, 0) + 1 for b in at}}, at)
         return grown, frag.gen(frag.rank - 1)
 
-    def migrate(self, x: FragmentElement) -> FragmentElement:
-        return self.fragment.migrate(x)
-
 
 def canonical_fragment(
     profile: Profile,

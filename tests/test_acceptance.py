@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from ulmkit.verify import run_all, run_suite
+from ulmkit.verify import run_suite
 
 _RESULTS: dict = {}
 _WALL = {"seconds": 0.0}
@@ -20,7 +20,7 @@ _WALL = {"seconds": 0.0}
 def results():
     if not _RESULTS:
         t0 = time.perf_counter()
-        for r in run_all(seed=0):
+        for r in run_suite("all", seed=0):
             _RESULTS[r.name] = r
         _WALL["seconds"] = time.perf_counter() - t0
     return _RESULTS

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import gc
 import random
 import signal
@@ -31,6 +32,7 @@ from ulmkit.fragments import (
     canonical_fragment,
 )
 from ulmkit.ordinal import (
+    INFINITY,
     OMEGA,
     canonical_cofinal,
     height_min,
@@ -1033,6 +1035,22 @@ class TestExtendGrowable:
             extend_tuple(A, (A.zero(),), B, (), 2, 1, ())
 
 
+class TestAnswerHeights:
+    # (hd, hz, thr, parity) -> candidates, best first, at the threshold w
+    def test_successor_p_image_backs_off_below_it(self):
+        assert list(_answer_heights(OMEGA + 3, OMEGA + 2, OMEGA, 0)) == [OMEGA + 1, OMEGA]
+
+    def test_limit_p_image_height_falls_to_the_threshold(self):
+        assert list(_answer_heights(W2 + 1, W2, OMEGA, 0)) == [OMEGA]
+
+    def test_no_room_above_the_threshold_raises(self):
+        with pytest.raises(ExtensionError, match="no admissible answer height"):
+            list(_answer_heights(OMEGA + 1, OMEGA, OMEGA, 0))
+
+    def test_descent_below_a_limit_resumes_at_the_threshold(self):
+        assert list(_answer_heights(W2, INFINITY, OMEGA, 0)) == [W2, OMEGA]
+
+
 class TestExtendExplicit:
     def test_finds_images_in_a_tree_group(self):
         A = chain(2, 2)
@@ -1075,6 +1093,47 @@ class TestCheckExtension:
         )
         problems = check_extension(B, 1, forged)
         assert any("recorded" in p for p in problems)
+
+    def real_result(self):
+        # one record: b1 (height w) answered by g1 over the context (g0,)
+        A = ghat_pg(0, [(nat(0), 1)])
+        B = ghat_pg(0, [(nat(0), 1), (OMEGA, 1)])
+        a0, b0, b1 = A.fragment.gen(0), B.fragment.gen(0), B.fragment.gen(1)
+        res = extend_tuple(A, (a0,), B, (b0,), 2, 1, [b1])
+        assert check_extension(B, 1, res) == []
+        return B, res, a0
+
+    def forge_record(self, res, **fields):
+        rec = dataclasses.replace(res.records[0], **fields)
+        return dataclasses.replace(res, records=(rec,))
+
+    def test_flags_forged_p_image(self):
+        B, res, a0 = self.real_result()
+        forged = self.forge_record(res, pimage=a0)
+        assert check_extension(B, 1, forged) == ["p*g1 != g0"]
+
+    def test_flags_created_element_inside_its_context(self):
+        B, res, _ = self.real_result()
+        rec = res.records[0]
+        forged = self.forge_record(res, context=rec.context + (rec.created,))
+        assert check_extension(B, 1, forged) == ["g1 fell into the prefix subgroup"]
+
+    def test_flags_improper_created_element(self):
+        # g0 + g1 has height 0, but g1 in its coset over (g0,) has height w
+        B, res, a0 = self.real_result()
+        c = res.records[0].created + res.A.fragment.migrate(a0)
+        forged = self.forge_record(res, created=c, height=c.height(), pimage=c.times_p())
+        assert check_extension(B, 1, forged) == [
+            "g0+g1 is not proper over its prefix subgroup"
+        ]
+
+    def test_reports_a_relation_check_that_errors(self):
+        # a left tuple from the A side cannot be read in B's fragment
+        B, res, a0 = self.real_result()
+        forged = dataclasses.replace(res, left=(a0,) + res.left[1:])
+        assert check_extension(B, 1, forged) == [
+            "relation check errored: element does not belong to this fragment"
+        ]
 
     def test_flags_wrong_conclusion_tuple(self):
         A = ghat_pg(0)
@@ -1244,7 +1303,7 @@ def extend_tuple_by_rebuild(A, abar, B, bbar, beta, eta, dbar, check_hypothesis=
                 except ValueError as exc:
                     refusals.append(str(exc))
                     continue
-                cur_a = [grown.migrate(x) for x in cur_a]
+                cur_a = [grown.fragment.migrate(x) for x in cur_a]
             else:
                 c = _find_explicit_image(grown, cur_a, z, gamma)
                 if c is None:

@@ -6,7 +6,6 @@ import pytest
 
 from ulmkit.formats import (
     FormatError,
-    element_to_text,
     export_dot,
     instruction_from_dict,
     load_table,
@@ -89,7 +88,7 @@ class TestElementExpressions:
     def test_zero(self):
         t = mixed()
         assert parse_element(t, "0") == t.zero()
-        assert element_to_text(t.zero()) == "0"
+        assert str(t.zero()) == "0"
 
     def test_simple_and_scaled_terms(self):
         t = mixed(3)
@@ -107,7 +106,7 @@ class TestElementExpressions:
     def test_round_trips_every_element(self):
         t = mixed(3)
         for x in t.elements():
-            assert parse_element(t, element_to_text(x)) == x
+            assert parse_element(t, str(x)) == x
 
     @pytest.mark.parametrize("text", ["ghost", "a++b", "x*a", ""])
     def test_rejects_malformed(self, text):
