@@ -21,23 +21,34 @@ for listed triples. The listed set generates the group, so invariant
 estimates read off the chain-depth histogram.
 
 A row's chains are slot numbers, not elements: the chain in slot k is
-listed as the generators 1/p^j, j up to `chains[k]`. A row keeps two
-slot lists, in the order the slots were allocated: the slots it started
-and the slots it treated. A treatment retires the whole watch batch, so
-the treated slots are a prefix of the started ones and the watched slots
-(started but not yet treated) are the rest. They all sit at depth e+1:
+listed as the generators 1/p^j, j up to `chains[k]`. Nothing is stored
+per slot. At each stage the growing rows take the next free slots in
+increasing row order, so a stage records its first slot, and a row
+grows at every stage from the one that attends it on except those it is
+treated at and, once stuck, all later ones. A row is stuck when its
+least unused true column is used up while it watches no chain; it then
+never grows or is treated again. A row records the stages it was
+treated at and the stage its watch batch (its chains not yet treated)
+began:
 
-  * a growth step takes the next free slot, sets its depth to e+1, counts
-    it in the depth histogram and appends it to the started list; it
-    builds no element;
-  * a treatment takes the least fresh true cell (a cursor over the row's
-    sorted true columns, so the used columns Y[e] are a prefix of them)
-    and the least unused r, sets every watched slot to depth e+r+1, moves
-    the whole batch in the histogram at once and appends it to the
-    treated list.
+  * a growth step writes nothing: a stage moves the next free slot on
+    by the number of rows attended, less those treated at it and those
+    stuck;
+  * a heap keyed by each row's next event stage (its least unused true
+    column + 1) hands a stage only the rows treated or stuck there. A
+    treatment uses that column (so the used columns Y[e] are a prefix
+    of the row's true columns) and the least unused r, which is one
+    more than the row's treatments so far; it moves the watch batch,
+    all at depth e+1, to depth e+r+1 and counts it in the histogram of
+    treated depths.
 
-`X` and `Xt` are read-only views of the started and treated lists: X[e]
-builds row e's chain generators 1/p as a set of `PElement`s when asked.
+`chains`, `X` and `Xt` are read-only views answered by search. Slot k
+was started at the last stage whose first slot is at most k, by the
+growing row of rank k minus that first slot; its depth is e+1 while row
+e watches it, and e+i+2 once the row's i-th treatment (from 0) retired
+it. X[e] and Xt[e] rebuild the slots row e started or had treated from
+its growth stages, as sets of chain generators 1/p, when asked. The
+estimates add each row's watch batch to the treated histogram.
 
 Closure and audit rows decode their operands once, when first attended,
 and are checked again only when an operand they wait for is listed.
@@ -47,9 +58,11 @@ element. A generator 1/p^j in slot k is also noted under slot k: it is
 listed by its chain reaching depth j, never by a sum, since every sum of
 listed elements lies within its slots' chain depths.
 
-  * a growth step or treatment that deepens a slot wakes the rows parked
-    on the generators it lists, and a sum added to the extras wakes the
-    rows parked on that sum;
+  * a growth step that starts a slot, or a treatment that deepens it,
+    wakes the rows parked on the generators it lists: a slot parked on
+    before it starts waits in a heap of slot numbers, and a watched one
+    is noted under its row, whose next treatment deepens it. A sum added
+    to the extras wakes the rows parked on that sum;
   * a woken row checks its operands again and either settles or parks on
     the next unlisted one; a settled closure row lists its sum once, and
     a settled audit row goes live with its truth a + b == c computed once.
@@ -65,7 +78,8 @@ subset test of dict items), so a flipped fact is caught.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from bisect import bisect_left, bisect_right
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from math import isqrt
@@ -213,22 +227,64 @@ class PredicateTable:
         return e in self.cofinal_rows
 
 
-class _SlotRows(Mapping):
-    """Read-only view of per-row slot lists: row e maps to the set of its
-    slots' chain generators 1/p, built on each lookup."""
+class _Chains(Mapping):
+    """Read-only view of the chains: slot k maps to its current depth.
+    Slots are numbered in the order they were started, so the keys are
+    0, 1, ..., len - 1; `items` and `values` walk the stages once."""
 
-    def __init__(self, p: int, rows: dict[int, list[int]]):
-        self._p, self._rows = p, rows
+    def __init__(self, state: "ConstructionState"):
+        self._state = state
 
-    def __getitem__(self, e: int) -> set[PElement]:
-        p = self._p
-        return {PElement._trusted(p, ((k, 1, 1),)) for k in self._rows[e]}
+    def get(self, k: int, default=None):
+        depth = self._state._depth(k)
+        return default if depth is None else depth
+
+    def __getitem__(self, k: int) -> int:
+        depth = self.get(k)
+        if depth is None:
+            raise KeyError(k)
+        return depth
 
     def __iter__(self):
-        return iter(self._rows)
+        return iter(range(self._state._free))
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return self._state._free
+
+    def items(self):
+        return _ChainItems(self)
+
+    def values(self):
+        return _ChainDepths(self)
+
+
+class _ChainItems(ItemsView):
+    def __iter__(self):
+        return enumerate(self._mapping._state._depths())
+
+
+class _ChainDepths(ValuesView):
+    def __iter__(self):
+        return self._mapping._state._depths()
+
+
+class _SlotRows(Mapping):
+    """Read-only view of the slots each attended row started (or, with
+    `treated`, had treated): row e maps to the set of their chain
+    generators 1/p, built on each lookup."""
+
+    def __init__(self, state: "ConstructionState", treated: bool):
+        self._state, self._treated = state, treated
+
+    def __getitem__(self, e: int) -> set[PElement]:
+        p = self._state.p
+        return {PElement._trusted(p, ((k, 1, 1),)) for k in self._state._slots_of(e, self._treated)}
+
+    def __iter__(self):
+        return iter(self._state.Y)
+
+    def __len__(self) -> int:
+        return len(self._state.Y)
 
 
 class ConstructionState:
@@ -239,21 +295,28 @@ class ConstructionState:
         self.table = table
         self.p = p
         self.stage = 0
-        self.chains: dict[int, int] = {}  # slot -> current depth
+        self.chains = _Chains(self)
         self.extras: set[PElement] = set()
         self.D: dict[tuple, bool] = {}
         self.Y: dict[int, set[int]] = {}
         self.T: dict[int, set[int]] = {}
-        self._started: dict[int, list[int]] = {}  # row -> slots it started
-        self._treated: dict[int, list[int]] = {}  # row -> slots it treated
-        self._cursor: dict[int, Optional[int]] = {}  # row -> its `_next_true`
-        self.X = _SlotRows(p, self._started)
-        self.Xt = _SlotRows(p, self._treated)
+        self.X = _SlotRows(self, False)
+        self.Xt = _SlotRows(self, True)
+        self._first: list[int] = []  # stage -> the first slot it started
         self._free = 0  # slots are allocated in increasing order
+        self._start: list[Optional[int]] = []  # row -> stage its watch batch began; None once stuck
+        self._treats: dict[int, list[int]] = {}  # row -> the stages it was treated at
+        self._treated_at: dict[int, list[int]] = {}  # stage -> the rows treated at it
+        self._stuck0: list[int] = []  # rows stuck from the stage that attends them
+        self._gaps: list[int] = []  # _stuck0[i] - i, for a search by rank
+        self._late: list[tuple[int, int]] = []  # (stage, row) for rows stuck after a treatment
+        self._events: list[tuple[int, int]] = []  # heap of (next event stage, row)
         self._true_cols: dict[int, list[int]] = {}  # row -> true columns < bound
-        for e, y in sorted(table.trues):
+        for e, y in table.trues:
             self._true_cols.setdefault(e, []).append(y)
-        self._hist: dict[int, int] = {}  # depth -> number of chains
+        for cols in self._true_cols.values():
+            cols.sort()
+        self._hist: dict[int, int] = {}  # depth -> number of treated chains
         self._elems: dict[int, PElement] = {}
         # row -> its closure operands (a, b) / its audit row (key, a, b, c)
         self._closures: list[tuple[PElement, PElement]] = []
@@ -261,8 +324,12 @@ class ConstructionState:
         # unlisted element -> the closure / audit rows parked on it
         self._closures_on: dict[PElement, list[int]] = {}
         self._audits_on: dict[PElement, list[int]] = {}
-        # slot -> {j: 1/p^j in that slot}, for the generators rows park on
+        # slot -> {j: 1/p^j in that slot}, for the generators rows park on;
+        # such a slot not started yet waits in `_unborn`, a watched one is
+        # noted under its row in `_parked`
         self._gens_on: dict[int, dict[int, PElement]] = {}
+        self._unborn: list[int] = []
+        self._parked: dict[int, set[int]] = {}
         # rows to check at this stage's closure and audit passes
         self._due_closures: list[int] = []
         self._due_audits: list[int] = []
@@ -300,61 +367,142 @@ class ConstructionState:
 
     def advance(self) -> None:
         s = self.stage
+        events, start = self._events, self._start
         if s:
             e = s - 1  # the row first attended at this stage
             self.Y[e] = set()
-            self._started[e], self._treated[e] = [], []
-            self._cursor[e] = self._next_true(e)
+            start.append(s)
+            y = self._next_true(e)
+            if y is not None:
+                heappush(events, (y + 1, e))
             m1, m2 = cantor_unpair(e)
             self._closures.append((self.elem(m1), self.elem(m2)))
             self._due_closures.append(e)
             i, j, k = decode_triple(e)
             self._audits.append((("sum", i, j, k), self.elem(i), self.elem(j), self.elem(k)))
             self._due_audits.append(e)
-        chains, hist, cursor = self.chains, self._hist, self._cursor
-        started, treated = self._started, self._treated
-        first_new = self._free
-        for e in range(s):
-            y = cursor[e]
-            if y is not None and y < s:
-                if len(started[e]) > len(treated[e]):  # a watch batch
-                    self._treat(e, y)
-                continue
-            # no fresh true cell: start a chain of depth e+1 in the next slot
-            k = self._free
-            self._free = k + 1
-            chains[k] = e + 1
-            hist[e + 1] = hist.get(e + 1, 0) + 1
-            started[e].append(k)
-        gens_on = self._gens_on
-        if gens_on:
-            for k in [k for k in gens_on if first_new <= k < self._free]:
-                self._deepened(k, chains[k])
+        # the rows whose least unused true column is below s: a row with a
+        # watch batch is treated, one without is stuck for good
+        treated = []
+        while events and events[0][0] <= s:
+            y, e = heappop(events)
+            if start[e] < s:
+                self._treat(e, s, y - 1)
+                treated.append(e)
+            else:
+                start[e] = None
+                if s == e + 1:
+                    self._gaps.append(e - len(self._stuck0))
+                    self._stuck0.append(e)
+                else:
+                    self._late.append((s, e))
+        if treated:
+            self._treated_at[s] = treated
+        # every other attended row grows, in the next free slots
+        self._first.append(self._free)
+        self._free += s - len(treated) - len(self._stuck0) - len(self._late)
+        unborn, gens_on = self._unborn, self._gens_on
+        while unborn and unborn[0] < self._free:
+            k = heappop(unborn)
+            e = self._row_of(k)[0]
+            self._deepened(k, e + 1)
+            if k in gens_on:
+                self._parked.setdefault(e, set()).add(k)
         self._attend_closures()
         self._attend_audits()
         self.stage = s + 1
 
-    def _treat(self, e: int, y: int) -> None:
-        """Retire row e's watched batch, all at depth e+1, with the fresh
-        true cell y: the batch moves to depth e+r+1, r the least unused."""
-        r = 1
+    def _treat(self, e: int, s: int, y: int) -> None:
+        """Retire row e's watch batch, the chains it started from stage
+        `_start[e]` to s-1, all at depth e+1, with the fresh true cell y:
+        the batch moves to depth e+r+1, r the least unused, which is one
+        more than the row's treatments so far."""
         taken = self.T.setdefault(e, set())
-        while r in taken:
-            r += 1
+        r = len(taken) + 1
         taken.add(r)
-        treated = self._treated[e]
-        watch = self._started[e][len(treated):]
-        depth, chains = e + r + 1, self.chains
-        gens_on = self._gens_on
-        for k in watch:
-            chains[k] = depth
-            if k in gens_on:
-                self._deepened(k, depth)
-        self._hist[e + 1] -= len(watch)
-        self._hist[depth] = self._hist.get(depth, 0) + len(watch)
-        treated += watch
+        depth = e + r + 1
+        self._hist[depth] = self._hist.get(depth, 0) + s - self._start[e]
+        self._treats.setdefault(e, []).append(s)
+        self._start[e] = s + 1
         self.Y[e].add(y)
-        self._cursor[e] = self._next_true(e)
+        for k in self._parked.pop(e, ()):
+            self._deepened(k, depth)
+        y = self._next_true(e)
+        if y is not None:
+            heappush(self._events, (y + 1, e))
+
+    # -- answering slot queries from the stage records ------------------------
+
+    def _row_of(self, k: int) -> tuple[int, int]:
+        """The row whose growth step started slot k, and that stage.
+
+        The stage is the last whose first slot is at most k; its growing
+        rows took its slots in increasing row order, so the row is the one
+        of rank r = k - first slot among them. Among the rows not stuck
+        from their first stage, the search skips the ranks of those idle
+        at the stage (treated there, or stuck after a treatment by then),
+        then adds the rows stuck from their first stage below it: those
+        whose `_gaps` entry is at most the rank."""
+        first, late = self._first, self._late
+        s = bisect_right(first, k) - 1
+        r = k - first[s]
+        treated = self._treated_at.get(s)
+        if treated or late and late[0][0] <= s:
+            idle = [x for t, x in late if t <= s] + (treated or [])
+            stuck0 = self._stuck0
+            for q in sorted(x - bisect_left(stuck0, x) for x in idle):
+                if q > r:
+                    break
+                r += 1
+        return r + bisect_right(self._gaps, r), s
+
+    def _depth_of(self, e: int, s: int) -> int:
+        """Depth of the chain row e started at stage s: e+1 while watched,
+        e+i+2 once the row's i-th treatment (from 0) retired it."""
+        ts = self._treats.get(e)
+        return e + bisect_left(ts, s) + 2 if ts and ts[-1] > s else e + 1
+
+    def _depth(self, k: int) -> Optional[int]:
+        """Slot k's depth, or None when no slot k has been started."""
+        if not 0 <= k < self._free:
+            return None
+        return self._depth_of(*self._row_of(k))
+
+    def _depths(self):
+        """Every slot's depth, in slot order."""
+        stuck0, depth_of = set(self._stuck0), self._depth_of
+        for s in range(len(self._first)):
+            idle = {x for t, x in self._late if t <= s}.union(self._treated_at.get(s, ()))
+            for e in range(s):
+                if e not in stuck0 and e not in idle:
+                    yield depth_of(e, s)
+
+    def _slots_of(self, e: int, treated: bool) -> list[int]:
+        """The slots attended row e started, or with `treated` those its
+        treatments retired: one at each stage from e+1 on but those it
+        was treated at, up to its last treatment, or to now while it grows."""
+        if e not in self.Y:
+            raise KeyError(e)
+        ts = self._treats.get(e, [])
+        if not treated and self._start[e] is not None:
+            end = self.stage
+        else:
+            end = ts[-1] if ts else e + 1
+        # rows below e idle at a stage s > e: those stuck from their first
+        # stage, those stuck later by s, and those treated at s
+        stuck0 = bisect_left(self._stuck0, e)
+        late = [t for t, x in self._late if x < e]
+        first, treated_at, skip = self._first, self._treated_at, set(ts)
+        slots = []
+        for s in range(e + 1, end):
+            if s in skip:
+                continue
+            idle = stuck0 + bisect_right(late, s)
+            rows = treated_at.get(s)
+            if rows:
+                idle += sum(x < e for x in rows)
+            slots.append(first[s] + e - idle)
+        return slots
 
     # -- parking and waking closure and audit rows ---------------------------
 
@@ -373,8 +521,24 @@ class ConstructionState:
             rows = on[x] = []
             if len(x.parts) == 1 and x.parts[0][1] == 1:
                 k, _, j = x.parts[0]
-                self._gens_on.setdefault(k, {})[j] = x
+                gens = self._gens_on.get(k)
+                if gens is None:
+                    gens = self._gens_on[k] = {}
+                    self._watch_slot(k)
+                gens[j] = x
         rows.append(row)
+
+    def _watch_slot(self, k: int) -> None:
+        """Note where slot k's next deepening will come from: its growth
+        step for a slot not started yet, its row's next treatment for a
+        watched one. A treated slot is at its final depth."""
+        if k >= self._free:
+            heappush(self._unborn, k)
+            return
+        e, s = self._row_of(k)
+        start = self._start[e]
+        if start is not None and s >= start:
+            self._parked.setdefault(e, set()).add(k)
 
     def _listed(self, x: PElement) -> list[int]:
         """x has just been listed: wake the rows parked on it. The audit
@@ -444,14 +608,20 @@ class ConstructionState:
     # -- reading the assembled group ----------------------------------------
 
     def estimates(self, window: int) -> list[int]:
-        """u_e of the group generated by the listing, from chain depths."""
-        return [self._hist.get(e + 1, 0) for e in range(window)]
+        """u_e of the group generated by the listing, from chain depths:
+        row e's watch batch at depth e+1 and the treated chains there."""
+        start, stage = self._start, self.stage
+        return [
+            self._hist.get(e + 1, 0)
+            + (stage - start[e] if e < len(start) and start[e] is not None else 0)
+            for e in range(window)
+        ]
 
     def as_group_tree(self) -> GroupTree:
         """Explicit tree for the chain part of the listing (closure sums
         generate nothing beyond it); one node per unit of chain depth."""
         parent: dict[str, Optional[str]] = {"r": None}
-        for k, depth in sorted(self.chains.items()):
+        for k, depth in self.chains.items():
             prev = "r"
             for d in range(1, depth + 1):
                 parent[f"s{k}d{d}"] = prev

@@ -1,9 +1,10 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ulmkit.construct import (
     ConstructionState,
@@ -216,11 +217,13 @@ class RescanStepper(ConstructionState):
     """The construction as first written: every stage rescans each row for
     fresh true cells, rebuilds its watch set, decodes every closure and
     audit operand again and recounts the depth histogram. Kept only as a
-    cross-check of the incremental stages. It keeps X and Xt as plain
-    dicts of element sets, where the incremental state keeps slot lists."""
+    cross-check of the incremental stages. It keeps chains as a plain dict
+    of slot depths and X and Xt as plain dicts of element sets, where the
+    incremental state answers them from its stage and treatment records."""
 
     def __init__(self, table: PredicateTable, p: int = 2):
         super().__init__(table, p)
+        self.chains: dict[int, int] = {}
         self.X: dict[int, set[PElement]] = {}
         self.Xt: dict[int, set[PElement]] = {}
 
@@ -433,9 +436,9 @@ class TestIncrementalStages:
         assert len(state.D) <= calls <= 149 + 149
 
     def test_growth_builds_no_elements(self, monkeypatch):
-        # a growth step writes a slot's depth and appends it to its row's
-        # slot lists, and a treatment moves the row's batch of slots: over
-        # 150 stages only closure and audit sums build elements, one each
+        # a growth step writes nothing per slot, and a treatment records
+        # only its stage under its row: over 150 stages only closure and
+        # audit sums build elements, one each
         calls = 0
         trusted = PElement._trusted.__func__
 
@@ -474,3 +477,62 @@ class TestIncrementalStages:
         with alarm(2.0):
             run = run_construction(PredicateTable(1), 800)
         assert run.history[-1][0] == 799
+
+    def test_memory_is_linear_in_stages(self):
+        # 2,000 all-false stages start 1,999,000 chains; with one dict
+        # entry per chain the traced peak was 207 MiB, the stage and row
+        # records peak at 1.8 MiB
+        tracemalloc.start()
+        try:
+            run = run_construction(PredicateTable(1), 2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(run.state.chains) == 1999 * 2000 // 2
+        assert peak < 8 * 2**20
+
+
+@st.composite
+def random_tables(draw) -> PredicateTable:
+    """All-false, sparse and cofinal rows over a small bound. A row gets
+    stuck when its least unused true column lies below the stage while it
+    watches nothing: a true column before the stage that attends the row,
+    two adjacent true columns, or a cofinal row past the bound, where it
+    is true at every column."""
+    bound = draw(st.integers(1, 12))
+    trues, cofinal = set(), set()
+    for e in range(draw(st.integers(0, 16))):
+        kind = draw(st.sampled_from(["false", "sparse", "cofinal"]))
+        if kind != "false":
+            size = bound if kind == "cofinal" else 3
+            trues |= {(e, y) for y in draw(st.sets(st.integers(0, bound - 1), max_size=size))}
+        if kind == "cofinal":
+            cofinal.add(e)
+    return PredicateTable(bound, trues, cofinal)
+
+
+class TestImplicitGrowth:
+    # row 0 is treated at stages 2 and 7 and stuck from 8, past the bound;
+    # row 1 is treated at 4 and stuck from 5; row 2 is stuck from the start
+    @example(PredicateTable(6, {(0, 1), (1, 3), (1, 4), (2, 0)}, {0}), 3, 40, random.Random(0))
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(
+        random_tables(),
+        st.sampled_from([2, 3]),
+        st.integers(1, 200),
+        st.randoms(use_true_random=False),
+    )
+    def test_random_tables_match_the_rescan_stepper(self, table, p, stages, rng):
+        fast, slow = ConstructionState(table, p), RescanStepper(table, p)
+        for _ in range(stages):
+            fast.advance()
+            slow.advance()
+            assert state_of(fast) == state_of(slow)
+        # lookups by slot search the stage records; iteration walks them
+        chains = slow.chains
+        assert len(fast.chains) == len(chains)
+        assert list(fast.chains.items()) == list(chains.items())
+        for k in rng.sample(range(len(chains)), min(50, len(chains))):
+            assert fast.chains[k] == chains[k]
+        assert len(chains) not in fast.chains
+        assert list(fast.X) == list(slow.X) and list(fast.Xt) == list(slow.Xt)
