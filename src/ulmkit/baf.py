@@ -22,9 +22,10 @@ and heights are screened first; then the pinned correspondence is listed
 as one tower of coordinate pairs, built there from the screened pins'
 encodings (``pgroup``'s pair tower adds coefficient tuples only), checked
 for heights without decoding, and the socle images are kept in one echelon
-with their sources, seeded by the socle of the pinned subgroup, so a choice
-that contradicts a pin is refused where it is made rather than when the
-pin's support is complete.
+with their sources, seeded by the socle of the tower, so a choice that
+contradicts a pin is refused where it is made rather than when the pin's
+support is complete. The pinned elements whose images force a node's come
+from a triangular basis of the pins, one per node, and not from the tower.
 
 Route two (`leq_barker` for tuples in one group, `leq_paper` for groups
 carrying limit-infinite invariant profiles): closed forms at the threshold
@@ -105,6 +106,7 @@ def find_embedding(
     dst: GroupTree,
     dst_pins: Sequence[FragmentElement],
     onto: bool = False,
+    witness: bool = True,
 ) -> Optional[dict[str, FragmentElement]]:
     """Injective homomorphism src -> dst with src_pins[i] -> dst_pins[i].
 
@@ -112,24 +114,26 @@ def find_embedding(
     isomorphism <src_pins> -> <dst_pins> and never lowers heights. Each pin
     pair is screened first: unequal orders or a lowered height refuse at
     once. Then the restriction is listed, as the pair tower of the pins on
-    both trees' decomposition coordinates (at most DEFAULT_BOUND pairs);
-    this route lists pairs, where the closed form counts orders, and
-    heights are compared on it as least p-adic valuations, decoding
-    nothing. The search then places nodes, parents first, in dst's
+    both trees' decomposition coordinates (at most DEFAULT_BOUND pairs), for
+    well-definedness, injectivity, heights (least p-adic valuations) and the
+    socle seed below; this route lists pairs, where the closed form counts
+    orders. The search then places nodes, parents first, in dst's
     coordinates: the candidates are the preimages of the parent's image
     under p (one solution plus socle elements) at the right height, and a
-    node completing the support of a pinned-subgroup element gets the image
+    node last in the support of a forced element of <src_pins> (one per node
+    where it grows, read off a triangular basis of the pins) gets the image
     that carries it. On the socle the map is linear and injective, and its
-    graph contains the socle of the pin tower; so the (source | image)
-    socle vector of each placement must raise the source, image and paired
-    GF(p) ranks together, which fixes the image of every placement whose
-    source is already spanned. Without pins this is independence of the
-    socle images. Raises BoundExceeded when the pins generate more than
-    DEFAULT_BOUND pairs (all 20 leaves of the (Z2)^20 star pinned on both
-    sides, say, where ``leq_barker`` counts orders and answers) or a socle
-    layer the candidates come from has more than DEFAULT_BOUND elements.
-    The answer is memoized on dst (trees are immutable), so it dies with
-    dst.
+    graph contains the socle of the pin tower; so the (source | image) socle
+    vector of each placement must raise the source, image and paired GF(p)
+    ranks together, which fixes the image of every placement whose source is
+    already spanned. Without pins this is independence of the socle images.
+    Raises BoundExceeded when the pins generate more than DEFAULT_BOUND
+    pairs (all 20 leaves of the (Z2)^20 star pinned on both sides, say,
+    where ``leq_barker`` counts orders and answers) or a socle layer the
+    candidates come from has more than DEFAULT_BOUND elements. The answer is
+    memoized on dst (trees are immutable): per source tree, held weakly, or
+    apart when src is dst. With witness=False it is only tested against
+    None, and a map found stays undecoded until a caller asks for it.
     """
     if src.p != dst.p or len(src_pins) != len(dst_pins):
         return None
@@ -143,12 +147,15 @@ def find_embedding(
         for x, y in zip(src_pins, dst_pins)
         if not (x.is_zero and y.is_zero)
     })
-    # src is None when it is dst, so dst's memo does not keep dst alive
-    key = (None if src is dst else src, onto, *[c for pair in pairs for c in pair])
-    memo = dst.embed_memo
+    memo = dst.self_embed_memo if src is dst else dst.embed_memo.setdefault(src, {})
+    key = (onto, *[c for pair in pairs for c in pair])
     if key not in memo:
         memo[key] = _find_embedding_uncached(src, src_pins, dst, dst_pins, onto)
-    return memo[key]
+    hit = memo[key]
+    if witness and isinstance(hit, tuple):
+        dec = dst.decomposition
+        hit = memo[key] = {v: dec.decode(z) for v, z in hit}
+    return hit
 
 
 def _find_embedding_uncached(src, src_pins, dst, dst_pins, onto):
@@ -191,40 +198,47 @@ def _find_embedding_uncached(src, src_pins, dst, dst_pins, onto):
     if not all(keeps(z[:cut], z[cut:]) for z in tower[1:]):
         return None
 
-    # Shapes of subtrees are numbered, and contact with a pin support is
-    # flagged, bottom-up, deepest first: v is touched when it or a node
-    # below it lies in a pin's support.
-    pinned_sup = {v for x in src_pins for v, _ in x.terms()}
-    shape: dict[str, int] = {}
-    shapes: dict[tuple, int] = {}
-    touched: dict[str, bool] = {}
-    for v in sorted(src.nodes, key=lambda u: -src.depth(u)):
-        cs = src.children[v]
-        shape[v] = shapes.setdefault(tuple(sorted(shape[c] for c in cs)), len(shapes))
-        touched[v] = v in pinned_sup or any(touched[c] for c in cs)
-
-    # The touched nodes come first, so every pin is forced (at the last
-    # node of its support) before any untouched node is tried; then higher
+    # The touched nodes, pin supports and their ancestors, come first, so
+    # every pin is forced before any untouched node is tried; then higher
     # ranks first, as they have the fewest candidates. Rank falls strictly
     # from parent to child and touched nodes' parents are touched, so
     # parents still come before children.
-    order = sorted(
-        src.nonroot,
-        key=lambda v: (not touched[v], -src.rank(v), src.depth(v), v),
-    )
-    pos = {v: i for i, v in enumerate(order)}
-    p, mods = dst.p, dec.moduli
+    base, runs = src._search_plan
+    touched = {src.root}
+    for x in src_pins:
+        for v, _ in x.terms():
+            while v not in touched:
+                touched.add(v)
+                v = src.parent[v]
+    order = [v for v in base if v in touched] + [v for v in base if v not in touched]
 
-    # The elements of <pins> on the first i nodes of `order` form a group
-    # that grows at most p-fold per node, as the span of those nodes does.
-    # So forcing f(v) to carry one element x with v last in its support
-    # makes all of <pins> map right by the time its support is placed.
+    # forced: per node v, one x in <pins> with v last in its support, its
+    # image, and the inverse of its coefficient at v modulo the exponent of
+    # dst (so also modulo p). As parents are placed first, the first i nodes
+    # of `order` span a subgroup S_i whose normal forms live on them, and on
+    # S_i the i-th node's coefficient is additive mod p: carries only move to
+    # parents. So <pins> & S_i grows at most p-fold per node, and one x per
+    # growth makes all of <pins> map right once its support is placed. From
+    # the last node down, rows spanning <pins> & S_i keep one lead with a unit
+    # at node i, the x, which clears the others there; p * lead joins them.
+    frag, p, mods = src.fragment, dst.p, dec.moduli
+
+    def combine(row, t, lead):  # row + t * lead
+        (x, y), (lx, ly) = row, lead
+        return (frag._normalize([a + t * b for a, b in zip(x, lx)]),
+                tuple([(a + t * b) % m for a, b, m in zip(y, ly, mods)]))
+
+    rows = [(x.coeffs, pin[cut:]) for x, pin in zip(src_pins, pins) if not x.is_zero]
     forced: dict[str, tuple] = {}
-    for z in tower:
-        terms = sdec.decode(z[:cut]).terms()
-        if terms:
-            last = max((v for v, _ in terms), key=pos.__getitem__)
-            forced.setdefault(last, (terms, z[cut:]))
+    for v in reversed(order):
+        i = frag.index[v]
+        lead = next((row for row in rows if row[0][i]), None)
+        if lead is not None:
+            (lx, ly), inv = lead, pow(lead[0][i], -1, max(mods))
+            rest = [(g.name, c) for g, c in zip(frag.gens, lx) if c and g.name != v]
+            forced[v] = (inv, rest, ly)
+            rows = [combine(r, -r[0][i] * inv, lead) if r[0][i] else r for r in rows if r is not lead]
+            rows = [r for r in [*rows, combine(lead, p - 1, lead)] if any(r[0])]
 
     # symmetry break: sibling subtrees of identical shape that no pin
     # touches are interchangeable, so force their root images into
@@ -232,14 +246,9 @@ def _find_embedding_uncached(src, src_pins, dst, dst_pins, onto):
     # siblings share their sort key up to the name, so the earlier one is
     # placed first.
     sym_pred: dict[str, str] = {}
-    for parent_node in src.nodes:
-        groups: dict[int, list[str]] = {}
-        for c in src.children[parent_node]:
-            if not touched[c]:
-                groups.setdefault(shape[c], []).append(c)
-        for orbit in groups.values():  # children come sorted
-            for u, v in zip(orbit, orbit[1:]):
-                sym_pred[v] = u
+    for run in runs:
+        orbit = [v for v in run if v not in touched]
+        sym_pred.update(zip(orbit[1:], orbit))
 
     # f is injective iff it is on the socle, where it is a linear map whose
     # graph contains the socle of <pins>: the pairs (src k | dst k) of tower
@@ -295,13 +304,10 @@ def _find_embedding_uncached(src, src_pins, dst, dst_pins, onto):
         cands: Iterable = layer.items()
         if pinned_here:
             # c * f(v) = f(x) - (image of the rest of x), and c is a unit
-            # modulo the exponent of dst
-            terms, acc = pinned_here
-            for w, c in terms:
-                if w == v:
-                    inv = pow(c, -1, max(mods))
-                else:
-                    acc = [a - c * b for a, b in zip(acc, assign[w])]
+            # modulo the exponent of dst, whose inverse the plan keeps
+            inv, rest, acc = pinned_here
+            for w, c in rest:
+                acc = [a - c * b for a, b in zip(acc, assign[w])]
             s = tuple((a * inv - b) % m for a, b, m in zip(acc, y0, mods))
             k = tuple(c * p // m for c, m in zip(s, mods))
             cands = ((k, s),) if layer.get(k) == s else ()
@@ -337,7 +343,7 @@ def _find_embedding_uncached(src, src_pins, dst, dst_pins, onto):
             stack.pop()
             if not stack:
                 return None
-    return {v: dec.decode(z) for v, z in assign.items()}
+    return tuple(assign.items())
 
 
 # -- the standard relations on explicit groups -------------------------------
@@ -362,8 +368,8 @@ def leq_std_game(
         return False
     bbar = bbar[: len(abar)]
     if beta == 1:
-        return find_embedding(B, bbar, A, abar, onto=False) is not None
-    return find_embedding(A, abar, B, bbar, onto=True) is not None
+        return find_embedding(B, bbar, A, abar, witness=False) is not None
+    return find_embedding(A, abar, B, bbar, onto=True, witness=False) is not None
 
 
 # -- closed forms --------------------------------------------------------------

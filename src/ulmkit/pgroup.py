@@ -62,6 +62,7 @@ import functools
 import itertools
 import math
 import operator
+import weakref
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -408,10 +409,11 @@ class GroupTree:
         ranks = Counter(self._rank[v] for v in self.nonroot)
         self.socle_dims = tuple(ranks[k] for k in range(len(ranks) + 1))
         self.size: int = p ** len(self.nonroot)
-        # memos that die with this tree: baf.find_embedding answers into
-        # this tree keyed by (source tree, pin pairs, onto), and the
-        # profile ulm.invariants_of reads off socle_dims
-        self.embed_memo: dict = {}
+        # memos that die with this tree: baf.find_embedding's answers into
+        # it by (onto, pin pairs), per other source tree (held weakly) or
+        # from itself, and the profile ulm.invariants_of reads off socle_dims
+        self.embed_memo: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+        self.self_embed_memo: dict = {}
         self.invariants_memo = None
 
     # -- basic structure ---------------------------------------------------
@@ -430,6 +432,22 @@ class GroupTree:
     @functools.cached_property
     def decomposition(self) -> "CyclicDecomposition":
         return CyclicDecomposition(self)
+
+    @functools.cached_property
+    def _search_plan(self) -> tuple[tuple[str, ...], list[list[str]]]:
+        """The part of ``baf.find_embedding``'s plan that is this tree's: the
+        non-root nodes by descending rank, then depth, then name; and each
+        run of two or more siblings whose subtrees have one shape."""
+        shape: dict[str, int] = {}
+        shapes: dict[tuple, int] = {}
+        runs = []
+        for v in sorted(self.nodes, key=lambda u: -self._depth[u]):
+            cs, groups = self.children[v], {}
+            for c in cs:
+                groups.setdefault(shape[c], []).append(c)
+            runs += [g for g in groups.values() if len(g) > 1]
+            shape[v] = shapes.setdefault(tuple(sorted(shape[c] for c in cs)), len(shapes))
+        return tuple(sorted(self.nonroot, key=lambda v: (-self._rank[v], self._depth[v], v))), runs
 
     @functools.cached_property
     def fragment(self) -> Fragment:
@@ -679,7 +697,8 @@ def echelon_add(basis: list, vec: Sequence[int], p: int) -> bool:
     vec = echelon_reduce(basis, vec, p)
     for piv, c in enumerate(vec):
         if c:
-            basis.append((piv, [a * pow(c, -1, p) % p for a in vec]))
+            inv = pow(c, -1, p)
+            basis.append((piv, [a * inv % p for a in vec]))
             return True
     return False
 

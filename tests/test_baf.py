@@ -3,6 +3,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import gc
+import hashlib
 import random
 import signal
 import time
@@ -137,6 +138,18 @@ class TestFindEmbedding:
     def test_result_is_cached(self):
         a, b = chain(2, 2), chain(2, 3)
         assert find_embedding(a, [], b, []) is find_embedding(a, [], b, [])
+
+    def test_existence_queries_leave_the_map_undecoded(self):
+        # the game asks only whether a map exists: the memo keeps the
+        # search's (node, coordinates) pairs until a caller asks for the map
+        a, b = chain(2, 2), chain(2, 3)
+        assert leq_std_game(b, [], a, [], 1)
+        (kept,) = b.embed_memo[a].values()
+        assert isinstance(kept, tuple)
+        found = find_embedding(a, [], b, [])
+        assert found == {v: b.decomposition.decode(z) for v, z in kept}
+        assert list(b.embed_memo[a].values()) == [found]
+        check_witness(a, [], b, [], found)
 
 
 def brute_force_embeddings(src: GroupTree, dst: GroupTree) -> list[tuple[int, ...]]:
@@ -283,6 +296,60 @@ class TestEmbeddingAgainstBruteForce:
                             found += 1
                         checked += 1
         assert checked > 500 and found > 100
+
+    # p = 3 groups of 81 and 243 elements. A pin that generates a largest
+    # cyclic summand spans a pinned subgroup of 9 (Z9+Z9) to 243 elements,
+    # and a second pin can raise Z9+Z9's to 81
+    LARGE_P3 = {
+        "Z81": chain(3, 4),
+        "Z27+Z3": GroupTree(3, {"r": None, "a": "r", "b": "a", "c": "b", "d": "r"}),
+        "Z9+Z9": GroupTree(3, {"r": None, "a": "r", "b": "a", "c": "r", "d": "c"}),
+        "Z243": chain(3, 5),
+    }
+
+    @pytest.mark.parametrize("name", sorted(LARGE_P3))
+    def test_large_pinned_subgroups(self, name):
+        """1-2 pins, the first an element of largest order (so it
+        generates a largest cyclic summand), the second any element; the
+        targets drawn from existing embeddings or at random among elements
+        of the same order. From the named group into itself and into each
+        other group of its size; every map found is checked as a witness."""
+        src = self.LARGE_P3[name]
+        rng = random.Random(f"brute-force/large/{name}")
+        src_elems = sorted(src.elements(), key=lambda e: e.terms())
+        slot = {x: j for j, x in enumerate(src_elems)}
+        top = max(x.order() for x in src_elems)
+        generators = [x for x in src_elems if x.order() == top]
+        checked = found = 0
+        for dst in self.LARGE_P3.values():
+            if dst.size != src.size:
+                continue
+            maps = brute_force_embeddings(src, dst)
+            dst_elems = sorted(dst.elements(), key=lambda e: e.terms())
+            by_order: dict[int, list] = {}
+            for y in dst_elems:
+                by_order.setdefault(y.order(), []).append(y)
+            queries = []
+            for k in (1, 2):
+                for _ in range(10):
+                    xs = (rng.choice(generators), rng.choice(src_elems))[:k]
+                    ys = tuple(rng.choice(by_order.get(x.order(), dst_elems)) for x in xs)
+                    queries.append((xs, ys))
+                    if maps:
+                        m = rng.choice(maps)
+                        queries.append((xs, tuple(dst_elems[m[slot[x]]] for x in xs)))
+            for xs, ys in queries:
+                want = any(
+                    all(dst_elems[m[slot[x]]] == y for x, y in zip(xs, ys)) for m in maps
+                )
+                for onto in (False, True):
+                    got = find_embedding(src, xs, dst, ys, onto=onto)
+                    assert (got is not None) == want, (name, dst.parent, xs, ys, onto)
+                    if got is not None:
+                        check_witness(src, xs, dst, ys, got)
+                        found += 1
+                    checked += 1
+        assert 0 < found < checked
 
     # Trees whose placement order is not depth order. The search places
     # touched nodes (a pin's support and its ancestors) first, then higher
@@ -514,6 +581,39 @@ class TestSearchStress:
         assert 0 < sum(answers) < 30
 
 
+class TestWitnessDigest:
+    """The maps find_embedding returns, not only its verdicts, over a
+    seeded corpus: random p = 2 trees with 1-7 non-root nodes and p = 3
+    trees with 1-5, each into itself and into a second tree of its size,
+    with 0-2 pins matched by order and height, at both `onto` values. The
+    digest was recorded before forced pin elements were read off a
+    triangular basis instead of the listed pinned subgroup, which must
+    not change which map the search finds."""
+
+    DIGEST = "d61e66af3d7df4d6"
+
+    def test_maps_match_the_recorded_digest(self):
+        rng = random.Random("witness-digest")
+        digest = hashlib.sha256()
+        found = 0
+        for p, most in ((2, 7), (3, 5)):
+            for _ in range(120):
+                n = rng.randint(1, most)
+                src = random_tree(rng, p, n)
+                for dst in (src, random_tree(rng, p, n)):
+                    k = rng.randint(0, 2)
+                    abar = tuple(random_element(rng, src) for _ in range(k))
+                    bbar = tuple(matched_entry(rng, dst, x) for x in abar)
+                    for onto in (False, True):
+                        f = find_embedding(src, abar, dst, bbar, onto=onto)
+                        if f is not None:
+                            found += 1
+                            f = sorted((v, y.terms()) for v, y in f.items())
+                        digest.update(repr(f).encode())
+        assert digest.hexdigest()[:16] == self.DIGEST
+        assert 200 < found < 960
+
+
 class TestKnownSearchThrash:
     """Four copies under the root of a node with a 2-node chain and a leaf
     below it (Z4 + Z2 each). Both pins have order 4 and heights 0 then 2,
@@ -696,10 +796,12 @@ class TestGameAgainstBarkerSameGroup:
         B = GroupTree(2, {"s": None, "d1": "s", "d2": "d1"})
         a, b = A.node("c1"), B.node("d1")
         assert leq_std_game(A, [a], B, [b], 1)  # B embeds into A
-        assert list(A.embed_memo) == [(B, False, b.coeffs, a.coeffs)]
-        assert B.embed_memo == {}
+        assert list(A.embed_memo) == [B]
+        assert list(A.embed_memo[B]) == [(False, b.coeffs, a.coeffs)]
+        assert len(B.embed_memo) == 0
         assert leq_std_game(A, [a], B, [b], 2)  # A maps onto B
-        assert list(B.embed_memo) == [(A, True, a.coeffs, b.coeffs)]
+        assert list(B.embed_memo) == [A]
+        assert list(B.embed_memo[A]) == [(True, a.coeffs, b.coeffs)]
         refs = [weakref.ref(x) for x in (A, B)]
         del A, B, a, b
         gc.collect()
@@ -1640,6 +1742,27 @@ class TestMemoLifetimes:
             ref = weakref.ref(t)
             del t
             assert ref() is None
+
+    @pytest.mark.parametrize("collector", ["on", "paused"])
+    def test_the_game_keeps_no_partner_alive(self, collector):
+        # one 9-node tree queried against 200 fresh random trees, each
+        # dropped after its query: the embedding memo on the 9-node tree
+        # kept every one of them alive while it held them strongly
+        rng = random.Random("embed-memo-partners")
+        A = random_tree(rng, 2, 9)
+        refs = []
+        with collector_paused() if collector == "paused" else contextlib.nullcontext():
+            for _ in range(200):
+                B = random_tree(rng, 2, rng.randint(1, 9))
+                leq_std_game(A, (), B, (), rng.choice((1, 2)))
+                find_embedding(B, (), A, ())  # a decoded map is kept too
+                refs.append(weakref.ref(B))
+                del B
+            if collector == "on":
+                gc.collect()
+            alive = sum(ref() is not None for ref in refs)
+        assert alive == 0
+        assert len(A.embed_memo) == 0
 
     def test_a_profile_compared_with_itself_dies_without_the_collector(self):
         with collector_paused():
