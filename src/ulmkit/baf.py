@@ -198,19 +198,27 @@ def _find_embedding_uncached(src, src_pins, dst, dst_pins, onto):
     if not all(keeps(z[:cut], z[cut:]) for z in tower[1:]):
         return None
 
-    # The touched nodes, pin supports and their ancestors, come first, so
-    # every pin is forced before any untouched node is tried; then higher
-    # ranks first, as they have the fewest candidates. Rank falls strictly
-    # from parent to child and touched nodes' parents are touched, so
-    # parents still come before children.
-    base, runs = src._search_plan
-    touched = {src.root}
-    for x in src_pins:
-        for v, _ in x.terms():
-            while v not in touched:
-                touched.add(v)
-                v = src.parent[v]
-    order = [v for v in base if v in touched] + [v for v in base if v not in touched]
+    # Shapes of subtrees are numbered, and contact with a pin support is
+    # flagged, bottom-up, deepest first: v is touched when it or a node
+    # below it lies in a pin's support.
+    pinned_sup = {v for x in src_pins for v, _ in x.terms()}
+    shape: dict[str, int] = {}
+    shapes: dict[tuple, int] = {}
+    touched: dict[str, bool] = {}
+    for v in sorted(src.nodes, key=lambda u: -src.depth(u)):
+        cs = src.children[v]
+        shape[v] = shapes.setdefault(tuple(sorted(shape[c] for c in cs)), len(shapes))
+        touched[v] = v in pinned_sup or any(touched[c] for c in cs)
+
+    # The touched nodes come first, so every pin is forced before any
+    # untouched node is tried; then higher ranks first, as they have the
+    # fewest candidates. Rank falls strictly from parent to child and
+    # touched nodes' parents are touched, so parents still come before
+    # children.
+    order = sorted(
+        src.nonroot,
+        key=lambda v: (not touched[v], -src.rank(v), src.depth(v), v),
+    )
 
     # forced: per node v, one x in <pins> with v last in its support, its
     # image, and the inverse of its coefficient at v modulo the exponent of
@@ -246,9 +254,14 @@ def _find_embedding_uncached(src, src_pins, dst, dst_pins, onto):
     # siblings share their sort key up to the name, so the earlier one is
     # placed first.
     sym_pred: dict[str, str] = {}
-    for run in runs:
-        orbit = [v for v in run if v not in touched]
-        sym_pred.update(zip(orbit[1:], orbit))
+    for parent_node in src.nodes:
+        groups: dict[int, list[str]] = {}
+        for c in src.children[parent_node]:
+            if not touched[c]:
+                groups.setdefault(shape[c], []).append(c)
+        for orbit in groups.values():  # children come sorted
+            for u, v in zip(orbit, orbit[1:]):
+                sym_pred[v] = u
 
     # f is injective iff it is on the socle, where it is a linear map whose
     # graph contains the socle of <pins>: the pairs (src k | dst k) of tower
