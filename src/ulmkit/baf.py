@@ -20,12 +20,14 @@ So <=_1 is "B embeds into A with bbar -> abar" and <=_beta for beta >= 2 is
 coordinates of both trees' cyclic decompositions. Each pin pair's orders
 and heights are screened first; then the pinned correspondence is listed
 as one tower of coordinate pairs, built there from the screened pins'
-encodings (``pgroup``'s pair tower adds coefficient tuples only), checked
-for heights without decoding, and the socle images are kept in one echelon
-with their sources, seeded by the socle of the tower, so a choice that
+encodings (``pgroup``'s pair tower adds coefficient tuples only), and read
+in one pass for injectivity, for heights without decoding, and for its
+socle, which seeds two GF(p) echelons: the source and image socle spans.
+The pinned elements whose images force a node's come from a triangular
+basis of the pins, one per node, and not from the tower; a node whose
+source socle vector is already spanned is forced, so a choice that
 contradicts a pin is refused where it is made rather than when the pin's
-support is complete. The pinned elements whose images force a node's come
-from a triangular basis of the pins, one per node, and not from the tower.
+support is complete.
 
 Route two (`leq_barker` for tuples in one group, `leq_paper` for groups
 carrying limit-infinite invariant profiles): closed forms at the threshold
@@ -79,10 +81,8 @@ from .pgroup import (
     GroupTree,
     _coeff_adder,
     _generated_iso_exists,
-    _injective,
     _tower_step,
     echelon_add,
-    echelon_reduce,
     subgroup_elements,
 )
 from .ulm import Profile, invariants_of, profiles_agree_on, ulm_equal
@@ -122,11 +122,12 @@ def find_embedding(
     under p (one solution plus socle elements) at the right height, and a
     node last in the support of a forced element of <src_pins> (one per node
     where it grows, read off a triangular basis of the pins) gets the image
-    that carries it. On the socle the map is linear and injective, and its
-    graph contains the socle of the pin tower; so the (source | image) socle
-    vector of each placement must raise the source, image and paired GF(p)
-    ranks together, which fixes the image of every placement whose source is
-    already spanned. Without pins this is independence of the socle images.
+    that carries it. On the socle the map is linear and injective: a
+    placement whose source socle vector rises over the source span (a
+    GF(p) echelon seeded by the pin tower's socle) must raise the image
+    span too, and one whose source vector is spanned is forced, its forced
+    image on the map's graph. Without pins this is independence of the
+    socle images.
     Raises BoundExceeded when the pins generate more than DEFAULT_BOUND
     pairs (all 20 leaves of the (Z2)^20 star pinned on both sides, say,
     where ``leq_barker`` counts orders and answers) or a socle layer the
@@ -193,10 +194,23 @@ def _find_embedding_uncached(src, src_pins, dst, dst_pins, onto):
     tower = subgroup_elements(
         sdec.zero + dec.zero, pins, add, operator.itemgetter(slice(cut))
     )
-    if tower is None or not _injective(tower, cut):
+    if tower is None:
         return None
-    if not all(keeps(z[:cut], z[cut:]) for z in tower[1:]):
-        return None
+    # One pass refuses a zero image (f is injective iff none is) or a lowered
+    # height, and seeds both socle spans with the order-p pairs in GF(p)
+    # coordinates (k_j * p^(e_j - 1) is coordinate j). The pairs lie on f's
+    # graph, so a pair is independent exactly when its source part is.
+    p = dst.p
+    src_basis: list = []  # echelon rows of the source socle span
+    basis: list = []  # echelon rows of the image socle span
+    for z in tower[1:]:
+        zx, zy = z[:cut], z[cut:]
+        if not any(zy) or not keeps(zx, zy):
+            return None
+        if all(c * p % m == 0 for c, m in zip(z, both)):
+            vec = [c * p // m for c, m in zip(z, both)]
+            if echelon_add(src_basis, vec[:cut], p):
+                echelon_add(basis, vec[cut:], p)
 
     # Shapes of subtrees are numbered, and contact with a pin support is
     # flagged, bottom-up, deepest first: v is touched when it or a node
@@ -229,7 +243,7 @@ def _find_embedding_uncached(src, src_pins, dst, dst_pins, onto):
     # growth makes all of <pins> map right once its support is placed. From
     # the last node down, rows spanning <pins> & S_i keep one lead with a unit
     # at node i, the x, which clears the others there; p * lead joins them.
-    frag, p, mods = src.fragment, dst.p, dec.moduli
+    frag, mods = src.fragment, dec.moduli
 
     def combine(row, t, lead):  # row + t * lead
         (x, y), (lx, ly) = row, lead
@@ -263,26 +277,16 @@ def _find_embedding_uncached(src, src_pins, dst, dst_pins, onto):
             for u, v in zip(orbit, orbit[1:]):
                 sym_pred[v] = u
 
-    # f is injective iff it is on the socle, where it is a linear map whose
-    # graph contains the socle of <pins>: the pairs (src k | dst k) of tower
-    # entries of order p, in GF(p) coordinates (k_j * p^(e_j - 1) is
-    # coordinate j). The graph is spanned by that seed and one pair per
-    # socle basis vector of src: v (parent the root) or v - w (w the first
-    # placed sibling), of source coordinates sigma and image coordinates
-    # k_v or k_v - k_w. A graph of an injective map has source, image and
-    # paired spans of one dimension, so each placement must raise all
-    # three or none. Rising is fixed by the sigmas alone; a placement that
-    # does not rise has its image forced by the pairs placed so far. With
-    # no pins every placement rises, and the rule is image independence.
-    src_basis: list = []  # echelon rows, row[pivot] = 1
-    paired: list = []  # echelon rows of (src k | dst k), pivots in src k
-    basis: list = []  # echelon rows of the image socle span
-    for z in tower[1:]:
-        if all(c * p % m == 0 for c, m in zip(z, both)):
-            vec = [c * p // m for c, m in zip(z, both)]
-            if echelon_add(paired, vec, p):
-                echelon_add(src_basis, vec[:cut], p)
-                echelon_add(basis, vec[cut:], p)
+    # f is injective iff it is on the socle, where it is linear, its graph
+    # spanned by the seed and one pair per socle basis vector s_v of src:
+    # v (parent the root) or v - w (w the first placed sibling), of source
+    # coordinates sigma_v and image coordinates k_v or k_v - k_w. A rising
+    # sigma_v must raise the image span too. A spanned one needs no check:
+    # s_v minus the earlier socle basis vectors is an order-p element of
+    # <pins> & S_i with a unit at v, so v is forced, and its forced image
+    # already lies on the graph. Without pins every sigma rises, and the
+    # rule is image independence.
+    seeded = bool(src_basis)
 
     # The y with p*y = t = f(parent v) and h(y) >= r = rank(v) are y0 + s:
     # y0 = t/p coordinatewise, of height h(t) - 1 >= r, and s in the socle
@@ -296,23 +300,19 @@ def _find_embedding_uncached(src, src_pins, dst, dst_pins, onto):
             r, exact and (u == src.root or src.rank(u) > r + 1)
         )
         added = u if u == src.root else None if w == v else w
-        sigma = None
-        if added is not None and paired:
-            sigma = sdec.socle_vector(v, None if added == src.root else w)
         # without pins every sigma rises: they are a basis of src's socle
-        rises = added is not None and (
-            sigma is None or echelon_add(src_basis, sigma, p)
-        )
-        plan.append(
-            (v, u, layer, forced.get(v), added, sigma, rises, sym_pred.get(v))
-        )
+        rises = added is not None
+        if rises and seeded:
+            sigma = sdec.socle_vector(v, None if added == src.root else w)
+            rises = echelon_add(src_basis, sigma, p)
+        plan.append((v, u, layer, forced.get(v), added, rises, sym_pred.get(v)))
 
     assign: dict[str, tuple[int, ...]] = {src.root: dec.zero}
     socle_k: dict[str, tuple[int, ...]] = {src.root: dec.zero}
 
     def tries(i: int) -> Iterator[bool]:
         """Place node plan[i] at each candidate in turn, undoing on resume."""
-        v, u, layer, pinned_here, added, sigma, rises, prev = plan[i]
+        v, u, layer, pinned_here, added, rises, prev = plan[i]
         y0 = tuple(a // p for a in assign[u])
         cands: Iterable = layer.items()
         if pinned_here:
@@ -324,12 +324,6 @@ def _find_embedding_uncached(src, src_pins, dst, dst_pins, onto):
             s = tuple((a * inv - b) % m for a, b, m in zip(acc, y0, mods))
             k = tuple(c * p // m for c, m in zip(s, mods))
             cands = ((k, s),) if layer.get(k) == s else ()
-        if added is not None and not rises:
-            # (sigma | kappa) lies in the paired span: reducing (sigma | 0)
-            # leaves (0 | -kappa), and k_v = kappa + k_(added)
-            rest = echelon_reduce(paired, sigma + (0,) * len(mods), p)
-            k = tuple((b - a) % p for a, b in zip(rest[cut:], socle_k[added]))
-            cands = [c for c in cands if c[0] == k]
         for k, s in cands:
             if prev is not None and k <= socle_k[prev]:
                 continue  # order within orbits (siblings share y0)
@@ -337,15 +331,11 @@ def _find_embedding_uncached(src, src_pins, dst, dst_pins, onto):
                 vec = [(a - b) % p for a, b in zip(k, socle_k[added])]
                 if not echelon_add(basis, vec, p):
                     continue
-                if sigma is not None:
-                    echelon_add(paired, [*sigma, *vec], p)
             assign[v] = tuple(map(operator.add, y0, s))
             socle_k[v] = k
             yield True
             if rises:
                 basis.pop()
-                if sigma is not None:
-                    paired.pop()
 
     # depth-first over plan with an explicit stack, so deep trees do not
     # hit the recursion limit
@@ -507,15 +497,16 @@ def leq_paper(
 
 
 def _profile_clauses(P: Profile, Q: Profile, delta: Ordinal, parity: int) -> bool:
-    """leq_paper's clauses (c) and (d), memoized on P (profiles are
-    immutable): P = Q below w*delta, and at odd levels P >= Q on
-    [w*delta, w*delta + w)."""
-    # Q is None when it is P, so P's memo does not keep P alive
-    key = (None if Q is P else Q, delta, parity)
-    hit = P.relation_memo.get(key)
+    """leq_paper's clauses (c) and (d), memoized on P per Q, held weakly
+    (profiles are immutable): P = Q below w*delta, and at odd levels
+    P >= Q on [w*delta, w*delta + w)."""
+    memo = P.relation_memo.get(Q)
+    if memo is None:
+        memo = P.relation_memo[Q] = {}
+    hit = memo.get((delta, parity))
     if hit is None:
         thr = omega_times(delta)
-        hit = P.relation_memo[key] = profiles_agree_on(P, Q, nat(0), thr, "eq") and (
+        hit = memo[delta, parity] = profiles_agree_on(P, Q, nat(0), thr, "eq") and (
             parity == 0 or profiles_agree_on(P, Q, thr, thr + OMEGA, "ge")
         )
     return hit
@@ -539,15 +530,22 @@ def relation(
     modified relation; other carriers fall back to the single-group
     characterization. Level 0 is quantifier-free type containment in
     either case. A profiled A keeps the verdict, never an error, in its
-    ``hypothesis_memo``, keyed by B's ``_carrier`` pair, the tuples and beta.
+    ``hypothesis_memo``: per holder of B's elements (``_carrier``), held
+    weakly, keyed by B's invariants, beta, abar and bbar's coefficients.
     """
     beta, abar, bbar = _level(beta), tuple(abar), tuple(bbar)
     if not isinstance(A, ProfiledGroup):
         return _relation(A, abar, B, bbar, beta)
-    memo, key = A.hypothesis_memo, (*_carrier(B), beta, abar, bbar)
-    hit = memo.get(key)
+    holder, Q = _carrier(B)
+    # coefficients name B's own elements only; others raise in _relation
+    coeffs = tuple([y.coeffs for y in bbar if y.fragment is B.fragment])
+    if len(coeffs) < len(bbar):
+        return _relation(A, abar, B, bbar, beta)
+    key = (Q, beta, abar, coeffs)
+    hit = A.hypothesis_memo.get(holder, {}).get(key)
     if hit is None:
-        hit = memo[key] = _relation(A, abar, B, bbar, beta)
+        hit = _relation(A, abar, B, bbar, beta)
+        A.hypothesis_memo.setdefault(holder, {})[key] = hit
     return hit
 
 

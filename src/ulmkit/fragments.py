@@ -12,7 +12,9 @@ the nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+import weakref
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .ordinal import Ordinal
@@ -30,8 +32,13 @@ class ProfiledGroup:
 
     profile: Profile
     fragment: Fragment
-    # baf.relation's verdicts with this group on the left; they die with it
-    hypothesis_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @functools.cached_property
+    def hypothesis_memo(self) -> weakref.WeakKeyDictionary:
+        """baf.relation's verdicts with this group on the left: per holder
+        of the right carrier's elements, held weakly, a dict of verdicts.
+        They die with either side; a group never on the left builds none."""
+        return weakref.WeakKeyDictionary()
 
     def zero(self) -> FragmentElement:
         return self.fragment.zero()

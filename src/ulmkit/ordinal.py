@@ -290,7 +290,8 @@ class CofinalSequence:
 
     ``at`` is 1-indexed. Monotonicity and the bound alpha_i < limit are
     checked lazily on access; the supremum condition is the caller's burden
-    when supplying a custom rule (the canonical rules guarantee it).
+    when supplying a custom rule (the canonical rules guarantee it, and
+    ``cofinal_from_text`` checks it for the rules it reads).
     """
 
     limit: Ordinal
@@ -337,22 +338,33 @@ def canonical_cofinal(alpha: Ordinal) -> CofinalSequence:
 
 
 def cofinal_from_text(alpha: Ordinal, rule: str) -> CofinalSequence:
-    """Rules: ``auto`` (canonical), ``w*i``, ``<ordinal>+i``, or a comma
-    list of ordinals, continued past its end in unit steps."""
+    """Rules: ``auto`` (canonical), ``w*i``, ``<ordinal>+i``, or a strictly
+    increasing comma list of ordinals, continued past its end in unit steps.
+    Each rule's supremum must be alpha: a list's is its last entry + w,
+    ``<ordinal>+i``'s is that ordinal + w, and ``w*i``'s is w^2."""
     if "," in rule:
-        entries = tuple(parse_ordinal(t.strip()) for t in rule.split(","))
+        entries = tuple(parse_ordinal(t) for t in rule.split(","))
+        for a, b in zip(entries, entries[1:]):
+            if not a < b:
+                raise ValueError(f"cofinal list {rule!r} does not increase at {b}")
 
         def listed(i: int) -> Ordinal:
             n = len(entries)
             return entries[i - 1] if i <= n else entries[-1] + nat(i - n)
 
-        return CofinalSequence(alpha, listed, label=f"list:{rule}")
-    spec = rule.strip().replace(" ", "")
-    if spec == "auto":
-        return canonical_cofinal(alpha)
-    if spec == "w*i":
-        return CofinalSequence(alpha, lambda i: omega_power(1, i), label="w*i")
-    if spec.endswith("+i"):
-        base = parse_ordinal(spec[:-2])
-        return CofinalSequence(alpha, lambda i: base + nat(i), label=spec)
-    raise ValueError(f"unrecognized cofinal rule {rule!r}")
+        terms, sup, label = listed, entries[-1] + OMEGA, f"list:{rule}"
+    else:
+        label = rule.strip().replace(" ", "")
+        if label == "auto":
+            return canonical_cofinal(alpha)
+        if label == "w*i":
+            terms, sup = (lambda i: omega_power(1, i)), omega_power(2)
+        elif label.endswith("+i"):
+            base = parse_ordinal(label[:-2])
+            terms, sup = (lambda i: base + nat(i)), base + OMEGA
+        else:
+            raise ValueError(f"unrecognized cofinal rule {rule!r}")
+    seq = CofinalSequence(alpha, terms, label=label)
+    if sup != alpha:
+        raise ValueError(f"cofinal rule {rule!r} converges to {sup}, not {alpha}")
+    return seq

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import operator
+import weakref
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional
@@ -178,10 +179,11 @@ class Profile:
         return self.__dict__["_hash"]
 
     @functools.cached_property
-    def relation_memo(self) -> dict:
+    def relation_memo(self) -> weakref.WeakKeyDictionary:
         """baf.leq_paper's profile-clause verdicts with this profile on the
-        left, keyed by (right profile, delta, parity); they die with it."""
-        return {}
+        left: per right profile, held weakly, a dict keyed by (delta,
+        parity). They die with either profile."""
+        return weakref.WeakKeyDictionary()
 
     def value_at(self, beta: Ordinal) -> UValue:
         """Invariant at beta; ordinals at or beyond the length give 0."""

@@ -1264,8 +1264,9 @@ class TestHypothesisMemo:
     def plant(self, carrier, verdict):
         memo = carrier.hypothesis_memo
         assert memo
-        for key in memo:
-            memo[key] = verdict
+        for verdicts in memo.values():
+            for key in verdicts:
+                verdicts[key] = verdict
 
     def test_check_extension_reports_a_failure_the_memo_denies(self, monkeypatch):
         import ulmkit.baf
@@ -1316,7 +1317,7 @@ class TestHypothesisMemo:
             assert relation(A0, a, B, b, 3) and not relation(A1, a, B, b, 3)
             # on the right, the key names the profile as well as the fragment
             assert relation(B, b, A0, a, 4) and not relation(B, b, A1, a, 4)
-        assert len(B.hypothesis_memo) == 2
+        assert sum(map(len, B.hypothesis_memo.values())) == 2
 
     def test_errors_are_not_stored(self):
         A = ghat_pg(0, [(OMEGA + 2, 1)])
@@ -1325,6 +1326,16 @@ class TestHypothesisMemo:
             with pytest.raises(ValueError, match="one prime"):
                 relation(A, [A.fragment.gen(0)], B, [B.fragment.gen(0)], 3)
         assert A.hypothesis_memo == {}
+
+    def test_a_kept_verdict_does_not_answer_another_fragments_entries(self):
+        # the memo names B's entries by coefficients: an entry of another
+        # fragment with the same coefficients is still refused
+        A = ghat_pg(0, [(OMEGA + 2, 1)])
+        B, C = (ghat_pg(0, [(OMEGA + 2, 1)]) for _ in range(2))
+        a = [A.fragment.gen(0)]
+        assert relation(A, a, B, [B.fragment.gen(0)], 3)
+        with pytest.raises(ValueError, match="does not belong"):
+            relation(A, a, B, [C.fragment.gen(0)], 3)
 
     def test_carriers_die_without_the_collector(self):
         # bench/run.py pauses the collector for a pass: a reference cycle
@@ -1718,7 +1729,7 @@ class TestMemoLifetimes:
         P, Q = make_G_hat(W2, SEQ2, 0), make_G_hat(W2, SEQ2, 1)
         A, B = canonical_fragment(P, 2), canonical_fragment(Q, 2)
         assert leq_paper(A, (), B, (), 3)
-        assert P.relation_memo == {(Q, nat(1), 1): True}
+        assert P.relation_memo == {Q: {(nat(1), 1): True}}
         refs = [weakref.ref(x) for x in (P, Q, A.fragment, B.fragment)]
         del P, Q, A, B
         gc.collect()
@@ -1763,6 +1774,46 @@ class TestMemoLifetimes:
             alive = sum(ref() is not None for ref in refs)
         assert alive == 0
         assert len(A.embed_memo) == 0
+
+    @pytest.mark.parametrize("collector", ["on", "paused"])
+    def test_the_profile_clauses_keep_no_partner_alive(self, collector):
+        # one profile compared by leq_paper with 60 fresh right profiles,
+        # each dropped after its query: the clause memo on the left profile
+        # kept one of each value alive while it held them strongly
+        rng = random.Random("relation-memo-partners")
+        A = ghat_pg(0)
+        refs = []
+        with collector_paused() if collector == "paused" else contextlib.nullcontext():
+            for _ in range(60):
+                B = ghat_pg(rng.randrange(4))
+                leq_paper(A, (), B, (), rng.randint(2, 5))
+                refs.append(weakref.ref(B.profile))
+                del B
+            if collector == "on":
+                gc.collect()
+            alive = sum(ref() is not None for ref in refs)
+        assert alive == 0
+        assert len(A.profile.relation_memo) == 0
+
+    @pytest.mark.parametrize("collector", ["on", "paused"])
+    def test_the_hypothesis_memo_keeps_no_partner_alive(self, collector):
+        # one profiled group related to 60 fresh right groups, each dropped
+        # after its query: the hypothesis memo kept every right fragment and
+        # profile alive while its keys named them
+        rng = random.Random("hypothesis-memo-partners")
+        A = ghat_pg(0, [(OMEGA + 2, 1)])
+        refs = []
+        with collector_paused() if collector == "paused" else contextlib.nullcontext():
+            for _ in range(60):
+                B = ghat_pg(rng.randrange(3), [(OMEGA + 2, 1)])
+                relation(A, [A.fragment.gen(0)], B, [B.fragment.gen(0)], rng.randint(1, 4))
+                refs += [weakref.ref(B.fragment), weakref.ref(B.profile)]
+                del B
+            if collector == "on":
+                gc.collect()
+            alive = sum(ref() is not None for ref in refs)
+        assert alive == 0
+        assert len(A.hypothesis_memo) == 0
 
     def test_a_profile_compared_with_itself_dies_without_the_collector(self):
         with collector_paused():

@@ -332,6 +332,27 @@ class TestAlphaRun:
         assert code == 0
         assert "index 0" in capsys.readouterr().out
 
+    # each rule exited 0 with a run while its supremum missed alpha
+    @pytest.mark.parametrize(
+        "alpha, cofinal, g, named",
+        [
+            *[
+                (alpha, rule, {"n": 0, "switch_at": 5}, f"converges to {sup}")
+                for alpha in ("w^3", "w^2+w")
+                for rule, sup in (("w*i", "w^2"), ("w+i", "w*2"), ("w*5+i", "w*6"))
+            ],
+            ("w^2", "w,w+1", {"n": 0, "switch_at": 5}, "converges to w*2"),
+            ("w*2", "3,2,1", {"n": 0, "always_zero": True}, "does not increase at 2"),
+        ],
+    )
+    def test_a_cofinal_rule_must_converge_to_alpha(self, files, capsys, alpha, cofinal, g, named):
+        argv = ["alpha-run", "--alpha", alpha, "--cofinal", cofinal]
+        assert main(argv + ["--g", files("g.json", g), "--steps", "3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("error:") and named in line
+
     def test_rejects_non_limit_alpha(self, files, capsys):
         g = files("g.json", {"n": 0, "always_zero": True})
         assert main(["alpha-run", "--alpha", "5", "--g", g, "--steps", "1"]) == 2
