@@ -18,16 +18,14 @@ So <=_1 is "B embeds into A with bbar -> abar" and <=_beta for beta >= 2 is
 "A and B are isomorphic with abar -> bbar", both decided by the search in
 `find_embedding`, which builds no whole-group table. It works on the
 coordinates of both trees' cyclic decompositions. Each pin pair's orders
-and heights are screened first; then the pinned correspondence is listed
-as one tower of coordinate pairs, built there from the screened pins'
-encodings (``pgroup``'s pair tower adds coefficient tuples only), and read
-in one pass for injectivity, for heights without decoding, and for its
-socle, which seeds two GF(p) echelons: the source and image socle spans.
-The pinned elements whose images force a node's come from a triangular
-basis of the pins, one per node, and not from the tower; a node whose
-source socle vector is already spanned is forced, so a choice that
-contradicts a pin is refused where it is made rather than when the pin's
-support is complete.
+and heights are screened first; then the pinned correspondence is held
+once, as a triangular basis of the pin pairs with one lead per node, and
+no element of it is listed. The basis decides that the correspondence is
+well defined and injective, seeds two GF(p) echelons (the source and image
+socle spans) with its leads' order-p multiples, and gives the pinned
+element that forces each node's image. A node whose source socle vector
+is already spanned is forced, so a choice that contradicts a pin is
+refused where it is made rather than when the pin's support is complete.
 
 Route two (`leq_barker` for tuples in one group, `leq_paper` for groups
 carrying limit-infinite invariant profiles): closed forms at the threshold
@@ -113,25 +111,23 @@ def find_embedding(
     Returns the node-image assignment or None. Such a map restricts to the
     isomorphism <src_pins> -> <dst_pins> and never lowers heights. Each pin
     pair is screened first: unequal orders or a lowered height refuse at
-    once. Then the restriction is listed, as the pair tower of the pins on
-    both trees' decomposition coordinates (at most DEFAULT_BOUND pairs), for
-    well-definedness, injectivity, heights (least p-adic valuations) and the
-    socle seed below; this route lists pairs, where the closed form counts
-    orders. The search then places nodes, parents first, in dst's
-    coordinates: the candidates are the preimages of the parent's image
-    under p (one solution plus socle elements) at the right height, and a
-    node last in the support of a forced element of <src_pins> (one per node
-    where it grows, read off a triangular basis of the pins) gets the image
-    that carries it. On the socle the map is linear and injective: a
-    placement whose source socle vector rises over the source span (a
-    GF(p) echelon seeded by the pin tower's socle) must raise the image
-    span too, and one whose source vector is spanned is forced, its forced
-    image on the map's graph. Without pins this is independence of the
-    socle images.
-    Raises BoundExceeded when the pins generate more than DEFAULT_BOUND
-    pairs (all 20 leaves of the (Z2)^20 star pinned on both sides, say,
-    where ``leq_barker`` counts orders and answers) or a socle layer the
-    candidates come from has more than DEFAULT_BOUND elements. The answer is
+    once. Then the restriction is decided on a triangular basis of the pin
+    pairs, one lead per node where <src_pins> grows, with no pair listed:
+    it is well defined when the pairs left with source 0 have image 0, and
+    each lead keeps its order and seeds the socle spans below. The search
+    then places nodes, parents first, in dst's coordinates: the candidates
+    are the preimages of the parent's image under p (one solution plus
+    socle elements) at the right height, and a node that leads gets the
+    image that carries its lead. On the socle the map is linear and
+    injective: a placement whose source socle vector rises over the source
+    span (a GF(p) echelon seeded by the leads' order-p multiples) must raise
+    the image span too, and one whose source vector is spanned is forced,
+    its forced image on the map's graph. Without pins this is independence
+    of the socle images.
+    Raises BoundExceeded when a socle layer the candidates come from has
+    more than DEFAULT_BOUND elements (the layer at height 0 of the (Z2)^20
+    star, say, even with all 20 leaves pinned on both sides, where
+    ``leq_barker`` counts orders and answers). The answer is
     memoized on dst (trees are immutable): per source tree, held weakly, or
     apart when src is dst. With witness=False it is only tested against
     None, and a map found stays undecoded until a caller asks for it.
@@ -175,42 +171,13 @@ def _find_embedding_uncached(src, src_pins, dst, dst_pins, onto):
         return hy == hx if exact else hy >= hx
 
     # each pin pair must keep its order and heights, which refuses most
-    # failing pins before any tower is listed
+    # failing pins at once
     pins = []
     for x, y in zip(src_pins, dst_pins):
         zx, zy = sdec.encode(x), dec.encode(y)
         if sdec.order_of(zx) != dec.order_of(zy) or not keeps(zx, zy):
             return None
-        pins.append(zx + zy)
-
-    # an embedding carrying the pins restricts to the isomorphism <src_pins>
-    # -> <dst_pins>: the pair tower on both decompositions' coordinates,
-    # source part first. Keys are unique, so only tower[0] is zero.
-    both, cut = sdec.moduli + dec.moduli, len(sdec.zero)
-
-    def add(z, w):
-        return tuple([(a + b) % m for a, b, m in zip(z, w, both)])
-
-    tower = subgroup_elements(
-        sdec.zero + dec.zero, pins, add, operator.itemgetter(slice(cut))
-    )
-    if tower is None:
-        return None
-    # One pass refuses a zero image (f is injective iff none is) or a lowered
-    # height, and seeds both socle spans with the order-p pairs in GF(p)
-    # coordinates (k_j * p^(e_j - 1) is coordinate j). The pairs lie on f's
-    # graph, so a pair is independent exactly when its source part is.
-    p = dst.p
-    src_basis: list = []  # echelon rows of the source socle span
-    basis: list = []  # echelon rows of the image socle span
-    for z in tower[1:]:
-        zx, zy = z[:cut], z[cut:]
-        if not any(zy) or not keeps(zx, zy):
-            return None
-        if all(c * p % m == 0 for c, m in zip(z, both)):
-            vec = [c * p // m for c, m in zip(z, both)]
-            if echelon_add(src_basis, vec[:cut], p):
-                echelon_add(basis, vec[cut:], p)
+        pins.append(zy)
 
     # Shapes of subtrees are numbered, and contact with a pin support is
     # flagged, bottom-up, deepest first: v is touched when it or a node
@@ -234,33 +201,59 @@ def _find_embedding_uncached(src, src_pins, dst, dst_pins, onto):
         key=lambda v: (not touched[v], -src.rank(v), src.depth(v), v),
     )
 
-    # forced: per node v, one x in <pins> with v last in its support, its
-    # image, and the inverse of its coefficient at v modulo the exponent of
-    # dst (so also modulo p). As parents are placed first, the first i nodes
-    # of `order` span a subgroup S_i whose normal forms live on them, and on
-    # S_i the i-th node's coefficient is additive mod p: carries only move to
-    # parents. So <pins> & S_i grows at most p-fold per node, and one x per
-    # growth makes all of <pins> map right once its support is placed. From
-    # the last node down, rows spanning <pins> & S_i keep one lead with a unit
-    # at node i, the x, which clears the others there; p * lead joins them.
-    frag, mods = src.fragment, dec.moduli
+    # An embedding carrying the pins restricts to the isomorphism <src_pins>
+    # -> <dst_pins>, decided on a triangular basis of the pin pairs with no
+    # element of <pins> listed. As parents are placed first, the first i
+    # nodes of `order` span a subgroup S_i whose normal forms live on them,
+    # and on S_i the i-th node's coefficient is additive mod p: carries only
+    # move to parents. So <pins> & S_i grows at most p-fold per node. From
+    # the last node down, rows spanning the pin pairs over <pins> & S_i keep
+    # one lead (x, y) with a unit at node i, which clears the others there;
+    # p * lead joins them. The rows whose source falls to 0 span the pin
+    # pairs (0, y), so the correspondence is well defined iff their images
+    # are 0. A lead keeps its order o, and (o/p)(x, y) seeds the source and
+    # image socle spans in GF(p) coordinates (k_j * p^(e_j - 1) is
+    # coordinate j): a source that rises while its image does not is a
+    # nonzero pinned element sent to 0.
+    # forced: per node v, the lead x with v last in its support, its image,
+    # and the inverse of its coefficient at v modulo the exponent of dst (so
+    # also modulo p). Once the leads' supports are placed, all of <pins>
+    # maps right.
+    p, frag, smods, mods = dst.p, src.fragment, sdec.moduli, dec.moduli
 
     def combine(row, t, lead):  # row + t * lead
         (x, y), (lx, ly) = row, lead
         return (frag._normalize([a + t * b for a, b in zip(x, lx)]),
                 tuple([(a + t * b) % m for a, b, m in zip(y, ly, mods)]))
 
-    rows = [(x.coeffs, pin[cut:]) for x, pin in zip(src_pins, pins) if not x.is_zero]
+    def socle_coords(z, o, moduli):  # of (o/p) z, an element of order p
+        return [c * (o // p) % m * p // m for c, m in zip(z, moduli)]
+
+    rows = [(x.coeffs, zy) for x, zy in zip(src_pins, pins) if not x.is_zero]
     forced: dict[str, tuple] = {}
+    src_basis: list = []  # echelon rows of the source socle span
+    basis: list = []  # echelon rows of the image socle span
     for v in reversed(order):
         i = frag.index[v]
         lead = next((row for row in rows if row[0][i]), None)
-        if lead is not None:
-            (lx, ly), inv = lead, pow(lead[0][i], -1, max(mods))
-            rest = [(g.name, c) for g, c in zip(frag.gens, lx) if c and g.name != v]
-            forced[v] = (inv, rest, ly)
-            rows = [combine(r, -r[0][i] * inv, lead) if r[0][i] else r for r in rows if r is not lead]
-            rows = [r for r in [*rows, combine(lead, p - 1, lead)] if any(r[0])]
+        if lead is None:
+            continue
+        (lx, ly), inv = lead, pow(lead[0][i], -1, max(mods))
+        zx = sdec.encode(FragmentElement(frag, lx))
+        o = sdec.order_of(zx)
+        if o != dec.order_of(ly):
+            return None
+        if echelon_add(src_basis, socle_coords(zx, o, smods), p) and not echelon_add(
+            basis, socle_coords(ly, o, mods), p
+        ):
+            return None
+        rest = [(g.name, c) for g, c in zip(frag.gens, lx) if c and g.name != v]
+        forced[v] = (inv, rest, ly)
+        rows = [combine(r, -r[0][i] * inv, lead) if r[0][i] else r for r in rows if r is not lead]
+        rows.append(combine(lead, p - 1, lead))
+        if any(any(y) for x, y in rows if not any(x)):
+            return None
+        rows = [r for r in rows if any(r[0])]
 
     # symmetry break: sibling subtrees of identical shape that no pin
     # touches are interchangeable, so force their root images into
@@ -282,10 +275,11 @@ def _find_embedding_uncached(src, src_pins, dst, dst_pins, onto):
     # v (parent the root) or v - w (w the first placed sibling), of source
     # coordinates sigma_v and image coordinates k_v or k_v - k_w. A rising
     # sigma_v must raise the image span too. A spanned one needs no check:
-    # s_v minus the earlier socle basis vectors is an order-p element of
-    # <pins> & S_i with a unit at v, so v is forced, and its forced image
-    # already lies on the graph. Without pins every sigma rises, and the
-    # rule is image independence.
+    # s_v minus the earlier socle basis vectors is a sum of seed sources,
+    # an element of <pins> & S_i with a unit at v, so v is forced, and its
+    # forced image already lies on the graph. The seed images rose with
+    # their sources, so a socle basis keeps independent images. Without
+    # pins every sigma rises, and the rule is image independence.
     seeded = bool(src_basis)
 
     # The y with p*y = t = f(parent v) and h(y) >= r = rank(v) are y0 + s:

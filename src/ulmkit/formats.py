@@ -162,7 +162,7 @@ def instruction_from_dict(obj, where: str = "instruction") -> tuple[InstructionS
             return InstructionSource({n: None}), n
         if "switch_at" in obj:
             return InstructionSource({n: int(obj["switch_at"])}), n
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # int() of inf overflows
         raise FormatError(f"{where}: {exc}") from exc
     raise FormatError(f"{where}: need either always_zero or switch_at")
 

@@ -39,15 +39,15 @@ by the carries and wrapped as elements only at the end; a tree's are those
 of its fragment. A tower grows by ``_tower_step``, one generator at a
 time, so a caller that adjoins generators one by one (``baf.extend_tuple``)
 keeps one tower that gains a step per adjoin. ``generated_iso`` builds the
-correspondence dict from that tower. ``baf.find_embedding`` builds its own
-pin tower on ``CyclicDecomposition`` coordinates and reads heights off it
-(``CyclicDecomposition.height_of``). Callers that only ask whether the
-correspondence exists use ``_generated_iso_exists``, which decodes no
-pairs; on two trees it lists none either, comparing element orders
-(``CyclicDecomposition.order_of``) and subgroup orders (``_span_order``, a
-p-adic echelon with no element budget), and a tuple taken to itself in an
-extension of its fragment lists none, being an inclusion restricted
-(``_is_inclusion``).
+correspondence dict from that tower. ``baf.find_embedding`` lists no
+tower: it holds its pins as a triangular basis and reads orders and
+heights off ``CyclicDecomposition`` coordinates. Callers that only ask
+whether the correspondence exists use ``_generated_iso_exists``, which
+decodes no pairs; on two trees it lists none either, comparing element
+orders (``CyclicDecomposition.order_of``) and subgroup orders
+(``_span_order``, a p-adic echelon with no element budget), and a tuple
+taken to itself in an extension of its fragment lists none, being an
+inclusion restricted (``_is_inclusion``).
 
 Fragments are immutable: ``Fragment.extend`` returns a new fragment with
 one generator appended, copying the parent's name index and height order

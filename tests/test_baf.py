@@ -1646,8 +1646,8 @@ class TestExtensionWork:
 
 class TestCorrespondenceRoutes:
     """The closed form decides clause (a) on two trees by subgroup orders
-    and lists no pairs; the game screens pin orders before it lists the
-    pins' pair tower."""
+    and lists no pairs; the game screens pin orders, then decides the pins'
+    correspondence on their triangular basis and lists no pairs either."""
 
     def test_all_leaves_of_a_large_star_pinned(self):
         # <leaves> has 2^20 elements, past DEFAULT_BOUND, which a listed
@@ -1673,12 +1673,33 @@ class TestCorrespondenceRoutes:
 
     @pytest.mark.parametrize("beta", [1, 2])
     def test_the_game_refuses_all_leaves_of_a_large_star_pinned(self, beta):
-        # the game lists the pins' tower, 2^20 pairs, and refuses past
+        # every leaf is forced, but the game still draws its candidates from
+        # the socle layer at height 0, 2^20 elements, and refuses past
         # DEFAULT_BOUND where the closed form above counts orders
         t = star(2, 20)
         leaves = [t.node(f"l{i}") for i in range(20)]
-        with alarm(5.0), pytest.raises(BoundExceeded, match="subgroup exceeds"):
+        with alarm(5.0), pytest.raises(BoundExceeded, match="socle layer at height 0 exceeds"):
             leq_std_game(t, leaves, t, leaves, beta)
+
+    @pytest.mark.parametrize("beta", [1, 2])
+    def test_the_game_answers_all_leaves_of_four_long_chains_pinned(self, beta):
+        # four 5-node chains under the root: Z/32^4, whose 2^20 elements the
+        # pinned leaves generate, where its socle layers have 16 elements
+        t = GroupTree(2, {
+            "r": None,
+            **{f"c{k}{d}": f"c{k}{d - 1}" if d > 1 else "r" for k in range(4) for d in range(1, 6)},
+        })
+        l0, l1, l2, l3 = leaves = [t.node(f"c{k}5") for k in range(4)]
+        rights = {
+            (l0, l1, l2, l3): True,
+            (l1, l2, l3, l0): True,
+            (l0 + l1, l1, l2, l3): True,
+            (l0 + l1, l0 + l1, l2, l3): False,
+        }
+        with alarm(5.0):
+            for right, want in rights.items():
+                assert leq_std_game(t, leaves, t, right, beta) is want, right
+                assert leq_barker(t, leaves, t, right, beta) is want, right
 
     def test_trees_list_no_tower(self, monkeypatch):
         import ulmkit.pgroup
@@ -1707,18 +1728,25 @@ class TestCorrespondenceRoutes:
         assert find_embedding(t, [t.node("c"), t.node("b")], u, [u.node("c"), u.node("c")]) is None
         assert towers == []
 
-    def test_pins_of_equal_orders_list_their_tower(self, monkeypatch):
+    def test_pins_of_equal_orders_list_no_tower(self, monkeypatch):
         import ulmkit.baf
 
         towers = _counting(monkeypatch, ulmkit.baf, "subgroup_elements")
         t, u = mixed(2), mixed(2)
         found = find_embedding(t, [t.node("b")], u, [u.node("b") + u.node("c")], onto=True)
-        assert found is not None and len(towers) == 1
+        assert found is not None
         # equal orders and heights, but c -> c and a + c -> c send a to 0:
-        # the tower refuses
+        # the triangular basis refuses
         c, ac = t.node("c"), t.node("a") + t.node("c")
         assert find_embedding(t, [c, ac], u, [u.node("c"), u.node("c")]) is None
-        assert len(towers) == 2
+        # c -> c and b -> b, but b + c -> b: not well defined
+        b, ub = t.node("b"), u.node("b")
+        assert find_embedding(t, [c, b, b + c], u, [u.node("c"), ub, ub]) is None
+        # l0 -> l2 and l1 -> l2 send the order-2 element l0 + l1 to 0
+        s = star(2, 3)
+        l0, l1, l2 = (s.node(f"l{i}") for i in range(3))
+        assert find_embedding(s, [l0, l1], s, [l2, l2]) is None
+        assert towers == []
 
 
 class TestMemoLifetimes:

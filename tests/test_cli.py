@@ -3,12 +3,14 @@
 import argparse
 import io
 import json
+import math
+import operator
 import signal
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ulmkit.alpha import (
     AlphaSystem,
@@ -178,14 +180,15 @@ class TestBaf:
 
     @pytest.mark.parametrize("beta", ["1", "2"])
     def test_game_refuses_a_large_pinned_subgroup(self, files, capsys, beta):
-        # all 20 leaves pinned: the pins' pair tower has 2^20 elements
+        # all 20 leaves pinned: each is forced, but the socle layer at
+        # height 0 the game draws candidates from has 2^20 elements
         star = GroupTree(2, {"r": None, **{f"l{i}": "r" for i in range(20)}})
         side = files("star20.json", star) + "," + ",".join(f"l{i}" for i in range(20))
         code = main(
             ["baf", "--beta", beta, "--left", side, "--right", side, "--method", "game"]
         )
         assert code == 2
-        assert "subgroup exceeds" in capsys.readouterr().err
+        assert "socle layer at height 0 exceeds" in capsys.readouterr().err
 
     def test_game_rejects_infinite_level(self, files, capsys):
         t = files("t.json", CHAIN2)
@@ -482,3 +485,165 @@ class TestParserReuse:
         assert [r[0] for r in reused] == [0, 1, 1, 2, 2, 0, 0, 0]
         assert reused[6][1].startswith("usage: ulmkit")
         assert reused[0][1] == "u_0=0\nu_1=1\n"
+
+
+# -- generated inputs for every verb -------------------------------------------
+
+# Mostly well-formed inputs, so that each verb's computation runs as often
+# as its input checks; sampled lists repeat an entry to weight it.
+JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 5) | st.floats() | st.text("abrw01", max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(
+        st.sampled_from(
+            ["p", "nodes", "id", "parent", "bound", "true", "cofinal_rows", "n", "switch_at", "always_zero"]
+        ),
+        inner,
+        max_size=4,
+    ),
+    max_leaves=8,
+)
+NOT_JSON = st.text(max_size=4).map(lambda text: ("raw", text))
+NAMES = ("r", "a", "b", "c", "d")
+
+
+@st.composite
+def _trees(draw):
+    """A tree file's JSON: at most 5 nodes, parents before children."""
+    nodes = [{"id": "r", "parent": None}]
+    for i in range(1, draw(st.integers(1, 5))):
+        nodes.append({"id": NAMES[i], "parent": draw(st.sampled_from(NAMES[:i]))})
+    return {"p": draw(st.sampled_from([2, 2, 2, 3, 3, 4, 0])), "nodes": nodes}
+
+
+TREES = st.one_of(_trees(), _trees(), _trees(), JUNK, NOT_JSON)
+TERMS = st.builds(
+    operator.add,
+    st.sampled_from(["", "", "", "2*", "3*", "-1*", "0*"]),
+    st.sampled_from(["a", "a", "b", "r"]),
+)
+ELEMENTS = st.one_of(
+    st.lists(TERMS, min_size=1, max_size=2).map("+".join),
+    st.lists(TERMS, min_size=1, max_size=2).map("+".join),
+    st.just("0"),
+    st.text("rabcq+*0x2 ", max_size=4),
+)
+LEVELS = ["1", "2", "3", "w", "w+1", "w*2", "w*2+1", "w^2"]
+ORDINALS = st.one_of(
+    st.sampled_from(LEVELS),
+    st.sampled_from(LEVELS + ["0", "-1", "", "1+w", "w*0", "w^2+w", "w^3", "5"]),
+    st.text("w0123+*^i, ", max_size=5),
+)
+LIMITS = st.one_of(
+    st.sampled_from(["w", "w*2", "w*3", "w^2", "w^2+w"]),
+    st.sampled_from(["w", "w*2", "w*3", "w^2", "w^2+w"]),
+    ORDINALS,
+)
+COFINAL = st.one_of(
+    st.just("auto"),
+    st.sampled_from(["auto", "w*i", "w+i", "w*5+i", "3,2,1", "w,w+1", "1,2", "w+1,w+2"]),
+    ORDINALS,
+)
+TABLES = st.fixed_dictionaries({
+    "bound": st.integers(-1, 3),
+    "true": st.lists(st.lists(st.integers(-1, 2), min_size=2, max_size=2), max_size=2),
+    "cofinal_rows": st.lists(st.integers(-1, 3), max_size=3),
+})
+ROWS = st.one_of(
+    st.fixed_dictionaries({"n": st.integers(-1, 2), "switch_at": st.integers(-2, 6) | st.floats()}),
+    st.fixed_dictionaries({"n": st.integers(0, 2), "always_zero": st.booleans()}),
+)
+COUNTS = st.sampled_from(["0", "1", "2", "3", "4", "5", "-1"])
+
+
+@st.composite
+def _sides(draw):
+    """--left and --right: tree files with entries, one tree on both sides
+    about half the time."""
+    trees = st.one_of(_trees(), _trees(), TREES)
+    left = draw(trees)
+    right = left if draw(st.booleans()) else draw(trees)
+    return [
+        (flag, ("side", tree, draw(st.lists(ELEMENTS, max_size=2))))
+        for flag, tree in (("--left", left), ("--right", right))
+    ]
+
+
+def _file(obj):
+    return ("file", obj)
+
+
+INVOCATIONS = st.one_of(
+    st.tuples(st.just("invariants"), TREES.map(_file)),
+    st.tuples(st.just("iso"), TREES.map(_file), TREES.map(_file)),
+    st.tuples(st.just("export-dot"), TREES.map(_file)),
+    st.tuples(
+        st.just("baf"),
+        st.one_of(st.sampled_from(LEVELS), st.sampled_from(LEVELS), ORDINALS).map(
+            lambda b: f"--beta={b}"
+        ),
+        _sides(),
+        st.sampled_from(["game", "closed", "both"]).map(lambda m: f"--method={m}"),
+    ),
+    st.tuples(
+        st.just("construct"),
+        st.one_of(TABLES, TABLES, JUNK, NOT_JSON).map(lambda t: ("--table", _file(t))),
+        COUNTS.map(lambda n: f"--stages={n}"),
+        st.sampled_from(["2", "2", "3", "3", "4", "-5"]).map(lambda p: f"--p={p}"),
+        COUNTS.map(lambda n: f"--window={n}"),
+        st.sampled_from(["--dump", ()]),
+    ),
+    st.tuples(
+        st.just("alpha-run"),
+        LIMITS.map(lambda a: f"--alpha={a}"),
+        COFINAL.map(lambda c: f"--cofinal={c}"),
+        st.one_of(ROWS, ROWS, JUNK, NOT_JSON).map(lambda g: ("--g", _file(g))),
+        COUNTS.map(lambda n: f"--steps={n}"),
+    ),
+    st.tuples(
+        st.just("check"),
+        st.sampled_from(["--list", "--suite=nonsense", "--suite=", "--suite=hat-exponents"]),
+        COUNTS.map(lambda n: f"--seed={n}"),
+    ),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+class TestGeneratedInvocations:
+    """`main` on generated trees, elements, levels, cofinal rules, tables
+    and instruction rows for every verb: it exits 0, 1 or 2, lets no
+    exception escape, and an exit of 2 prints exactly one error line."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(INVOCATIONS)
+    # int() of an infinite float raised OverflowError past the loader
+    @example(
+        ("alpha-run", "--alpha=w*2", ("--g", _file({"n": 0, "switch_at": math.inf})), "--steps=2")
+    )
+    def test_exit_code_and_one_error_line(self, fuzz_dir, call):
+        written = iter(range(10))
+
+        def write(obj) -> str:
+            path = fuzz_dir / f"in{next(written)}.json"
+            path.write_text(obj[1] if isinstance(obj, tuple) else json.dumps(obj))
+            return str(path)
+
+        def args(item) -> list:
+            if isinstance(item, str):
+                return [item]
+            if item[:1] == ("file",):
+                return [write(item[1])]
+            if item[:1] == ("side",):
+                return [",".join([write(item[1]), *item[2]])]
+            return [a for part in item for a in args(part)]
+
+        argv = args(call)
+        code, _, err = _run(argv)
+        assert code in (0, 1, 2), (argv, code)
+        assert "Traceback" not in err
+        if code == 2:
+            assert sum("error:" in line for line in err.splitlines()) == 1, (argv, err)
