@@ -72,8 +72,9 @@ first checked at the stage that attends it. After the growth steps, the
 due closure rows are checked in increasing row order; a sum listed by
 row i wakes the later rows for this pass and the earlier ones for the
 next stage's. Then the due audit rows go live in increasing row order.
-Every live fact is still compared with the diagram D at every stage (one
-subset test of dict items), so a flipped fact is caught.
+The diagram D is a read-only view of the live facts, so no fact can be
+flipped from outside, and each is written once: its key comes from the
+row by the injective `decode_triple`, and a row goes live only once.
 """
 
 from __future__ import annotations
@@ -83,6 +84,7 @@ from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from math import isqrt
+from types import MappingProxyType
 from typing import Optional
 
 from .pgroup import GroupTree, _require_prime
@@ -297,7 +299,6 @@ class ConstructionState:
         self.stage = 0
         self.chains = _Chains(self)
         self.extras: set[PElement] = set()
-        self.D: dict[tuple, bool] = {}
         self.Y: dict[int, set[int]] = {}
         self.T: dict[int, set[int]] = {}
         self.X = _SlotRows(self, False)
@@ -333,8 +334,9 @@ class ConstructionState:
         # rows to check at this stage's closure and audit passes
         self._due_closures: list[int] = []
         self._due_audits: list[int] = []
-        # live audit rows: key -> a + b == c, in D's key order
+        # live audit rows: key -> a + b == c, in the order they went live
         self._facts: dict[tuple, bool] = {}
+        self.D = MappingProxyType(self._facts)
 
     def elem(self, m: int) -> PElement:
         x = self._elems.get(m)
@@ -584,25 +586,18 @@ class ConstructionState:
     def _attend_audits(self) -> None:
         """Record "a + b = c" for every due audit row whose operands are listed.
 
-        First every live fact is compared with D: one subset test, and on
-        a mismatch the loop that names the flipped fact and re-inserts a
-        deleted one. Then the due rows go live in increasing order, after
-        the rows already live, so the facts keep D's key order."""
-        D, facts = self.D, self._facts
-        if not facts.items() <= D.items():
-            for key, val in facts.items():
-                if D.setdefault(key, val) != val:
-                    raise AssertionError(f"diagram fact {key} flipped")
-        rows = self._audits
+        The due rows go live in increasing order, after the rows already
+        live. D is a read-only view of these facts, and row i's key
+        ("sum", *decode_triple(i)) belongs to no other row, so each fact
+        is written once and cannot be changed from outside."""
+        rows, facts = self._audits, self._facts
         for i in sorted(self._due_audits):
             key, a, b, c = rows[i]
             x = self._unlisted((a, b, c))
             if x is not None:
                 self._park(self._audits_on, i, x)
                 continue
-            val = facts[key] = a + b == c
-            if D.setdefault(key, val) != val:
-                raise AssertionError(f"diagram fact {key} flipped")
+            facts[key] = a + b == c
         self._due_audits = []
 
     # -- reading the assembled group ----------------------------------------

@@ -156,15 +156,18 @@ def save_table(table: PredicateTable, path: str) -> None:
 def instruction_from_dict(obj, where: str = "instruction") -> tuple[InstructionSource, int]:
     if not isinstance(obj, dict) or "n" not in obj:
         raise FormatError(f"{where}: expected an object with row number 'n'")
+    n, zero = obj["n"], obj.get("always_zero")
+    if not zero and "switch_at" not in obj:
+        raise FormatError(f"{where}: need either always_zero or switch_at")
+    rule = None if zero else obj["switch_at"]
+    # a float, string or boolean is refused, never rounded or parsed
+    numbers = (n,) if zero else (n, rule)
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in numbers):
+        raise FormatError(f"{where}: 'n' and 'switch_at' must be integers")
     try:
-        n = int(obj["n"])
-        if obj.get("always_zero"):
-            return InstructionSource({n: None}), n
-        if "switch_at" in obj:
-            return InstructionSource({n: int(obj["switch_at"])}), n
-    except (TypeError, ValueError, OverflowError) as exc:  # int() of inf overflows
+        return InstructionSource({n: rule}), n
+    except ValueError as exc:  # a negative row or stage
         raise FormatError(f"{where}: {exc}") from exc
-    raise FormatError(f"{where}: need either always_zero or switch_at")
 
 
 def load_instruction(path: str) -> tuple[InstructionSource, int]:

@@ -676,7 +676,7 @@ def run_suite(name: str, seed: int = 0) -> list[CriterionResult]:
         return [r for n in SUITES for r in run_suite(n, seed)]
     fn = SUITES.get(name)
     if fn is None:
-        raise KeyError(f"unknown suite {name!r}; choices: {', '.join(SUITES)}")
+        raise ValueError(f"unknown suite {name!r}; choices: {', '.join(SUITES)}")
     t0 = time.perf_counter()
     passed, detail = fn(seed)
     return [CriterionResult(name, passed, detail, time.perf_counter() - t0)]

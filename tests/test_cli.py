@@ -356,6 +356,18 @@ class TestAlphaRun:
         (line,) = err.splitlines()
         assert line.startswith("error:") and named in line
 
+    # int() ran each row, switch_at 2.5 as 2 and "3" as 3, and exited 0
+    @pytest.mark.parametrize(
+        "g", [{"n": 0, "switch_at": 2.5}, {"n": 0, "switch_at": "3"}, {"n": "0", "always_zero": True}]
+    )
+    def test_a_row_number_must_be_a_json_integer(self, files, capsys, g):
+        argv = ["alpha-run", "--alpha", "w*2", "--g", files("g.json", g), "--steps", "2"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("error:") and "must be integers" in line
+
     def test_rejects_non_limit_alpha(self, files, capsys):
         g = files("g.json", {"n": 0, "always_zero": True})
         assert main(["alpha-run", "--alpha", "5", "--g", g, "--steps", "1"]) == 2
@@ -412,7 +424,8 @@ class TestCheck:
 
     def test_unknown_suite_exits_2(self, capsys):
         assert main(["check", "--suite", "nonsense"]) == 2
-        assert "unknown suite" in capsys.readouterr().err
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: unknown suite 'nonsense'; choices: ")
 
 
 class TestParser:
@@ -549,9 +562,11 @@ TABLES = st.fixed_dictionaries({
     "true": st.lists(st.lists(st.integers(-1, 2), min_size=2, max_size=2), max_size=2),
     "cofinal_rows": st.lists(st.integers(-1, 3), max_size=3),
 })
+# a row number that is not a JSON integer must exit 2, never run
+NOT_INTEGERS = st.floats() | st.text("0123.", max_size=2) | st.booleans() | st.none()
 ROWS = st.one_of(
-    st.fixed_dictionaries({"n": st.integers(-1, 2), "switch_at": st.integers(-2, 6) | st.floats()}),
-    st.fixed_dictionaries({"n": st.integers(0, 2), "always_zero": st.booleans()}),
+    st.fixed_dictionaries({"n": st.integers(-1, 2), "switch_at": st.integers(-2, 6) | NOT_INTEGERS}),
+    st.fixed_dictionaries({"n": st.integers(0, 2) | NOT_INTEGERS, "always_zero": st.booleans()}),
 )
 COUNTS = st.sampled_from(["0", "1", "2", "3", "4", "5", "-1"])
 
@@ -608,6 +623,16 @@ INVOCATIONS = st.one_of(
 )
 
 
+def _loose_row(row) -> bool:
+    """An instruction row whose 'n', or 'switch_at' where it is read, is
+    not a JSON integer."""
+    if not isinstance(row, dict):
+        return False
+    keys = ["n"] if row.get("always_zero") else ["n", "switch_at"]
+    numbers = [row[k] for k in keys if k in row]
+    return any(not isinstance(v, int) or isinstance(v, bool) for v in numbers)
+
+
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
@@ -647,3 +672,9 @@ class TestGeneratedInvocations:
         assert "Traceback" not in err
         if code == 2:
             assert sum("error:" in line for line in err.splitlines()) == 1, (argv, err)
+            # a message printed as the repr of a KeyError
+            assert not err.startswith(("error: '", 'error: "')), (argv, err)
+        if call[0] == "alpha-run":
+            (row,) = [item[1][1] for item in call if item[:1] == ("--g",)]
+            if _loose_row(row):
+                assert code == 2, (argv, code)

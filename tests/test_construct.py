@@ -218,11 +218,13 @@ class RescanStepper(ConstructionState):
     fresh true cells, rebuilds its watch set, decodes every closure and
     audit operand again and recounts the depth histogram. Kept only as a
     cross-check of the incremental stages. It keeps chains as a plain dict
-    of slot depths and X and Xt as plain dicts of element sets, where the
-    incremental state answers them from its stage and treatment records."""
+    of slot depths, X and Xt as plain dicts of element sets and D as a
+    plain dict, where the incremental state answers them from its stage
+    and treatment records and views D over its live facts."""
 
     def __init__(self, table: PredicateTable, p: int = 2):
         super().__init__(table, p)
+        self.D: dict[tuple, bool] = {}
         self.chains: dict[int, int] = {}
         self.X: dict[int, set[PElement]] = {}
         self.Xt: dict[int, set[PElement]] = {}
@@ -408,14 +410,18 @@ class TestIncrementalStages:
 
     @pytest.mark.parametrize("fact", [True, False])
     def test_a_flipped_diagram_fact_is_still_caught(self, fact):
-        # the earliest recorded fact went live many stages before the flip
+        # D is a read-only view of the live facts: a flip is refused at the
+        # write, and the fact, recorded many stages before, keeps its value
         state = ConstructionState(ALL_FALSE)
         for _ in range(40):
             state.advance()
         key = next(k for k, v in state.D.items() if v is fact)
-        state.D[key] = not fact
-        with pytest.raises(AssertionError, match="flipped"):
-            state.advance()
+        with pytest.raises(TypeError):
+            state.D[key] = not fact
+        with pytest.raises(TypeError):
+            del state.D[key]
+        state.advance()
+        assert state.D[key] is fact
 
     def test_each_row_adds_at_most_once(self, monkeypatch):
         # audit sums are memoized and settled closure rows are dropped, so

@@ -156,6 +156,23 @@ class TestInstructionRows:
         with pytest.raises(FormatError):
             instruction_from_dict(obj)
 
+    # int() ran each of these, 2.5 as 2 and "3" as 3
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"n": 0, "switch_at": 2.5},
+            {"n": 0, "switch_at": "3"},
+            {"n": 0, "switch_at": 2.0},
+            {"n": 0, "switch_at": True},
+            {"n": "1", "switch_at": 3},
+            {"n": 1.0, "always_zero": True},
+            {"n": False, "always_zero": True},
+        ],
+    )
+    def test_numbers_must_be_json_integers(self, obj):
+        with pytest.raises(FormatError, match="must be integers"):
+            instruction_from_dict(obj)
+
 
 class TestDotExport:
     def test_exact_bytes(self):

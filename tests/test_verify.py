@@ -52,7 +52,7 @@ class TestOrderCounts:
 
 class TestDriver:
     def test_unknown_suite(self):
-        with pytest.raises(KeyError, match="unknown suite"):
+        with pytest.raises(ValueError, match="unknown suite"):
             run_suite("nope")
 
     def test_result_shape(self):
