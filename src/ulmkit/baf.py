@@ -26,6 +26,9 @@ socle spans) with its leads' order-p multiples, and gives the pinned
 element that forces each node's image. A node whose source socle vector
 is already spanned is forced, so a choice that contradicts a pin is
 refused where it is made rather than when the pin's support is complete.
+What depends on the source tree alone, its base placement order and its
+runs of same-shape siblings with their symmetry break, is built on the
+tree's first search and kept on it (``GroupTree.search_skeleton``).
 
 Route two (`leq_barker` for tuples in one group, `leq_paper` for groups
 carrying limit-infinite invariant profiles): closed forms at the threshold
@@ -43,9 +46,12 @@ hypothesis) is an inclusion restricted, which holds without listing
 (`pgroup._is_inclusion`); any other pair lists the pair tower. So the game
 and the closed form decide (a) by independent computations. Above the
 threshold, (b) asks the left invariants one thing: tau, the height up to
-which the socle stays infinite (`socle_finite_from`).
-`leq_paper` is (b) with tau infinite, plus (c)/(d), invariant agreement
-below and just above the threshold.
+which the socle stays infinite (`socle_finite_from`). A finite tree has
+tau = 0 and heights below w or infinite (of 0), so on two trees (b) is
+"entry heights equal" at every beta >= 1, and `leq_barker` reads it so
+without building either tree's invariants; profiled carriers go through
+`_tuple_clauses`. `leq_paper` is (b) with tau infinite, plus (c)/(d),
+invariant agreement below and just above the threshold.
 
 `extend_tuple` is the constructive content: given the hypothesis relation
 at beta it extends the right-hand tuple to answer new elements at any
@@ -130,7 +136,11 @@ def find_embedding(
     ``leq_barker`` counts orders and answers). The answer is
     memoized on dst (trees are immutable): per source tree, held weakly, or
     apart when src is dst. With witness=False it is only tested against
-    None, and a map found stays undecoded until a caller asks for it.
+    None, and a map found stays undecoded until a caller asks for it. The
+    placement order without pins and the runs of interchangeable siblings
+    are src's search skeleton, built on its first uncached search; pins
+    only move the nodes they touch to the front and leave the touched
+    siblings out of the runs.
     """
     if src.p != dst.p or len(src_pins) != len(dst_pins):
         return None
@@ -144,7 +154,12 @@ def find_embedding(
         for x, y in zip(src_pins, dst_pins)
         if not (x.is_zero and y.is_zero)
     })
-    memo = dst.self_embed_memo if src is dst else dst.embed_memo.setdefault(src, {})
+    if src is dst:
+        memo = dst.self_embed_memo
+    else:  # a hit builds no weak reference and no empty dict
+        memo = dst.embed_memo.get(src)
+        if memo is None:
+            memo = dst.embed_memo[src] = {}
     key = (onto, *[c for pair in pairs for c in pair])
     if key not in memo:
         memo[key] = _find_embedding_uncached(src, src_pins, dst, dst_pins, onto)
@@ -179,27 +194,32 @@ def _find_embedding_uncached(src, src_pins, dst, dst_pins, onto):
             return None
         pins.append(zy)
 
-    # Shapes of subtrees are numbered, and contact with a pin support is
-    # flagged, bottom-up, deepest first: v is touched when it or a node
-    # below it lies in a pin's support.
+    # Higher ranks are placed first, as they have the fewest candidates.
+    # symmetry break: sibling subtrees of identical shape that no pin
+    # touches are interchangeable, so force their root images into
+    # increasing order and search one representative per orbit. Such
+    # siblings share their place in the order up to the name, so the
+    # earlier one is placed first.
+    skeleton = src.search_skeleton or _search_skeleton(src)
+    order, sym_pred = skeleton.order, skeleton.orbit_pred
     pinned_sup = {v for x in src_pins for v, _ in x.terms()}
-    shape: dict[str, int] = {}
-    shapes: dict[tuple, int] = {}
-    touched: dict[str, bool] = {}
-    for v in sorted(src.nodes, key=lambda u: -src.depth(u)):
-        cs = src.children[v]
-        shape[v] = shapes.setdefault(tuple(sorted(shape[c] for c in cs)), len(shapes))
-        touched[v] = v in pinned_sup or any(touched[c] for c in cs)
-
-    # The touched nodes come first, so every pin is forced before any
-    # untouched node is tried; then higher ranks first, as they have the
-    # fewest candidates. Rank falls strictly from parent to child and
-    # touched nodes' parents are touched, so parents still come before
-    # children.
-    order = sorted(
-        src.nonroot,
-        key=lambda v: (not touched[v], -src.rank(v), src.depth(v), v),
-    )
+    if pinned_sup:
+        # v is touched when it or a node below it lies in a pin's support.
+        # The touched nodes come first, so every pin is forced before any
+        # untouched node is tried, and only untouched siblings stay
+        # interchangeable. Rank falls strictly from parent to child and
+        # touched nodes' parents are touched, so parents still come before
+        # children.
+        touched, parent = {src.root}, src.parent
+        for v in pinned_sup:
+            while v not in touched:
+                touched.add(v)
+                v = parent[v]
+        order = [v for v in order if v in touched] + [v for v in order if v not in touched]
+        sym_pred = {}
+        for run in skeleton.runs:
+            free = [v for v in run if v not in touched]
+            sym_pred.update(zip(free[1:], free))
 
     # An embedding carrying the pins restricts to the isomorphism <src_pins>
     # -> <dst_pins>, decided on a triangular basis of the pin pairs with no
@@ -234,6 +254,8 @@ def _find_embedding_uncached(src, src_pins, dst, dst_pins, onto):
     src_basis: list = []  # echelon rows of the source socle span
     basis: list = []  # echelon rows of the image socle span
     for v in reversed(order):
+        if not rows:
+            break
         i = frag.index[v]
         lead = next((row for row in rows if row[0][i]), None)
         if lead is None:
@@ -255,21 +277,6 @@ def _find_embedding_uncached(src, src_pins, dst, dst_pins, onto):
             return None
         rows = [r for r in rows if any(r[0])]
 
-    # symmetry break: sibling subtrees of identical shape that no pin
-    # touches are interchangeable, so force their root images into
-    # increasing order and search one representative per orbit. Such
-    # siblings share their sort key up to the name, so the earlier one is
-    # placed first.
-    sym_pred: dict[str, str] = {}
-    for parent_node in src.nodes:
-        groups: dict[int, list[str]] = {}
-        for c in src.children[parent_node]:
-            if not touched[c]:
-                groups.setdefault(shape[c], []).append(c)
-        for orbit in groups.values():  # children come sorted
-            for u, v in zip(orbit, orbit[1:]):
-                sym_pred[v] = u
-
     # f is injective iff it is on the socle, where it is linear, its graph
     # spanned by the seed and one pair per socle basis vector s_v of src:
     # v (parent the root) or v - w (w the first placed sibling), of source
@@ -287,17 +294,19 @@ def _find_embedding_uncached(src, src_pins, dst, dst_pins, onto):
     # at height >= r, exactly r in the exact case unless h(t) = r + 1.
     first_child: dict[str, str] = {}
     plan = []
+    root, parent, rank, layers = src.root, src.parent, src._rank, dec._layers
     for v in order:
-        u, r = src.parent[v], src.rank(v)
+        u, r = parent[v], rank[v]
         w = first_child.setdefault(u, v)
-        layer = dec.socle_layer(
-            r, exact and (u == src.root or src.rank(u) > r + 1)
-        )
-        added = u if u == src.root else None if w == v else w
+        layer_key = (r, exact and (u == root or rank[u] > r + 1))
+        layer = layers.get(layer_key)
+        if layer is None:  # builds the layer, or refuses it
+            layer = dec.socle_layer(*layer_key)
+        added = u if u == root else None if w == v else w
         # without pins every sigma rises: they are a basis of src's socle
         rises = added is not None
         if rises and seeded:
-            sigma = sdec.socle_vector(v, None if added == src.root else w)
+            sigma = sdec.socle_vector(v, None if added == root else w)
             rises = echelon_add(src_basis, sigma, p)
         plan.append((v, u, layer, forced.get(v), added, rises, sym_pred.get(v)))
 
@@ -341,6 +350,39 @@ def _find_embedding_uncached(src, src_pins, dst, dst_pins, onto):
             if not stack:
                 return None
     return tuple(assign.items())
+
+
+@dataclass(frozen=True)
+class _SearchSkeleton:
+    """What the embedding search reads off its source tree alone: the base
+    order of the non-root nodes by (-rank, depth, name), the runs of
+    same-shape siblings (shapes are numbered canonical forms of subtrees),
+    and the map from each run member to the one before it, which is the
+    symmetry break when no pin touches the tree."""
+
+    order: tuple[str, ...]
+    runs: tuple[tuple[str, ...], ...]
+    orbit_pred: dict[str, str]
+
+
+def _search_skeleton(tree: GroupTree) -> _SearchSkeleton:
+    """Build tree's search skeleton and keep it on the tree, which it
+    never references, so it dies with the tree."""
+    shape: dict[str, int] = {}
+    shapes: dict[tuple, int] = {}
+    for v in sorted(tree.nodes, key=lambda u: -tree.depth(u)):  # deepest first
+        key = tuple(sorted(shape[c] for c in tree.children[v]))
+        shape[v] = shapes.setdefault(key, len(shapes))
+    runs = []
+    for u in tree.nodes:
+        groups: dict[int, list[str]] = {}
+        for c in tree.children[u]:  # children come sorted
+            groups.setdefault(shape[c], []).append(c)
+        runs += [tuple(run) for run in groups.values() if len(run) > 1]
+    order = tuple(sorted(tree.nonroot, key=lambda v: (-tree.rank(v), tree.depth(v), v)))
+    pred = {v: u for run in runs for u, v in zip(run, run[1:])}
+    skeleton = tree.search_skeleton = _SearchSkeleton(order, tuple(runs), pred)
+    return skeleton
 
 
 # -- the standard relations on explicit groups -------------------------------
@@ -437,16 +479,29 @@ def leq_barker(
 
     Also accepts two carriers with equal invariants and one prime (others
     raise ValueError); the socle-finiteness case split is read off the left
-    profile. For explicit finite groups every case lands in the
-    finite-socle branch: heights must match entrywise on top of the
-    generated-subgroup correspondence.
+    profile. Two trees need no profile: equal invariants are equal
+    ``socle_dims``, tau is 0, and every height lies below w <= w*delta or
+    is infinite, so at every beta >= 1 heights must match entrywise on top
+    of the generated-subgroup correspondence, which is checked first.
     """
     beta = _level(beta)
     if beta < nat(1):
         raise ValueError("the characterization needs beta >= 1")
+    if isinstance(A, GroupTree) and isinstance(B, GroupTree):
+        if A.socle_dims != B.socle_dims:
+            raise ValueError("the characterization needs equal invariants")
+        if A.p != B.p:
+            raise ValueError(f"the closed forms need one prime, got {A.p} and {B.p}")
+        abar, bbar = tuple(abar), tuple(bbar)
+        if len(abar) > len(bbar):
+            return False
+        bbar = bbar[: len(abar)]
+        # clause (b) with tau = 0 and heights below w or infinite
+        return _generated_iso_exists(B, bbar, A, abar) and all(
+            x.height() == y.height() for x, y in zip(abar, bbar)
+        )
     (holderA, P), (holderB, Q) = _carrier(A), _carrier(B)
-    trees = isinstance(A, GroupTree) and isinstance(B, GroupTree)
-    if A.socle_dims != B.socle_dims if trees else not ulm_equal(P, Q):
+    if not ulm_equal(P, Q):
         raise ValueError("the characterization needs equal invariants")
     tau = P.socle_finite_from
     return _tuple_clauses(holderA, abar, holderB, bbar, beta, tau) is not None

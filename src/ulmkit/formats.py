@@ -30,6 +30,12 @@ def _load_json(path: str):
         raise FormatError(f"{path}: not valid JSON ({exc.msg} at line {exc.lineno})") from exc
 
 
+def _is_int(v) -> bool:
+    """A JSON integer: a float, string or boolean is refused, never rounded,
+    parsed or read as 0 or 1."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _dump_json(obj, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
@@ -51,7 +57,7 @@ def tree_from_dict(obj, where: str = "tree") -> GroupTree:
         raise FormatError(f"{where}: expected an object with 'p' and 'nodes'")
     p = obj.get("p")
     nodes = obj.get("nodes")
-    if not isinstance(p, int):
+    if not _is_int(p):
         raise FormatError(f"{where}: 'p' must be an integer")
     if not isinstance(nodes, list) or not nodes:
         raise FormatError(f"{where}: 'nodes' must be a nonempty list")
@@ -119,7 +125,7 @@ def table_to_dict(table: PredicateTable) -> dict:
 
 
 def table_from_dict(obj, where: str = "table") -> PredicateTable:
-    if not isinstance(obj, dict) or not isinstance(obj.get("bound"), int):
+    if not isinstance(obj, dict) or not _is_int(obj.get("bound")):
         raise FormatError(f"{where}: expected an object with an integer 'bound'")
     cells = obj.get("true", [])
     rows = obj.get("cofinal_rows", [])
@@ -130,11 +136,11 @@ def table_from_dict(obj, where: str = "table") -> PredicateTable:
         if (
             not isinstance(cell, list)
             or len(cell) != 2
-            or not all(isinstance(v, int) for v in cell)
+            or not all(map(_is_int, cell))
         ):
-            raise FormatError(f"{where}: 'true' entry {k} must be [row, stage]")
+            raise FormatError(f"{where}: 'true' entry {k} must be [row, stage], both integers")
         trues.add((cell[0], cell[1]))
-    if not all(isinstance(r, int) for r in rows):
+    if not all(map(_is_int, rows)):
         raise FormatError(f"{where}: cofinal rows must be integers")
     try:
         return PredicateTable(obj["bound"], trues, set(rows))
@@ -160,9 +166,8 @@ def instruction_from_dict(obj, where: str = "instruction") -> tuple[InstructionS
     if not zero and "switch_at" not in obj:
         raise FormatError(f"{where}: need either always_zero or switch_at")
     rule = None if zero else obj["switch_at"]
-    # a float, string or boolean is refused, never rounded or parsed
     numbers = (n,) if zero else (n, rule)
-    if not all(isinstance(v, int) and not isinstance(v, bool) for v in numbers):
+    if not all(map(_is_int, numbers)):
         raise FormatError(f"{where}: 'n' and 'switch_at' must be integers")
     try:
         return InstructionSource({n: rule}), n

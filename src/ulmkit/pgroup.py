@@ -411,12 +411,14 @@ class GroupTree:
         self.size: int = p ** len(self.nonroot)
         # memos that die with this tree: baf.find_embedding's answers into
         # it by (onto, pin pairs), per other source tree (held weakly) or
-        # from itself, and the profile ulm.invariants_of reads off socle_dims.
-        # Self-queries skip the weak dictionary's lookups: kept in it, they
-        # put relation-sweep op_p50_ref 4.4% above this split (2 vCPUs).
+        # from itself, the profile ulm.invariants_of reads off socle_dims, and
+        # the search skeleton baf builds on this tree's first search as a
+        # source. Self-queries skip the weak dictionary's lookups: kept in
+        # it, they put relation-sweep op_p50_ref 4.4% above this split (2 vCPUs).
         self.embed_memo: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
         self.self_embed_memo: dict = {}
         self.invariants_memo = None
+        self.search_skeleton = None
 
     # -- basic structure ---------------------------------------------------
 

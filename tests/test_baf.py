@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import gc
 import hashlib
 import random
@@ -18,6 +19,7 @@ from ulmkit.baf import (
     ExtensionError,
     _answer_heights,
     _find_explicit_image,
+    _tuple_clauses,
     check_extension,
     extend_tuple,
     find_embedding,
@@ -1932,10 +1934,109 @@ class TestSharedHeightClause:
             (t, [t.node(v) for v in ("a", "b", "c")]),
             (pg, [pg.fragment.gen(i) for i in range(3)]),
         ]
-        # the cached property runs its function once per profile
+        # the cached property runs its function once per profile; two trees
+        # read equal heights and build no profile at all
         taus = _counting(monkeypatch, Profile.socle_finite_from, "func")
         for G, tup in cases:
             for _ in range(3):
                 for beta in (1, 3, 5):
                     assert leq_barker(G, tup, G, tup, beta)
-        assert [P for P, in taus] == [invariants_of(t), pg.profile]
+        assert [P for P, in taus] == [pg.profile]
+        assert t.invariants_memo is None
+
+
+# trees with at most 6 non-root nodes, grouped by prime and socle dimensions
+EQUAL_INVARIANT_TREES = {}
+for _t in corpus_trees(6, (2, 3)):
+    EQUAL_INVARIANT_TREES.setdefault((_t.p, _t.socle_dims), []).append(_t)
+
+
+@functools.lru_cache(maxsize=None)
+def elements_by_order(t: GroupTree) -> dict:
+    by_order: dict = {}
+    for x in t.elements():
+        by_order.setdefault(x.order(), []).append(x)
+    return by_order
+
+
+@st.composite
+def equal_invariant_tree_cases(draw):
+    """Two trees with equal socle dimensions (one tree about a third of the
+    time), 0-3 entries on the left, each of a drawn order, and on the right
+    mostly entries of the same orders (so clause (a) often holds and the
+    heights decide), else the left copied when the tree is shared, else
+    random entries; then 0-1 entries more, and a level from 1 to 5."""
+    group = draw(st.sampled_from(sorted(EQUAL_INVARIANT_TREES)))
+    trees = EQUAL_INVARIANT_TREES[group]
+    A = draw(st.sampled_from(trees))
+    B = A if draw(st.integers(0, 2)) == 0 else draw(st.sampled_from(trees))
+    A_by, B_by = elements_by_order(A), elements_by_order(B)
+
+    def entry(by_order, order=None):
+        order = order or draw(st.sampled_from(sorted(by_order)))
+        return draw(st.sampled_from(by_order[order]))
+
+    abar = tuple(entry(A_by) for _ in range(draw(st.integers(0, 3))))
+    how = draw(st.integers(0, 3))
+    if how == 0 and A is B:
+        bbar = abar
+    elif how < 3:
+        bbar = tuple(entry(B_by, x.order()) for x in abar)
+    else:
+        bbar = tuple(entry(B_by) for _ in range(draw(st.integers(0, 3))))
+    bbar += tuple(entry(B_by) for _ in range(draw(st.integers(0, 1))))
+    return A, abar, B, bbar, draw(st.integers(1, 5))
+
+
+class TestTreeHeightReduction:
+    """On two trees tau = socle_finite_from is 0 and every height is finite
+    or infinite (of 0), so at each beta >= 1 clause (b) asks equal entry
+    heights: leq_barker reads it so, and `_tuple_clauses` with tau read
+    off the left tree's invariants stays the general route it must match."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(equal_invariant_tree_cases())
+    def test_equal_heights_match_the_general_route(self, case):
+        A, abar, B, bbar, beta = case
+        tau = invariants_of(A).socle_finite_from
+        want = _tuple_clauses(A, abar, B, bbar, nat(beta), tau) is not None
+        assert leq_barker(A, abar, B, bbar, beta) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(equal_invariant_tree_cases())
+    def test_a_foreign_entry_still_raises(self, case):
+        A, abar, B, bbar, beta = case
+        if not A.nonroot:
+            return  # the one-node tree has no nonzero element to misplace
+        stranger = GroupTree(A.p, A.parent)  # A's shape, but other elements
+        x, y = stranger.fragment.gen(0), B.zero()
+        n = min(len(abar), len(bbar))  # a longer left tuple answers False
+        abar, bbar = abar[:n], bbar[:n]
+        with pytest.raises(ValueError, match="does not belong"):
+            leq_barker(A, (x, *abar), B, (y, *bbar), beta)
+        with pytest.raises(ValueError, match="does not belong"):
+            leq_barker(B, (y, *bbar), A, (x, *abar), beta)
+
+
+class TestSearchSkeleton:
+    """The order, sibling runs and symmetry break that depend on the source
+    tree alone are built on its first uncached search and kept on it."""
+
+    def test_built_once_per_source_and_dies_with_it(self, monkeypatch):
+        import ulmkit.baf
+
+        builds = _counting(monkeypatch, ulmkit.baf, "_search_skeleton")
+        with collector_paused():
+            t, u = mixed(2), mixed(2)
+            assert find_embedding(t, [], u, [], onto=True) is not None
+            assert len(builds) == 1
+            builds.clear()  # it holds t
+            # uncached: other pins, another destination, t into itself
+            assert find_embedding(t, [t.node("b")], u, [u.node("b")]) is not None
+            assert find_embedding(t, [], GroupTree(2, {**t.parent, "d": "r"}), []) is not None
+            assert leq_std_game(t, [t.node("a")], t, [t.node("a")], 2)
+            assert builds == []
+            assert u.search_skeleton is None  # never a source
+            refs = [weakref.ref(t), weakref.ref(t.search_skeleton)]
+            del t
+            assert [ref() for ref in refs] == [None, None]

@@ -83,6 +83,15 @@ class TestInvariants:
         assert main(["invariants", str(tmp_path / "nope.json")]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_a_json_boolean_prime_is_not_an_integer(self, files, capsys):
+        # it was read as 1 and refused as "True is not prime"
+        path = files("t.json", {"p": True, "nodes": [{"id": "r", "parent": None}]})
+        assert main(["invariants", path]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("error:") and "'p' must be an integer" in line
+
 
 class TestIso:
     def test_isomorphic(self, files, capsys):
@@ -303,6 +312,24 @@ class TestConstruct:
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "stage 1: 0 0"
         assert out[1] == "stage 2: 1 0"
+
+    # isinstance(True, int) holds: this table ran as bound 1 with row 0
+    # cofinal and exited 0
+    @pytest.mark.parametrize(
+        "table",
+        [
+            {"bound": True, "true": [[0, 0]], "cofinal_rows": [False]},
+            {"bound": 1, "true": [[0, False]]},
+            {"bound": 1, "cofinal_rows": [False]},
+        ],
+        ids=["bound", "cell", "cofinal-row"],
+    )
+    def test_a_json_boolean_is_not_an_integer(self, files, capsys, table):
+        assert main(["construct", "--table", files("t.json", table), "--stages", "3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("error:") and "integer" in line
 
 
 class TestAlphaRun:
