@@ -33,25 +33,25 @@ tree's first search and kept on it (``GroupTree.search_skeleton``).
 Route two (`leq_barker` for tuples in one group, `leq_paper` for groups
 carrying limit-infinite invariant profiles): closed forms at the threshold
 w*delta (beta = 2*delta or 2*delta+1). Their carriers are explicit groups,
-passed as their `GroupTree`, or `ProfiledGroup`s, and `_carrier` reads
-either as the holder of its elements (the tree, or the fragment) and its
-invariants. Both check, in `_tuple_clauses`, (a) the generated-subgroup
-correspondence and (b) Barker's entrywise heights against the threshold;
-above level 0 both carriers must have one prime. On two trees (a) counts
-orders and lists no pairs:
+passed as their `GroupTree`, or `ProfiledGroup`s, whose elements the tree,
+or the fragment, holds. Every pair of carriers meets in `_tuple_clauses`,
+which decides (a) the generated-subgroup correspondence and (b) Barker's
+entrywise heights against the threshold; above level 0 both carriers must
+have one prime. On two trees (a) counts orders and lists no pairs:
 |<abar>| = |<(abar, bbar)>| = |<bbar>| (`pgroup._generated_iso_exists`).
 On carriers that are fragments a tuple taken to itself in an extension of
 its fragment (a run letter against its successor, an extension's
 hypothesis) is an inclusion restricted, which holds without listing
 (`pgroup._is_inclusion`); any other pair lists the pair tower. So the game
-and the closed form decide (a) by independent computations. Above the
-threshold, (b) asks the left invariants one thing: tau, the height up to
-which the socle stays infinite (`socle_finite_from`). A finite tree has
-tau = 0 and heights below w or infinite (of 0), so on two trees (b) is
-"entry heights equal" at every beta >= 1, and `leq_barker` reads it so
-without building either tree's invariants; profiled carriers go through
-`_tuple_clauses`. `leq_paper` is (b) with tau infinite, plus (c)/(d),
-invariant agreement below and just above the threshold.
+and the closed form decide (a) by independent computations. In (b) equal
+heights pass at once, and the threshold is worked out at the first entry
+pair whose heights differ. Above the threshold, (b) asks the left
+invariants one thing: tau, the height up to which the socle stays infinite
+(`socle_finite_from`). A finite group's socle is finite, so two trees take
+tau = 0 and compare their invariants as ``socle_dims``, building neither
+profile; with heights below w or infinite, (b) on them is "entry heights
+equal" at every beta >= 1. `leq_paper` is (b) with tau infinite, plus
+(c)/(d), invariant agreement below and just above the threshold.
 
 `extend_tuple` is the constructive content: given the hypothesis relation
 at beta it extends the right-hand tuple to answer new elements at any
@@ -97,7 +97,10 @@ class ExtensionError(RuntimeError):
 
 
 def _level(beta: Union[int, Ordinal]) -> Ordinal:
-    """A level given as an int or an Ordinal, as an Ordinal."""
+    """A level given as an int or an Ordinal, as an Ordinal; anything else
+    raises ValueError."""
+    if not isinstance(beta, (int, Ordinal)):
+        raise ValueError(f"a level is an int or an Ordinal, got {beta!r}")
     return nat(beta) if isinstance(beta, int) else beta
 
 
@@ -393,20 +396,21 @@ def leq_std_game(
     abar: Sequence[FragmentElement],
     B: GroupTree,
     bbar: Sequence[FragmentElement],
-    beta: int,
+    beta: Union[int, Ordinal],
 ) -> bool:
-    """Game back-and-forth relation (A, abar) <=_beta (B, bbar), beta >= 1.
+    """Game back-and-forth relation (A, abar) <=_beta (B, bbar), finite beta >= 1.
 
     A longer left tuple can never sit below a shorter right tuple; otherwise
     the right tuple is cut to the left one's length.
     """
-    if beta < 1:
-        raise ValueError("the game relation needs beta >= 1")
+    beta = _level(beta)
+    if beta.is_zero or not beta.is_finite:
+        raise ValueError(f"the game relation needs a finite beta >= 1, got {beta}")
     abar, bbar = tuple(abar), tuple(bbar)
     if len(abar) > len(bbar):
         return False
     bbar = bbar[: len(abar)]
-    if beta == 1:
+    if beta == nat(1):
         return find_embedding(B, bbar, A, abar, witness=False) is not None
     return find_embedding(A, abar, B, bbar, onto=True, witness=False) is not None
 
@@ -414,35 +418,38 @@ def leq_std_game(
 # -- closed forms --------------------------------------------------------------
 
 
-def _tuple_clauses(
-    A, abar, B, bbar, beta: Ordinal, tau: HeightValue
-) -> Optional[tuple[Ordinal, int]]:
-    """Clauses (a) and (b) of both closed forms on carriers A, B (trees or
-    fragments): bbar, cut to abar's length, corresponds to abar, and entry
-    heights compare against the threshold w*delta of beta. At odd levels
-    the left height may exceed the right below tau, where the socle is
-    infinite: leq_barker's left `socle_finite_from`, INFINITY for
-    leq_paper. Returns beta's split (delta, parity) when both hold, for
-    leq_paper's (c)/(d), else None. Above level 0 carriers of different
-    primes raise ValueError.
+def _tuple_clauses(A, abar, B, bbar, beta: Ordinal, tau: HeightValue) -> bool:
+    """Clauses (a) and (b) of both closed forms, for every pair of carriers
+    A, B (the trees or fragments that hold the elements): bbar, cut to
+    abar's length, corresponds to abar, and entry heights compare against
+    the threshold w*delta of beta, worked out at the first pair of unequal
+    heights. At odd levels the left height may exceed the right below tau,
+    where the socle is infinite: the left `socle_finite_from` for
+    leq_barker (0 on two trees), INFINITY for leq_paper. Above level 0
+    carriers of different primes raise ValueError.
     """
-    if not beta.is_zero and A.p != B.p:
+    if A.p != B.p and not beta.is_zero:
         raise ValueError(f"the closed forms need one prime, got {A.p} and {B.p}")
     abar, bbar = tuple(abar), tuple(bbar)
     if len(abar) > len(bbar):
-        return None
+        return False
     bbar = bbar[: len(abar)]
     if not _generated_iso_exists(B, bbar, A, abar):
-        return None
+        return False
     if beta.is_zero:
-        return ZERO, 0  # every height is at least the threshold 0
-    delta, parity = parity_split(beta)
-    thr = omega_times(delta)
-    cap = thr + OMEGA
+        return True  # every height is at least the threshold 0
+    rule = None
     for a, b in zip(abar, bbar):
-        if not _entry_heights_ok(a.height(), b.height(), parity, thr, cap, tau):
-            return None
-    return delta, parity
+        ha, hb = a.height(), b.height()
+        if ha == hb:
+            continue
+        if rule is None:
+            delta, parity = parity_split(beta)
+            thr = omega_times(delta)
+            rule = parity, thr, thr + OMEGA
+        if not _entry_heights_ok(ha, hb, *rule, tau):
+            return False
+    return True
 
 
 def _entry_heights_ok(
@@ -454,17 +461,16 @@ def _entry_heights_ok(
     tau: HeightValue,
 ) -> bool:
     """Clause (b) for one entry pair at threshold thr, with cap = thr + w
-    and P_theta infinite exactly for theta < tau. Heights match below thr;
-    even levels ask only that both reach it. At odd levels the left height
-    may exceed the right while both stay below tau, and heights match from
-    tau on; when tau >= cap the band is infinite and the left height need
-    only reach min(right height, cap)."""
-    if ha == hb and ha < thr:
+    and P_theta infinite exactly for theta < tau. Equal heights pass; even
+    levels ask only that both reach thr. At odd levels the left height may
+    exceed the right while both stay in [thr, tau); when tau >= cap the
+    band is infinite and the left height need only reach min(hb, cap)."""
+    if ha == hb:
         return True
     if parity == 0:
         return ha >= thr and hb >= thr
     if tau < cap:
-        return thr <= hb <= ha < tau or ha == hb >= tau
+        return thr <= hb <= ha < tau
     return hb >= thr and ha >= height_min(hb, cap)
 
 
@@ -478,43 +484,38 @@ def leq_barker(
     """Height/subgroup characterization of <=_beta for tuples in one group.
 
     Also accepts two carriers with equal invariants and one prime (others
-    raise ValueError); the socle-finiteness case split is read off the left
-    profile. Two trees need no profile: equal invariants are equal
-    ``socle_dims``, tau is 0, and every height lies below w <= w*delta or
-    is infinite, so at every beta >= 1 heights must match entrywise on top
-    of the generated-subgroup correspondence, which is checked first.
+    raise ValueError); the socle-finiteness case split, tau, is read off
+    the left invariants, and `_tuple_clauses` decides. Two trees build no
+    profile: their invariants are equal when their ``socle_dims`` are, and
+    a finite group's tau is 0. Any other pair compares profiles.
     """
     beta = _level(beta)
-    if beta < nat(1):
+    if beta.is_zero:
         raise ValueError("the characterization needs beta >= 1")
+    holderA, holderB = _holder(A), _holder(B)
     if isinstance(A, GroupTree) and isinstance(B, GroupTree):
-        if A.socle_dims != B.socle_dims:
-            raise ValueError("the characterization needs equal invariants")
-        if A.p != B.p:
-            raise ValueError(f"the closed forms need one prime, got {A.p} and {B.p}")
-        abar, bbar = tuple(abar), tuple(bbar)
-        if len(abar) > len(bbar):
-            return False
-        bbar = bbar[: len(abar)]
-        # clause (b) with tau = 0 and heights below w or infinite
-        return _generated_iso_exists(B, bbar, A, abar) and all(
-            x.height() == y.height() for x, y in zip(abar, bbar)
-        )
-    (holderA, P), (holderB, Q) = _carrier(A), _carrier(B)
-    if not ulm_equal(P, Q):
+        equal, tau = A.socle_dims == B.socle_dims, ZERO
+    else:
+        P, Q = [G.profile if isinstance(G, ProfiledGroup) else invariants_of(G) for G in (A, B)]
+        equal, tau = ulm_equal(P, Q), P.socle_finite_from
+    if not equal:
         raise ValueError("the characterization needs equal invariants")
-    tau = P.socle_finite_from
-    return _tuple_clauses(holderA, abar, holderB, bbar, beta, tau) is not None
+    return _tuple_clauses(holderA, abar, holderB, bbar, beta, tau)
 
 
-def _carrier(G):
-    """An explicit group's tree and invariants, or a profiled group's
-    fragment and profile: what holds the elements, and the invariants."""
+def _holder(G):
+    """What holds a carrier's elements: an explicit group's tree, or a
+    profiled group's fragment."""
     if isinstance(G, GroupTree):
-        return G, invariants_of(G)
+        return G
     if isinstance(G, ProfiledGroup):
-        return G.fragment, G.profile
+        return G.fragment
     raise TypeError(f"expected a tree or profiled group, got {type(G)!r}")
+
+
+def _limit_infinite(G) -> bool:
+    """Whether G is profiled (a tree's length is finite), of limit length and limit-infinite."""
+    return isinstance(G, ProfiledGroup) and G.profile.length.is_limit and G.profile.limit_infinite
 
 
 def leq_paper(
@@ -534,15 +535,11 @@ def leq_paper(
     dominate on [w*delta, w*delta+w).
     """
     beta = _level(beta)
-    (holderA, P), (holderB, Q) = _carrier(A), _carrier(B)
-    for R in (P, Q):
-        if not (R.length.is_limit and R.limit_infinite):
-            raise ValueError(
-                "the modified relation expects limit length and "
-                "limit-infinite profiles"
-            )
-    level = _tuple_clauses(holderA, abar, holderB, bbar, beta, INFINITY)
-    return level is not None and _profile_clauses(P, Q, *level)
+    if not (_limit_infinite(A) and _limit_infinite(B)):
+        raise ValueError("the modified relation expects limit length and limit-infinite profiles")
+    return _tuple_clauses(A.fragment, abar, B.fragment, bbar, beta, INFINITY) and (
+        _profile_clauses(A.profile, B.profile, *parity_split(beta))
+    )
 
 
 def _profile_clauses(P: Profile, Q: Profile, delta: Ordinal, parity: int) -> bool:
@@ -578,19 +575,21 @@ def relation(
     clause counts orders. Limit-infinite profiles on both sides use the
     modified relation; other carriers fall back to the single-group
     characterization. Level 0 is quantifier-free type containment in
-    either case. A profiled A keeps the verdict, never an error, in its
-    ``hypothesis_memo``: per holder of B's elements (``_carrier``), held
-    weakly, keyed by B's invariants, beta, abar and bbar's coefficients.
+    either case. Each decides (a) and (b) in `_tuple_clauses` and builds a
+    tree's profile only to compare it with a profiled carrier's. A profiled
+    A keeps the verdict, never an error, in its ``hypothesis_memo``: per
+    holder of B's elements (``_holder``), held weakly, keyed by B's profile
+    when B is profiled, beta, abar and bbar's coefficients.
     """
     beta, abar, bbar = _level(beta), tuple(abar), tuple(bbar)
     if not isinstance(A, ProfiledGroup):
         return _relation(A, abar, B, bbar, beta)
-    holder, Q = _carrier(B)
+    holder = _holder(B)
     # coefficients name B's own elements only; others raise in _relation
     coeffs = tuple([y.coeffs for y in bbar if y.fragment is B.fragment])
     if len(coeffs) < len(bbar):
         return _relation(A, abar, B, bbar, beta)
-    key = (Q, beta, abar, coeffs)
+    key = (B.profile if isinstance(B, ProfiledGroup) else None, beta, abar, coeffs)
     hit = A.hypothesis_memo.get(holder, {}).get(key)
     if hit is None:
         hit = _relation(A, abar, B, bbar, beta)
@@ -601,11 +600,9 @@ def relation(
 def _relation(A, abar, B, bbar, beta) -> bool:
     """``relation`` decided afresh, reading and writing no memo."""
     beta = _level(beta)
-    (holderA, P), (holderB, Q) = _carrier(A), _carrier(B)
     if beta.is_zero:
-        level = _tuple_clauses(holderA, abar, holderB, bbar, beta, INFINITY)
-        return level is not None
-    if all(R.length.is_limit and R.limit_infinite for R in (P, Q)):
+        return _tuple_clauses(_holder(A), abar, _holder(B), bbar, beta, INFINITY)
+    if _limit_infinite(A) and _limit_infinite(B):
         return leq_paper(A, abar, B, bbar, beta)
     return leq_barker(A, abar, B, bbar, beta)
 

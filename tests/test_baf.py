@@ -19,7 +19,6 @@ from ulmkit.baf import (
     ExtensionError,
     _answer_heights,
     _find_explicit_image,
-    _tuple_clauses,
     check_extension,
     extend_tuple,
     find_embedding,
@@ -44,7 +43,7 @@ from ulmkit.ordinal import (
     parity_split,
     parse_ordinal,
 )
-from ulmkit.pgroup import BoundExceeded, GroupTree, generated_iso
+from ulmkit.pgroup import BoundExceeded, GroupTree, _generated_iso_exists, generated_iso
 from ulmkit.ulm import (
     OMEGA_VALUE,
     Clause,
@@ -832,6 +831,37 @@ class TestGameAgainstBarkerSameGroup:
                     got = leq_std_game(A, abar, B, bbar, beta)
                     want = leq_barker(A, abar, B, bbar, beta)
                     assert got == want
+
+
+class TestLevelsMustBeRead:
+    """A level is an int or an Ordinal; anything else is refused with
+    ValueError, and the game takes a finite Ordinal as the closed forms do."""
+
+    @pytest.mark.parametrize("level", [1.5, "2", None])
+    def test_relations_refuse_other_levels(self, level):
+        t = chain(2, 2)
+        a = (t.node("c1"),)
+        for rel in (relation, leq_barker, leq_std_game):
+            with pytest.raises(ValueError, match="a level is an int or an Ordinal"):
+                rel(t, a, t, a, level)
+        pg = ghat_pg(0)
+        with pytest.raises(ValueError, match="a level is an int or an Ordinal"):
+            leq_paper(pg, (), pg, (), level)
+
+    def test_game_reads_a_finite_ordinal(self):
+        A, B = chain(2, 2), GroupTree(2, {"s": None, "d1": "s", "d2": "d1"})
+        for va in sorted(A.nonroot):
+            for vb in sorted(B.nonroot):
+                abar, bbar = (A.node(va),), (B.node(vb),)
+                for beta in (1, 2, 3):
+                    want = leq_std_game(A, abar, B, bbar, beta)
+                    assert leq_std_game(A, abar, B, bbar, nat(beta)) == want
+
+    @pytest.mark.parametrize("level", [0, nat(0), OMEGA, OMEGA + 1])
+    def test_game_refuses_level_0_and_infinite_levels(self, level):
+        t = chain(2, 2)
+        with pytest.raises(ValueError, match="finite beta >= 1"):
+            leq_std_game(t, (), t, (), level)
 
 
 class TestPrimesMustMatch:
@@ -1988,19 +2018,42 @@ def equal_invariant_tree_cases(draw):
     return A, abar, B, bbar, draw(st.integers(1, 5))
 
 
+def tree_barker_reference(A, abar, B, bbar) -> bool:
+    """Barker's characterization on two trees of equal socle dimensions, at
+    every beta >= 1: bbar, cut to abar's length, corresponds to abar, and
+    entry heights are equal."""
+    if len(abar) > len(bbar):
+        return False
+    bbar = bbar[: len(abar)]
+    return _generated_iso_exists(B, bbar, A, abar) and all(
+        x.height() == y.height() for x, y in zip(abar, bbar)
+    )
+
+
 class TestTreeHeightReduction:
     """On two trees tau = socle_finite_from is 0 and every height is finite
     or infinite (of 0), so at each beta >= 1 clause (b) asks equal entry
-    heights: leq_barker reads it so, and `_tuple_clauses` with tau read
-    off the left tree's invariants stays the general route it must match."""
+    heights. leq_barker decides trees in the shared `_tuple_clauses`,
+    with tau 0 and no profile; the reference states the equal-heights rule
+    on its own."""
 
     @settings(max_examples=400, deadline=None)
     @given(equal_invariant_tree_cases())
     def test_equal_heights_match_the_general_route(self, case):
         A, abar, B, bbar, beta = case
-        tau = invariants_of(A).socle_finite_from
-        want = _tuple_clauses(A, abar, B, bbar, nat(beta), tau) is not None
+        want = tree_barker_reference(A, abar, B, bbar)
         assert leq_barker(A, abar, B, bbar, beta) == want
+
+    @pytest.mark.parametrize("beta", [0, 1, 2])
+    def test_relation_builds_no_tree_profile(self, beta):
+        t = mixed(2)
+        u = GroupTree(2, {"s": None, "x": "s", "y": "x", "z": "s"})  # t renamed
+        assert t.socle_dims == u.socle_dims
+        a, b = t.node("a"), u.node("x")
+        assert relation(t, (a,), t, (a,), beta)
+        assert t.invariants_memo is None
+        assert relation(t, (a,), u, (b,), beta)
+        assert t.invariants_memo is None and u.invariants_memo is None
 
     @settings(max_examples=100, deadline=None)
     @given(equal_invariant_tree_cases())
