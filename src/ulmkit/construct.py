@@ -28,27 +28,30 @@ grows at every stage from the one that attends it on except those it is
 treated at and, once stuck, all later ones. A row is stuck when its
 least unused true column is used up while it watches no chain; it then
 never grows or is treated again. A row records the stages it was
-treated at and the stage its watch batch (its chains not yet treated)
-began:
+treated at, its only record of its treatments, and the stage its watch
+batch (its chains not yet treated) began:
 
   * a growth step writes nothing: a stage moves the next free slot on
     by the number of rows attended, less those treated at it and those
     stuck;
   * a heap keyed by each row's next event stage (its least unused true
     column + 1) hands a stage only the rows treated or stuck there. A
-    treatment uses that column (so the used columns Y[e] are a prefix
-    of the row's true columns) and the least unused r, which is one
-    more than the row's treatments so far; it moves the watch batch,
-    all at depth e+1, to depth e+r+1 and counts it in the histogram of
-    treated depths.
+    row treated n times so far has used its first n true columns, so
+    its next treatment uses true column n (continuing past the bound
+    for a cofinal row); it moves the watch batch, all at depth e+1, to
+    depth e+n+2 and counts it in the histogram of treated depths.
 
-`chains`, `X` and `Xt` are read-only views answered by search. Slot k
+`chains`, `X`, `Xt`, `Y` and `T` are read-only views, and a value they
+return is built afresh, so no write from outside reaches the run. Slot k
 was started at the last stage whose first slot is at most k, by the
 growing row of rank k minus that first slot; its depth is e+1 while row
 e watches it, and e+i+2 once the row's i-th treatment (from 0) retired
 it. X[e] and Xt[e] rebuild the slots row e started or had treated from
-its growth stages, as sets of chain generators 1/p, when asked. The
-estimates add each row's watch batch to the treated histogram.
+its growth stages, as sets of chain generators 1/p, when asked. Y and
+T are views of the treatment stages: for a row treated n times, Y[e] is
+its first n true columns (every attended row is a key) and T[e] is {1,
+..., n}, the depth offsets its treatments used (every treated row is a
+key). The estimates add each row's watch batch to the treated histogram.
 
 Closure and audit rows decode their operands once, when first attended,
 and are checked again only when an operand they wait for is listed.
@@ -66,6 +69,7 @@ listed elements lies within its slots' chain depths.
   * a woken row checks its operands again and either settles or parks on
     the next unlisted one; a settled closure row lists its sum once, and
     a settled audit row goes live with its truth a + b == c computed once.
+    A settled row is never checked again, so it lets go of its operands.
 
 Within a stage the order is that of a rescan of every open row. A row is
 first checked at the stage that attends it. After the growth steps, the
@@ -270,23 +274,26 @@ class _ChainDepths(ValuesView):
         return self._mapping._state._depths()
 
 
-class _SlotRows(Mapping):
-    """Read-only view of the slots each attended row started (or, with
-    `treated`, had treated): row e maps to the set of their chain
-    generators 1/p, built on each lookup."""
+class _Rows(Mapping):
+    """Read-only view of one value per row, built afresh on each lookup:
+    `rows()` gives the keys, `value(e)` the value of key e."""
 
-    def __init__(self, state: "ConstructionState", treated: bool):
-        self._state, self._treated = state, treated
+    def __init__(self, rows, value):
+        self._rows, self._value = rows, value
 
-    def __getitem__(self, e: int) -> set[PElement]:
-        p = self._state.p
-        return {PElement._trusted(p, ((k, 1, 1),)) for k in self._state._slots_of(e, self._treated)}
+    def __getitem__(self, e: int):
+        if e not in self._rows():
+            raise KeyError(e)
+        return self._value(e)
+
+    def __contains__(self, e) -> bool:
+        return e in self._rows()
 
     def __iter__(self):
-        return iter(self._state.Y)
+        return iter(self._rows())
 
     def __len__(self) -> int:
-        return len(self._state.Y)
+        return len(self._rows())
 
 
 class ConstructionState:
@@ -299,10 +306,13 @@ class ConstructionState:
         self.stage = 0
         self.chains = _Chains(self)
         self.extras: set[PElement] = set()
-        self.Y: dict[int, set[int]] = {}
-        self.T: dict[int, set[int]] = {}
-        self.X = _SlotRows(self, False)
-        self.Xt = _SlotRows(self, True)
+        attended = lambda: range(len(self._start))
+        self.X = _Rows(attended, lambda e: self._generators(e, False))
+        self.Xt = _Rows(attended, lambda e: self._generators(e, True))
+        self.Y = _Rows(
+            attended, lambda e: {self._column(e, n) for n in range(len(self._treats.get(e, ())))}
+        )
+        self.T = _Rows(lambda: self._treats, lambda e: set(range(1, len(self._treats[e]) + 1)))
         self._first: list[int] = []  # stage -> the first slot it started
         self._free = 0  # slots are allocated in increasing order
         self._start: list[Optional[int]] = []  # row -> stage its watch batch began; None once stuck
@@ -319,9 +329,10 @@ class ConstructionState:
             cols.sort()
         self._hist: dict[int, int] = {}  # depth -> number of treated chains
         self._elems: dict[int, PElement] = {}
-        # row -> its closure operands (a, b) / its audit row (key, a, b, c)
-        self._closures: list[tuple[PElement, PElement]] = []
-        self._audits: list[tuple[tuple, PElement, PElement, PElement]] = []
+        # row -> its closure operands (a, b) / its audit row (key, a, b, c),
+        # None once the row has settled
+        self._closures: list[Optional[tuple[PElement, PElement]]] = []
+        self._audits: list[Optional[tuple[tuple, PElement, PElement, PElement]]] = []
         # unlisted element -> the closure / audit rows parked on it
         self._closures_on: dict[PElement, list[int]] = {}
         self._audits_on: dict[PElement, list[int]] = {}
@@ -354,11 +365,10 @@ class ConstructionState:
                 return True
         return x in self.extras
 
-    def _next_true(self, e: int) -> Optional[int]:
-        """Least true column of row e not yet used, or None; the used
-        columns Y[e] are a prefix of the row's true columns."""
+    def _column(self, e: int, n: int) -> Optional[int]:
+        """Row e's true column number n (from 0), past the bound for a
+        cofinal row, or None. A row treated n times has used its first n."""
         cols = self._true_cols.get(e, ())
-        n = len(self.Y[e])
         if n < len(cols):
             return cols[n]
         if e in self.table.cofinal_rows:
@@ -372,9 +382,8 @@ class ConstructionState:
         events, start = self._events, self._start
         if s:
             e = s - 1  # the row first attended at this stage
-            self.Y[e] = set()
             start.append(s)
-            y = self._next_true(e)
+            y = self._column(e, 0)
             if y is not None:
                 heappush(events, (y + 1, e))
             m1, m2 = cantor_unpair(e)
@@ -389,7 +398,7 @@ class ConstructionState:
         while events and events[0][0] <= s:
             y, e = heappop(events)
             if start[e] < s:
-                self._treat(e, s, y - 1)
+                self._treat(e, s)
                 treated.append(e)
             else:
                 start[e] = None
@@ -414,22 +423,18 @@ class ConstructionState:
         self._attend_audits()
         self.stage = s + 1
 
-    def _treat(self, e: int, s: int, y: int) -> None:
+    def _treat(self, e: int, s: int) -> None:
         """Retire row e's watch batch, the chains it started from stage
-        `_start[e]` to s-1, all at depth e+1, with the fresh true cell y:
-        the batch moves to depth e+r+1, r the least unused, which is one
-        more than the row's treatments so far."""
-        taken = self.T.setdefault(e, set())
-        r = len(taken) + 1
-        taken.add(r)
-        depth = e + r + 1
+        `_start[e]` to s-1, all at depth e+1, with its true column n, n
+        the row's treatments so far: the batch moves to depth e+n+2."""
+        ts = self._treats.setdefault(e, [])
+        depth = e + len(ts) + 2
         self._hist[depth] = self._hist.get(depth, 0) + s - self._start[e]
-        self._treats.setdefault(e, []).append(s)
+        ts.append(s)
         self._start[e] = s + 1
-        self.Y[e].add(y)
         for k in self._parked.pop(e, ()):
             self._deepened(k, depth)
-        y = self._next_true(e)
+        y = self._column(e, len(ts))
         if y is not None:
             heappush(self._events, (y + 1, e))
 
@@ -479,12 +484,11 @@ class ConstructionState:
                 if e not in stuck0 and e not in idle:
                     yield depth_of(e, s)
 
-    def _slots_of(self, e: int, treated: bool) -> list[int]:
-        """The slots attended row e started, or with `treated` those its
-        treatments retired: one at each stage from e+1 on but those it
-        was treated at, up to its last treatment, or to now while it grows."""
-        if e not in self.Y:
-            raise KeyError(e)
+    def _generators(self, e: int, treated: bool) -> set[PElement]:
+        """The chain generators 1/p of the slots attended row e started, or
+        with `treated` of those its treatments retired: one at each stage
+        from e+1 on but those it was treated at, up to its last treatment,
+        or to now while it grows."""
         ts = self._treats.get(e, [])
         if not treated and self._start[e] is not None:
             end = self.stage
@@ -495,7 +499,7 @@ class ConstructionState:
         stuck0 = bisect_left(self._stuck0, e)
         late = [t for t, x in self._late if x < e]
         first, treated_at, skip = self._first, self._treated_at, set(ts)
-        slots = []
+        p, gens = self.p, set()
         for s in range(e + 1, end):
             if s in skip:
                 continue
@@ -503,8 +507,8 @@ class ConstructionState:
             rows = treated_at.get(s)
             if rows:
                 idle += sum(x < e for x in rows)
-            slots.append(first[s] + e - idle)
-        return slots
+            gens.add(PElement._trusted(p, ((first[s] + e - idle, 1, 1),)))
+        return gens
 
     # -- parking and waking closure and audit rows ---------------------------
 
@@ -574,6 +578,7 @@ class ConstructionState:
             if x is not None:
                 self._park(self._closures_on, i, x)
                 continue
+            rows[i] = None  # settled: let go of the operands
             c = a + b
             if not c.is_zero and not self.contains(c):
                 extras.add(c)
@@ -598,6 +603,7 @@ class ConstructionState:
                 self._park(self._audits_on, i, x)
                 continue
             facts[key] = a + b == c
+            rows[i] = None
         self._due_audits = []
 
     # -- reading the assembled group ----------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Union
 
 
 # the generated order compares term tuples lexicographically, which is ordinal
@@ -288,29 +288,33 @@ def height_min(a: HeightValue, b: HeightValue) -> HeightValue:
 class CofinalSequence:
     """Strictly increasing sequence alpha_1 < alpha_2 < ... with sup = limit.
 
-    ``at`` is 1-indexed. Monotonicity and the bound alpha_i < limit are
-    checked lazily on access; the supremum condition is the caller's burden
-    when supplying a custom rule (the canonical rules guarantee it, and
-    ``cofinal_from_text`` checks it for the rules it reads).
+    Given as data: the terms of ``head`` first, then alpha_i = base +
+    w^k*(i - len(head)). The tail increases and has supremum base +
+    w^(k+1), so the sequence is refused with ``ValueError`` unless the
+    head increases into the tail and that supremum is ``limit``. ``at``
+    is 1-indexed.
     """
 
     limit: Ordinal
-    rule: Callable[[int], Ordinal]
+    base: Ordinal
+    k: int = 0
+    head: tuple[Ordinal, ...] = ()
     label: str = "custom"
 
     def __post_init__(self):
-        if not self.limit.is_limit:
-            raise ValueError(f"{self.limit} is not a limit ordinal")
+        terms = self.head + (self.at(len(self.head) + 1),)
+        for a, b in zip(terms, terms[1:]):
+            if not a < b:
+                raise ValueError(f"cofinal sequence {self.label} does not increase at {b}")
+        sup = self.base + omega_power(self.k + 1)
+        if sup != self.limit:
+            raise ValueError(f"cofinal sequence {self.label} converges to {sup}, not {self.limit}")
 
     def at(self, i: int) -> Ordinal:
         if i < 1:
             raise ValueError("cofinal sequences are 1-indexed")
-        value = self.rule(i)
-        if not value < self.limit:
-            raise ValueError(f"term {i} = {value} not below {self.limit}")
-        if i > 1 and not self.rule(i - 1) < value:
-            raise ValueError(f"sequence not strictly increasing at {i}")
-        return value
+        n = len(self.head)
+        return self.head[i - 1] if i <= n else self.base + omega_power(self.k, i - n)
 
     def __str__(self) -> str:
         return f"{self.label} -> {self.limit}"
@@ -321,20 +325,11 @@ def canonical_cofinal(alpha: Ordinal) -> CofinalSequence:
     the natural coefficient ramp. Covers every limit below w^w."""
     if not alpha.is_limit:
         raise ValueError(f"{alpha} is not a limit ordinal")
+    # last term w^(k+1)*c: approach along base + w^k*i, base = alpha less w^(k+1)
     lead_exp, lead_coeff = alpha.terms[-1]
-    prefix = Ordinal(alpha.terms[:-1])
-    if lead_exp == 1:
-        base = prefix + omega_power(1, lead_coeff - 1) if lead_coeff > 1 else prefix
-        return CofinalSequence(alpha, lambda i: base + nat(i), label=f"{alpha}[i]")
-    # last term w^k*c with k >= 2: approach along w^(k-1)*i
-    base = (
-        prefix + omega_power(lead_exp, lead_coeff - 1)
-        if lead_coeff > 1
-        else prefix
-    )
-    return CofinalSequence(
-        alpha, lambda i: base + omega_power(lead_exp - 1, i), label=f"{alpha}[i]"
-    )
+    rest = ((lead_exp, lead_coeff - 1),) if lead_coeff > 1 else ()
+    base = Ordinal(alpha.terms[:-1] + rest)
+    return CofinalSequence(alpha, base, lead_exp - 1, label=f"{alpha}[i]")
 
 
 def cofinal_from_text(alpha: Ordinal, rule: str) -> CofinalSequence:
@@ -344,27 +339,12 @@ def cofinal_from_text(alpha: Ordinal, rule: str) -> CofinalSequence:
     ``<ordinal>+i``'s is that ordinal + w, and ``w*i``'s is w^2."""
     if "," in rule:
         entries = tuple(parse_ordinal(t) for t in rule.split(","))
-        for a, b in zip(entries, entries[1:]):
-            if not a < b:
-                raise ValueError(f"cofinal list {rule!r} does not increase at {b}")
-
-        def listed(i: int) -> Ordinal:
-            n = len(entries)
-            return entries[i - 1] if i <= n else entries[-1] + nat(i - n)
-
-        terms, sup, label = listed, entries[-1] + OMEGA, f"list:{rule}"
-    else:
-        label = rule.strip().replace(" ", "")
-        if label == "auto":
-            return canonical_cofinal(alpha)
-        if label == "w*i":
-            terms, sup = (lambda i: omega_power(1, i)), omega_power(2)
-        elif label.endswith("+i"):
-            base = parse_ordinal(label[:-2])
-            terms, sup = (lambda i: base + nat(i)), base + OMEGA
-        else:
-            raise ValueError(f"unrecognized cofinal rule {rule!r}")
-    seq = CofinalSequence(alpha, terms, label=label)
-    if sup != alpha:
-        raise ValueError(f"cofinal rule {rule!r} converges to {sup}, not {alpha}")
-    return seq
+        return CofinalSequence(alpha, entries[-1], head=entries, label=f"list:{rule}")
+    label = rule.strip().replace(" ", "")
+    if label == "auto":
+        return canonical_cofinal(alpha)
+    if label == "w*i":
+        return CofinalSequence(alpha, ZERO, 1, label=label)
+    if label.endswith("+i"):
+        return CofinalSequence(alpha, parse_ordinal(label[:-2]), label=label)
+    raise ValueError(f"unrecognized cofinal rule {rule!r}")

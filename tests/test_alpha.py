@@ -27,10 +27,10 @@ from ulmkit.baf import ExtensionError
 from ulmkit.formats import FormatError, instruction_from_dict
 from ulmkit.ordinal import (
     OMEGA,
+    ZERO,
     CofinalSequence,
     canonical_cofinal,
     nat,
-    omega_times,
     parse_ordinal,
 )
 from ulmkit.pgroup import Fragment
@@ -59,7 +59,7 @@ def switch_run(sys2):
 def sysw2():
     # second instance with a genuinely limit level budget
     alpha = parse_ordinal("w^2")
-    seq = CofinalSequence(alpha, lambda i: omega_times(nat(i)), "w*i")
+    seq = CofinalSequence(alpha, ZERO, 1, label="w*i")  # alpha_i = w*i
     return AlphaSystem(alpha, seq)
 
 

@@ -149,6 +149,8 @@ class TestGrowthDynamics:
         assert st_.Y[0] == {3}
         assert st_.T[0] == {1}
         assert len(st_.Xt[0]) == 3
+        # Y keys every attended row, T only the treated ones
+        assert 8 in st_.Y and 9 not in st_.Y and 1 not in st_.T
         # growth resumed afterwards: stages 5..9 added fresh depth-1 chains
         assert st_.estimates(2)[0] == 5
         # the treated batch joined row 1's own depth-2 chains
@@ -218,9 +220,9 @@ class RescanStepper(ConstructionState):
     fresh true cells, rebuilds its watch set, decodes every closure and
     audit operand again and recounts the depth histogram. Kept only as a
     cross-check of the incremental stages. It keeps chains as a plain dict
-    of slot depths, X and Xt as plain dicts of element sets and D as a
-    plain dict, where the incremental state answers them from its stage
-    and treatment records and views D over its live facts."""
+    of slot depths, X, Xt, Y and T as plain dicts of sets and D as a plain
+    dict, where the incremental state answers them from its stage and
+    treatment records and views D over its live facts."""
 
     def __init__(self, table: PredicateTable, p: int = 2):
         super().__init__(table, p)
@@ -228,6 +230,8 @@ class RescanStepper(ConstructionState):
         self.chains: dict[int, int] = {}
         self.X: dict[int, set[PElement]] = {}
         self.Xt: dict[int, set[PElement]] = {}
+        self.Y: dict[int, set[int]] = {}
+        self.T: dict[int, set[int]] = {}
 
     def advance(self) -> None:
         s = self.stage
@@ -496,6 +500,72 @@ class TestIncrementalStages:
             tracemalloc.stop()
         assert len(run.state.chains) == 1999 * 2000 // 2
         assert peak < 8 * 2**20
+
+
+def run_poked(table: PredicateTable, stages: int, poke: dict) -> list[tuple[int, ...]]:
+    """The estimates after each stage, `poke[s](state)` called before stage s."""
+    state, history = ConstructionState(table), []
+    for s in range(stages):
+        if s in poke:
+            poke[s](state)
+        state.advance()
+        history.append(tuple(state.estimates(8)))
+    return history
+
+
+class TestOutsideWrites:
+    # when Y and T were plain dicts that the stepper read back, T[0] = {1,
+    # 2, 3} set before stage 4 turned the first table's last estimates into
+    # (7, 0, 10, 9, 10, 6, 5, 4), and Y[0].add(99) before stage 3 turned
+    # the second's into (8, 8, 12, 8, 7, 6, 5, 4)
+    ONE_COFINAL_ROW = PredicateTable(4, {(0, 3), (1, 2)}, {1})
+    SPARSE_ROWS = PredicateTable(8, {(0, 2), (0, 5), (1, 4)}, set())
+
+    @pytest.mark.parametrize("name", ["X", "Xt", "Y", "T", "chains"])
+    def test_item_assignment_is_refused(self, name):
+        def assign(state):
+            view = getattr(state, name)
+            key = next(iter(view))
+            with pytest.raises(TypeError):
+                view[key] = {1, 2, 3}
+            with pytest.raises(TypeError):
+                del view[key]
+
+        history = run_poked(self.ONE_COFINAL_ROW, 12, {6: assign})
+        assert history == run_construction(self.ONE_COFINAL_ROW, 12).history
+        assert history[-1] == (7, 3, 10, 9, 7, 6, 5, 4)
+
+    def test_a_returned_set_is_a_copy(self):
+        def mutate(state):
+            for view in (state.X, state.Xt, state.Y, state.T):
+                for e in view:
+                    view[e].add(99)
+                    assert 99 not in view[e]
+
+        table = self.SPARSE_ROWS
+        history = run_poked(table, 12, {3: mutate, 4: mutate, 7: mutate})
+        assert history == run_construction(table, 12).history
+        assert history[-1] == (5, 8, 14, 8, 7, 6, 5, 4)
+
+    def test_settled_rows_hold_no_operands(self):
+        # a closure row settles once both operands are listed, an audit row
+        # once its fact is in D; either then drops its entry to None
+        state = ConstructionState(mixed_table(0))
+        for _ in range(120):
+            state.advance()
+        settled = 0
+        for e, row in enumerate(state._closures):
+            a, b = (decode_elem(m, 2) for m in cantor_unpair(e))
+            if state.contains(a) and state.contains(b):
+                assert row is None
+                settled += 1
+            else:
+                assert row == (a, b)
+        assert 0 < settled < len(state._closures)
+        for e, row in enumerate(state._audits):
+            key = ("sum", *decode_triple(e))
+            assert (row is None) == (key in state.D)
+        assert 0 < len(state.D) < len(state._audits)
 
 
 @st.composite

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -292,10 +294,23 @@ class TestCofinal:
     def test_validation(self):
         with pytest.raises(ValueError):
             canonical_cofinal(OMEGA + 3)
-        bad = CofinalSequence(OMEGA, lambda i: nat(5))
-        bad.at(1)
-        with pytest.raises(ValueError):
-            bad.at(2)  # not increasing
-        too_big = CofinalSequence(OMEGA, lambda i: OMEGA + i)
-        with pytest.raises(ValueError):
-            too_big.at(1)
+        with pytest.raises(ValueError, match="does not increase at 5"):
+            CofinalSequence(OMEGA, nat(5), head=(nat(5), nat(5)))
+        with pytest.raises(ValueError, match="does not increase at 3"):
+            CofinalSequence(OMEGA, nat(2), head=(nat(5),))  # the tail starts at 3
+        with pytest.raises(ValueError, match="converges to w\\*2, not w"):
+            CofinalSequence(OMEGA, OMEGA)  # every term w+i is past w
+        with pytest.raises(ValueError, match="1-indexed"):
+            canonical_cofinal(OMEGA).at(0)
+
+    # a rule's limit was taken on trust: alpha_i = i was accepted for w*2,
+    # and an alpha system over it found no pull index at level 3
+    @pytest.mark.parametrize(
+        "limit, base, k, sup",
+        [("w*2", "0", 0, "w"), ("w^2", "w", 0, "w*2"), ("w^3", "0", 1, "w^2"), ("w", "0", 1, "w^2")],
+    )
+    def test_a_sequence_must_converge_to_its_limit(self, limit, base, k, sup):
+        base = parse_ordinal(base)
+        with pytest.raises(ValueError, match=f"converges to {re.escape(sup)}, not"):
+            CofinalSequence(parse_ordinal(limit), base, k)
+        assert CofinalSequence(parse_ordinal(sup), base, k).at(3) == base + omega_power(k, 3)

@@ -494,9 +494,7 @@ class TestProfileIndex:
 
 class TestConstructors:
     def seq(self):
-        return CofinalSequence(
-            omega_power(1, 2), lambda i: OMEGA + i, label="w+i"
-        )
+        return CofinalSequence(omega_power(1, 2), OMEGA, label="w+i")  # alpha_i = w+i
 
     def test_G_hat_zero(self):
         P = make_G_hat(omega_power(1, 2), self.seq(), 0)
