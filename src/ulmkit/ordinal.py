@@ -289,24 +289,26 @@ class CofinalSequence:
     """Strictly increasing sequence alpha_1 < alpha_2 < ... with sup = limit.
 
     Given as data: the terms of ``head`` first, then alpha_i = base +
-    w^k*(i - len(head)). The tail increases and has supremum base +
-    w^(k+1), so the sequence is refused with ``ValueError`` unless the
-    head increases into the tail and that supremum is ``limit``. ``at``
-    is 1-indexed.
+    w^k*(i - len(head)), where w^(k+1) is the last Cantor normal form term
+    of ``limit``. The tail increases and has supremum base + w^(k+1), so
+    the sequence is refused with ``ValueError`` unless ``limit`` is a
+    limit, the head increases into the tail and that supremum is
+    ``limit``. ``at`` is 1-indexed.
     """
 
     limit: Ordinal
     base: Ordinal
-    k: int = 0
     head: tuple[Ordinal, ...] = ()
     label: str = "custom"
 
     def __post_init__(self):
+        if not self.limit.is_limit:
+            raise ValueError(f"{self.limit} is not a limit ordinal")
         terms = self.head + (self.at(len(self.head) + 1),)
         for a, b in zip(terms, terms[1:]):
             if not a < b:
                 raise ValueError(f"cofinal sequence {self.label} does not increase at {b}")
-        sup = self.base + omega_power(self.k + 1)
+        sup = self.base + omega_power(self.limit.terms[-1][0])
         if sup != self.limit:
             raise ValueError(f"cofinal sequence {self.label} converges to {sup}, not {self.limit}")
 
@@ -314,7 +316,9 @@ class CofinalSequence:
         if i < 1:
             raise ValueError("cofinal sequences are 1-indexed")
         n = len(self.head)
-        return self.head[i - 1] if i <= n else self.base + omega_power(self.k, i - n)
+        if i <= n:
+            return self.head[i - 1]
+        return self.base + omega_power(self.limit.terms[-1][0] - 1, i - n)
 
     def __str__(self) -> str:
         return f"{self.label} -> {self.limit}"
@@ -328,8 +332,7 @@ def canonical_cofinal(alpha: Ordinal) -> CofinalSequence:
     # last term w^(k+1)*c: approach along base + w^k*i, base = alpha less w^(k+1)
     lead_exp, lead_coeff = alpha.terms[-1]
     rest = ((lead_exp, lead_coeff - 1),) if lead_coeff > 1 else ()
-    base = Ordinal(alpha.terms[:-1] + rest)
-    return CofinalSequence(alpha, base, lead_exp - 1, label=f"{alpha}[i]")
+    return CofinalSequence(alpha, Ordinal(alpha.terms[:-1] + rest), label=f"{alpha}[i]")
 
 
 def cofinal_from_text(alpha: Ordinal, rule: str) -> CofinalSequence:
@@ -337,14 +340,19 @@ def cofinal_from_text(alpha: Ordinal, rule: str) -> CofinalSequence:
     increasing comma list of ordinals, continued past its end in unit steps.
     Each rule's supremum must be alpha: a list's is its last entry + w,
     ``<ordinal>+i``'s is that ordinal + w, and ``w*i``'s is w^2."""
-    if "," in rule:
-        entries = tuple(parse_ordinal(t) for t in rule.split(","))
-        return CofinalSequence(alpha, entries[-1], head=entries, label=f"list:{rule}")
     label = rule.strip().replace(" ", "")
-    if label == "auto":
+    if "," in rule:
+        head = tuple(parse_ordinal(t) for t in rule.split(","))
+        seq = CofinalSequence(head[-1] + OMEGA, head[-1], head, f"list:{rule}")
+    elif label == "auto":
         return canonical_cofinal(alpha)
-    if label == "w*i":
-        return CofinalSequence(alpha, ZERO, 1, label=label)
-    if label.endswith("+i"):
-        return CofinalSequence(alpha, parse_ordinal(label[:-2]), label=label)
-    raise ValueError(f"unrecognized cofinal rule {rule!r}")
+    elif label == "w*i":
+        seq = CofinalSequence(omega_power(2), ZERO, label=label)
+    elif label.endswith("+i"):
+        base = parse_ordinal(label[:-2])
+        seq = CofinalSequence(base + OMEGA, base, label=label)
+    else:
+        raise ValueError(f"unrecognized cofinal rule {rule!r}")
+    if seq.limit != alpha:
+        raise ValueError(f"cofinal rule {rule!r} converges to {seq.limit}, not {alpha}")
+    return seq

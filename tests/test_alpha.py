@@ -59,7 +59,7 @@ def switch_run(sys2):
 def sysw2():
     # second instance with a genuinely limit level budget
     alpha = parse_ordinal("w^2")
-    seq = CofinalSequence(alpha, ZERO, 1, label="w*i")  # alpha_i = w*i
+    seq = CofinalSequence(alpha, ZERO, label="w*i")  # alpha_i = w*i
     return AlphaSystem(alpha, seq)
 
 

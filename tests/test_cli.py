@@ -383,6 +383,19 @@ class TestAlphaRun:
         (line,) = err.splitlines()
         assert line.startswith("error:") and named in line
 
+    @pytest.mark.parametrize(
+        "alpha, cofinal, line",
+        [
+            ("w^3", "w+i", "error: cofinal rule 'w+i' converges to w*2, not w^3"),
+            ("w*2", "3, 2,1", "error: cofinal sequence list:3, 2,1 does not increase at 2"),
+        ],
+        ids=["converges", "increases"],
+    )
+    def test_a_cofinal_refusal_prints_one_full_line(self, files, capsys, alpha, cofinal, line):
+        g = files("g.json", {"n": 0, "always_zero": True})
+        assert main(["alpha-run", "--alpha", alpha, "--cofinal", cofinal, "--g", g, "--steps", "3"]) == 2
+        assert capsys.readouterr() == ("", line + "\n")
+
     # int() ran each row, switch_at 2.5 as 2 and "3" as 3, and exited 0
     @pytest.mark.parametrize(
         "g", [{"n": 0, "switch_at": 2.5}, {"n": 0, "switch_at": "3"}, {"n": "0", "always_zero": True}]

@@ -300,17 +300,24 @@ class TestCofinal:
             CofinalSequence(OMEGA, nat(2), head=(nat(5),))  # the tail starts at 3
         with pytest.raises(ValueError, match="converges to w\\*2, not w"):
             CofinalSequence(OMEGA, OMEGA)  # every term w+i is past w
+        with pytest.raises(ValueError, match="w\\+3 is not a limit ordinal"):
+            CofinalSequence(OMEGA + 3, ZERO)
         with pytest.raises(ValueError, match="1-indexed"):
             canonical_cofinal(OMEGA).at(0)
 
     # a rule's limit was taken on trust: alpha_i = i was accepted for w*2,
     # and an alpha system over it found no pull index at level 3
     @pytest.mark.parametrize(
-        "limit, base, k, sup",
-        [("w*2", "0", 0, "w"), ("w^2", "w", 0, "w*2"), ("w^3", "0", 1, "w^2"), ("w", "0", 1, "w^2")],
+        "limit, base, sup, third",
+        [
+            ("w*2", "0", "w", "3"),
+            ("w^2+w", "w", "w*2", "w+3"),
+            ("w^2*2", "0", "w^2", "w*3"),
+            ("w^3", "w^3", "w^3*2", "w^3+w^2*3"),
+        ],
     )
-    def test_a_sequence_must_converge_to_its_limit(self, limit, base, k, sup):
+    def test_a_sequence_must_converge_to_its_limit(self, limit, base, sup, third):
         base = parse_ordinal(base)
-        with pytest.raises(ValueError, match=f"converges to {re.escape(sup)}, not"):
-            CofinalSequence(parse_ordinal(limit), base, k)
-        assert CofinalSequence(parse_ordinal(sup), base, k).at(3) == base + omega_power(k, 3)
+        with pytest.raises(ValueError, match=f"converges to {re.escape(sup)}, not {re.escape(limit)}$"):
+            CofinalSequence(parse_ordinal(limit), base)
+        assert CofinalSequence(parse_ordinal(sup), base).at(3) == parse_ordinal(third)
