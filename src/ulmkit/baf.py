@@ -87,7 +87,6 @@ from .pgroup import (
     _generated_iso_exists,
     _tower_step,
     echelon_add,
-    subgroup_elements,
 )
 from .ulm import Profile, invariants_of, profiles_agree_on, ulm_equal
 
@@ -136,19 +135,38 @@ def find_embedding(
     Raises BoundExceeded when a socle layer the candidates come from has
     more than DEFAULT_BOUND elements (the layer at height 0 of the (Z2)^20
     star, say, even with all 20 leaves pinned on both sides, where
-    ``leq_barker`` counts orders and answers). The answer is
-    memoized on dst (trees are immutable): per source tree, held weakly, or
-    apart when src is dst. With witness=False it is only tested against
-    None, and a map found stays undecoded until a caller asks for it. The
-    placement order without pins and the runs of interchangeable siblings
-    are src's search skeleton, built on its first uncached search; pins
-    only move the nodes they touch to the front and leave the touched
-    siblings out of the runs.
+    ``leq_barker`` counts orders and answers). Primes, sizes or socle
+    dimensions that rule out every map answer None at once; past them, a
+    pin that does not belong to its tree raises ValueError, memoized
+    answer or not. The answer is memoized on dst (trees are immutable):
+    per source tree, held weakly, or apart when src is dst, keyed by
+    exactness (onto, or src and dst of equal size) and the pin pairs. An
+    injective map between groups of equal size is onto, so there the into
+    and the onto search are one computation and share one entry. With
+    witness=False it is only tested against None, and a map found stays
+    undecoded until a caller asks for it. The placement order without pins
+    and the runs of interchangeable siblings are src's search skeleton,
+    built on its first uncached search; pins only move the nodes they
+    touch to the front and leave the touched siblings out of the runs.
     """
     if src.p != dst.p or len(src_pins) != len(dst_pins):
         return None
     if src.size > dst.size or onto and src.size != dst.size:
         return None
+    # an embedding maps (p^k src)[p] into (p^k dst)[p]; a longer ds fails
+    # at dd's final 0, so zip compares enough. The dims sum to log_p of the
+    # size, so between groups of equal size they must be equal
+    exact = onto or src.size == dst.size
+    ds, dd = src.socle_dims, dst.socle_dims
+    if ds != dd if exact else any(map(operator.gt, ds, dd)):
+        return None
+    # checked here, not in the search, so a memo hit cannot answer for a
+    # pin of another tree
+    sf, df = src.fragment, dst.fragment
+    if any(x.fragment is not sf for x in src_pins) or any(
+        y.fragment is not df for y in dst_pins
+    ):
+        raise ValueError("element does not belong to this tree")
     # the pin constraint is the set of (source, target) pairs; order and
     # 0 -> 0 entries do not change it. The sorted pairs, laid flat in one
     # tuple, key it in about a third of a frozenset of pairs' memory
@@ -163,9 +181,9 @@ def find_embedding(
         memo = dst.embed_memo.get(src)
         if memo is None:
             memo = dst.embed_memo[src] = {}
-    key = (onto, *[c for pair in pairs for c in pair])
+    key = (exact, *[c for pair in pairs for c in pair])
     if key not in memo:
-        memo[key] = _find_embedding_uncached(src, src_pins, dst, dst_pins, onto)
+        memo[key] = _find_embedding_uncached(src, src_pins, dst, dst_pins, exact)
     hit = memo[key]
     if witness and isinstance(hit, tuple):
         dec = dst.decomposition
@@ -173,15 +191,9 @@ def find_embedding(
     return hit
 
 
-def _find_embedding_uncached(src, src_pins, dst, dst_pins, onto):
-    # an embedding maps (p^k src)[p] into (p^k dst)[p]; a longer ds fails
-    # at dd's final 0, so zip compares enough
-    ds, dd = src.socle_dims, dst.socle_dims
-    if ds != dd if onto else any(a > b for a, b in zip(ds, dd)):
-        return None
+def _find_embedding_uncached(src, src_pins, dst, dst_pins, exact):
     # an embedding never lowers heights, and an injective map between
     # groups of equal size is bijective, so it keeps them
-    exact = onto or src.size == dst.size
     sdec, dec = src.decomposition, dst.decomposition
 
     def keeps(zx, zy) -> bool:
@@ -205,7 +217,8 @@ def _find_embedding_uncached(src, src_pins, dst, dst_pins, onto):
     # earlier one is placed first.
     skeleton = src.search_skeleton or _search_skeleton(src)
     order, sym_pred = skeleton.order, skeleton.orbit_pred
-    pinned_sup = {v for x in src_pins for v, _ in x.terms()}
+    gens = src.fragment.gens
+    pinned_sup = {gens[i].name for x in src_pins for i, c in enumerate(x.coeffs) if c}
     if pinned_sup:
         # v is touched when it or a node below it lies in a pin's support.
         # The touched nodes come first, so every pin is forced before any
@@ -833,6 +846,12 @@ def check_extension(
     problems: list[str] = []
     frag = result.A.fragment
     add = _coeff_adder((frag,))
+    zero = frag.zero().coeffs
+    # each record's prefix subgroup is built from the records alone,
+    # independent of extend_tuple's tower: as one more tower step on the
+    # previous record's subgroup when its context is the previous context
+    # plus the previous created element, afresh otherwise
+    nested, sub, seen = None, [], {}
     for rec in result.records:
         c = frag.migrate(rec.created)
         z = frag.migrate(rec.pimage)
@@ -841,10 +860,15 @@ def check_extension(
         hc = c.height()
         if hc != rec.height:
             problems.append(f"h({c}) = {hc}, recorded {rec.height}")
-        # built afresh from the record, independent of extend_tuple's tower
         prefix = [frag.migrate(x).coeffs for x in rec.context]
-        sub = subgroup_elements(frag.zero().coeffs, prefix, add)
-        if c.coeffs in sub:
+        if prefix == nested:
+            steps = prefix[-1:]
+        else:
+            steps, sub, seen = prefix, [zero], {zero: zero}
+        for g in steps:
+            _tower_step(sub, seen, g, add, lambda x: x)
+        nested = prefix + [c.coeffs]
+        if c.coeffs in seen:
             problems.append(f"{c} fell into the prefix subgroup")
         elif not all(hc >= frag._height_of_vec(add(c.coeffs, s)) for s in sub):
             problems.append(f"{c} is not proper over its prefix subgroup")

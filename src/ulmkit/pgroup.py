@@ -410,7 +410,7 @@ class GroupTree:
         self.socle_dims = tuple(ranks[k] for k in range(len(ranks) + 1))
         self.size: int = p ** len(self.nonroot)
         # memos that die with this tree: baf.find_embedding's answers into
-        # it by (onto, pin pairs), per other source tree (held weakly) or
+        # it by (exactness, pin pairs), per other source tree (held weakly) or
         # from itself, the profile ulm.invariants_of reads off socle_dims, and
         # the search skeleton baf builds on this tree's first search as a
         # source. Self-queries skip the weak dictionary's lookups: kept in
@@ -546,9 +546,13 @@ class CyclicDecomposition:
         ]
         # heights as ordinals, indexed by valuation, so height_of allocates none
         self._heights = tuple(nat(k) for k in range(max(self.exponents, default=0)))
-        # memos that die with the tree, each at most one entry per element
+        # memos that die with the tree, each at most one entry per element:
+        # elements by coordinates, coordinates by normal form and orders by
+        # coordinates. Heights are not memoized: a memo of them showed no
+        # gain on the relation sweep, whose elements have few coordinates
         self._decoded: dict[tuple[int, ...], FragmentElement] = {}
         self._encoded: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self._orders: dict[tuple[int, ...], int] = {}
         self._layers: dict[tuple[int, bool], dict] = {}
 
     def socle_layer(self, r: int, exact: bool) -> dict:
@@ -595,11 +599,17 @@ class CyclicDecomposition:
         return INFINITY if least is None else self._heights[least]
 
     def order_of(self, z: tuple[int, ...]) -> int:
-        """The order of the element with coordinates z: p^k for k the
-        largest e_j - v_p(z_j) over its nonzero coordinates, 1 for 0."""
-        # c has order m / gcd(c, m) in Z/m
-        mods = self.moduli
-        return max(map(operator.floordiv, mods, map(math.gcd, z, mods)), default=1)
+        """The order of the element with coordinates z (reduced, as
+        ``encode`` gives them): p^k for k the largest e_j - v_p(z_j) over
+        its nonzero coordinates, 1 for 0."""
+        o = self._orders.get(z)
+        if o is None:
+            # c has order m / gcd(c, m) in Z/m
+            mods = self.moduli
+            o = self._orders[z] = max(
+                map(operator.floordiv, mods, map(math.gcd, z, mods)), default=1
+            )
+        return o
 
     def encode(self, x: FragmentElement) -> tuple[int, ...]:
         if x.fragment is not self.fragment:

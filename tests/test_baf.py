@@ -798,7 +798,8 @@ class TestGameAgainstBarkerSameGroup:
         a, b = A.node("c1"), B.node("d1")
         assert leq_std_game(A, [a], B, [b], 1)  # B embeds into A
         assert list(A.embed_memo) == [B]
-        assert list(A.embed_memo[B]) == [(False, b.coeffs, a.coeffs)]
+        # keyed by exactness: A and B have equal size, so True
+        assert list(A.embed_memo[B]) == [(True, b.coeffs, a.coeffs)]
         assert len(B.embed_memo) == 0
         assert leq_std_game(A, [a], B, [b], 2)  # A maps onto B
         assert list(B.embed_memo) == [A]
@@ -831,6 +832,49 @@ class TestGameAgainstBarkerSameGroup:
                     got = leq_std_game(A, abar, B, bbar, beta)
                     want = leq_barker(A, abar, B, bbar, beta)
                     assert got == want
+
+
+class TestEmbeddingMemoKey:
+    """find_embedding keys its memo by exactness: between trees of equal
+    size the into search is the onto search, so beta = 1 and beta >= 2
+    share one entry, and pins are checked before the memo is read."""
+
+    @pytest.mark.parametrize("partner", ["self", "other"])
+    def test_levels_one_and_two_search_once(self, monkeypatch, partner):
+        import ulmkit.baf
+
+        searches = _counting(monkeypatch, ulmkit.baf, "_find_embedding_uncached")
+        A = mixed(2)
+        B = A if partner == "self" else mixed(2)
+        a, b = (A.node("b"),), (B.node("b") + B.node("c"),)
+        # <=_1 embeds B into A carrying b to a; <=_2 maps B onto A
+        assert leq_std_game(A, a, B, b, 1)
+        assert leq_std_game(B, b, A, a, 2)
+        assert len(searches) == 1
+        into = find_embedding(B, b, A, a)
+        assert find_embedding(B, b, A, a, onto=True) is into
+        assert len(searches) == 1
+
+    @pytest.mark.parametrize("valid_first", [False, True])
+    @pytest.mark.parametrize("partner", ["self", "other"])
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("beta", [1, 2])
+    def test_a_pin_of_another_tree_is_refused_whatever_the_memo(
+        self, valid_first, partner, side, beta
+    ):
+        # a memoized answer for the same coefficients used to answer a pin
+        # that a fresh memo refused
+        A, C = chain(2, 2), chain(2, 2)
+        B = A if partner == "self" else chain(2, 2)
+        good = [A, (A.node("c2"),), B, (B.node("c2"),)]
+        bad = list(good)
+        bad[1 if side == "left" else 3] = (C.node("c2"),)
+        if valid_first:
+            assert leq_std_game(*good, beta)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="does not belong to this tree"):
+                leq_std_game(*bad, beta)
+            assert leq_std_game(*good, beta)
 
 
 class TestLevelsMustBeRead:
@@ -1280,6 +1324,38 @@ class TestCheckExtension:
         problems = check_extension(B, 2, forged)
         assert "concluded relation fails at eta" in problems
 
+    def two_demand_result(self):
+        # two records over the nested contexts (g0,) and (g0, g1)
+        A = ghat_pg(0, [(OMEGA + 2, 1)])
+        B = ghat_pg(0, [(OMEGA + 2, 1), (OMEGA + 4, 1), (nat(3), 1)])
+        dbar = [B.fragment.gen(i) for i in (1, 2)]
+        res = extend_tuple(A, (A.fragment.gen(0),), B, (B.fragment.gen(0),), 3, 2, dbar)
+        first, second = res.records
+        coeffs = [res.A.fragment.migrate(x).coeffs for x in second.context]
+        assert coeffs == [res.A.fragment.migrate(x).coeffs for x in (*first.context, first.created)]
+        return B, res
+
+    def test_nested_contexts_take_one_tower_step_each(self, monkeypatch):
+        import ulmkit.baf
+
+        B, res = self.two_demand_result()
+        steps = _counting(monkeypatch, ulmkit.baf, "_tower_step")
+        assert check_extension(B, 2, res) == []
+        # g0 for the first record, then g1 on top of it; built afresh, the
+        # second record's subgroup would take two steps, g0 and g1
+        frag = res.A.fragment
+        assert [args[2] for args in steps] == [frag.migrate(g).coeffs for g in res.records[1].context]
+
+    def test_flags_a_record_inside_its_nested_context(self):
+        # the second record forged to create g1 again, which its context
+        # holds only through the step that extends the first subgroup
+        B, res = self.two_demand_result()
+        first, second = res.records
+        c = res.A.fragment.migrate(first.created)
+        forged = dataclasses.replace(second, created=c, pimage=c.times_p(), height=c.height())
+        res = dataclasses.replace(res, records=(first, forged))
+        assert check_extension(B, 2, res) == [f"{c} fell into the prefix subgroup"]
+
 
 class TestHypothesisMemo:
     """relation keeps each verdict on its left carrier; extend_tuple's
@@ -1637,6 +1713,16 @@ def _counting(monkeypatch, target, name):
     return calls
 
 
+def _counting_towers(monkeypatch):
+    """Count every tower step, by either module's binding of it."""
+    import ulmkit.baf
+    import ulmkit.pgroup
+
+    calls = _counting(monkeypatch, ulmkit.pgroup, "_tower_step")
+    monkeypatch.setattr(ulmkit.baf, "_tower_step", ulmkit.pgroup._tower_step)
+    return calls
+
+
 class TestExtensionWork:
     def test_adjoins_grow_one_tower_and_append_generators(self, monkeypatch):
         import ulmkit.baf
@@ -1752,18 +1838,14 @@ class TestCorrespondenceRoutes:
         assert steps
 
     def test_pins_of_unequal_orders_list_no_tower(self, monkeypatch):
-        import ulmkit.baf
-
-        towers = _counting(monkeypatch, ulmkit.baf, "subgroup_elements")
+        towers = _counting_towers(monkeypatch)
         t, u = mixed(2), mixed(2)
         assert find_embedding(t, [t.node("b")], u, [u.node("a")], onto=True) is None
         assert find_embedding(t, [t.node("c"), t.node("b")], u, [u.node("c"), u.node("c")]) is None
         assert towers == []
 
     def test_pins_of_equal_orders_list_no_tower(self, monkeypatch):
-        import ulmkit.baf
-
-        towers = _counting(monkeypatch, ulmkit.baf, "subgroup_elements")
+        towers = _counting_towers(monkeypatch)
         t, u = mixed(2), mixed(2)
         found = find_embedding(t, [t.node("b")], u, [u.node("b") + u.node("c")], onto=True)
         assert found is not None

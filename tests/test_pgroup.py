@@ -340,16 +340,55 @@ class TestCyclicDecomposition:
                             assert d.socle_vector(v, w) == want
 
     def test_decomposition_memos_die_with_their_tree(self):
-        t = GroupTree(3, {"r": None, "a": "r", "b": "a", "c": "a", "d": "r"})
-        d = t.decomposition
-        for x in t.elements():
-            assert d.decode(d.encode(x)) == x
-        d.socle_layer(0, True)
-        assert all((d._encoded, d._decoded, d._layers))
-        refs = [weakref.ref(t), weakref.ref(d)]
-        del t, d, x
+        # one entry per element however often each is asked for, and freed
+        # with the collector paused, as bench/run.py runs a pass: no memo
+        # ties the decomposition to its tree in a cycle
         gc.collect()
-        assert all(ref() is None for ref in refs)
+        gc.disable()
+        try:
+            t = GroupTree(3, {"r": None, "a": "r", "b": "a", "c": "a", "d": "r"})
+            d = t.decomposition
+            for _ in range(2):
+                for x in t.elements():
+                    z = d.encode(x)
+                    assert d.decode(z) == x
+                    d.order_of(z)
+            d.socle_layer(0, True)
+            assert [len(m) for m in (d._encoded, d._decoded, d._orders)] == [t.size] * 3
+            assert d._layers
+            refs = [weakref.ref(t), weakref.ref(d)]
+            del t, d, x, z
+            assert all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_memoized_orders_and_heights_are_the_valuations(self, data):
+        # random trees, each element's coordinates asked for again and again
+        p = data.draw(st.sampled_from([2, 3]))
+        parent = {"r": None}
+        for i in range(data.draw(st.integers(1, 6 if p == 2 else 4))):
+            parent[f"n{i}"] = data.draw(st.sampled_from(sorted(parent)))
+        t = GroupTree(p, parent)
+        d = t.decomposition
+        zs = [d.encode(x) for x in t.elements()]
+        asked = zs + data.draw(st.lists(st.sampled_from(zs), max_size=40)) + zs
+
+        def val(c):
+            k = 0
+            while not c % p:
+                c //= p
+                k += 1
+            return k
+
+        for z in asked:
+            vals = [(val(c), e) for c, e in zip(z, d.exponents) if c]
+            assert d.order_of(z) == p ** max((e - v for v, e in vals), default=0)
+            assert d.height_of(z) == (nat(min(v for v, _ in vals)) if vals else INFINITY)
+            x = d.decode(z)
+            assert (d.order_of(z), d.height_of(z)) == (x.order(), x.height())
+        assert len(d._orders) == t.size
 
     def test_socle_layers(self):
         for t in corpus_trees(5, (2,)) + corpus_trees(4, (3,)):
