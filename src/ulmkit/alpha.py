@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from random import Random
 from typing import Callable, Iterator, Optional, Sequence
@@ -40,12 +41,20 @@ from .ulm import make_G_hat
 
 Level = int | Ordinal
 
+_COEFFS = operator.attrgetter("coeffs")
+
 SentenceCode = tuple  # ("lin", ((position, coeff), ...), "eq" | "ne")
 
 
 @dataclass(frozen=True)
 class Letter:
-    """Group index plus an injective list of elements of its fragment."""
+    """Group index plus an injective list of elements of its fragment.
+
+    Construction checks that every image lives in the letter's fragment
+    and that none repeats, a small constant per image. Since the images
+    share that one fragment, the image set holds their coefficient tuples,
+    which hash as plain int tuples, not through ``FragmentElement``'s
+    dataclass hash."""
 
     j: int
     images: tuple[FragmentElement, ...]
@@ -54,21 +63,23 @@ class Letter:
     def __post_init__(self):
         if self.j < 0:
             raise ValueError("group index must be a natural number")
+        frag = self.group.fragment
         for x in self.images:
-            if x.fragment is not self.group.fragment:
+            if x.fragment is not frag:
                 raise ValueError("images must live in the letter's fragment")
         if len(self._image_set) != len(self.images):
             raise ValueError("images must be pairwise distinct")
 
     @functools.cached_property
-    def _image_set(self) -> frozenset[FragmentElement]:
-        return frozenset(self.images)
+    def _image_set(self) -> frozenset[tuple[int, ...]]:
+        """The images' coefficient tuples."""
+        return frozenset([x.coeffs for x in self.images])
 
     def uncovered(self, i: int) -> int:
         """How many of the first i elements of the fragment, in the stable
         enumeration order, the list misses."""
-        have = self._image_set
-        return sum(e not in have for e in self.group.fragment.first_elements(i))
+        first = map(_COEFFS, self.group.fragment.first_elements(i))
+        return i - len(self._image_set.intersection(first))
 
     def __len__(self) -> int:
         return len(self.images)
@@ -358,18 +369,28 @@ def _cover_letter(sys: AlphaSystem, letter: Letter, i: int) -> Letter:
     """Extend the letter's list to length >= i containing the first i
     elements of its fragment, creating fresh floor-level elements when the
     fragment itself is too small. Appending never disturbs the prefix, so
-    every relation into the original letter carries over."""
+    every relation into the original letter carries over.
+
+    The letter built here records the i it covers. A letter that records k
+    is scanned past its first k elements only, so a step of ``find_run``
+    checks one new element, and copies the list into the new letter. A
+    letter from elsewhere (``extend_tuple``, a caller), or one whose group
+    had to grow, is scanned from the start."""
     group = letter.group
     images = list(letter.images)
+    known, have = letter.__dict__.get("_covers", 0), letter._image_set
     while group.fragment.size < i:
         group, _ = group.create_element(group.zero(), ZERO)
         images = [group.fragment.migrate(x) for x in images]
-    have = set(images)
-    for e in group.fragment.first_elements(i):
-        if e not in have:
+    if group is not letter.group:
+        known, have = 0, {x.coeffs for x in images}
+    # the stable elements are distinct, so only the old images can repeat one
+    for e in group.fragment.first_elements(i)[known:]:
+        if e.coeffs not in have:
             images.append(e)
-            have.add(e)
-    return Letter(letter.j, tuple(images), group)
+    out = Letter(letter.j, tuple(images), group)
+    out.__dict__["_covers"] = max(i, known)
+    return out
 
 
 def _build_witness(
@@ -484,6 +505,14 @@ def find_run(
     step's level; the finished run is validated once (`validate_run`)
     against the admissibility clauses and the instruction answers. An
     inconsistent run raises instead of being returned.
+
+    A quiet step costs a small constant per element of its letter, the
+    size of what ``run_to_text`` prints for it: the cover scans one new
+    element (``_cover_letter``), the new letter checks and keys its images
+    once (``Letter``), and its relation to the last letter is an inclusion
+    answered by one tuple comparison. The steps where the fragment grows
+    and the flip step cost more, and the validation lists each letter's
+    stable prefix once more.
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")

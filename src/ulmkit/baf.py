@@ -709,7 +709,7 @@ def extend_tuple(
     records: list[CreationRecord] = []
     add_b = _coeff_adder((fb,))
 
-    def adjoin(e: FragmentElement) -> None:
+    def adjoin(e: FragmentElement, below: int) -> None:
         nonlocal grown
         # d' = e + s for the s in f's domain of highest h(e + s), the first
         # in coefficient order on ties: proper, its height maximal in its coset
@@ -724,7 +724,7 @@ def extend_tuple(
         c = None
         gamma_c = None
         refusals: list[str] = []
-        for gamma in _answer_heights(best_h, z.height(), thr, parity):
+        for gamma in _answer_heights(best_h, z.height(), thr, parity, below):
             if isinstance(grown, ProfiledGroup):
                 try:
                     next_grown, c = grown.create_element(z, gamma)
@@ -759,9 +759,11 @@ def extend_tuple(
         while x.coeffs not in pair_of:
             stack.append(x)
             x = x.times_p()
-        for e in reversed(stack):
+        # stack[k] has k links of its chain still to come below it
+        for below in range(len(stack) - 1, -1, -1):
+            e = stack[below]
             if e.coeffs not in pair_of:  # an earlier adjoin may already cover it
-                adjoin(e)
+                adjoin(e, below)
 
     right = tuple(cur_a[: len(abar)]) + tuple(image(d) for d in demands)
     left = bbar[: len(abar)] + demands
@@ -769,10 +771,11 @@ def extend_tuple(
 
 
 def _answer_heights(
-    hd: Ordinal, hz: HeightValue, thr: Ordinal, parity: int
+    hd: Ordinal, hz: HeightValue, thr: Ordinal, parity: int, below: int = 0
 ) -> Iterator[Ordinal]:
     """Admissible h(c) values for an answer with p*c = z, best first, for
-    a demand of height hd at the level with threshold thr and parity;
+    a demand of height hd at the level with threshold thr and parity, with
+    `below` links of the demand's p-power chain still to answer under it;
     lazily, as the first one usually succeeds.
 
     Below the threshold both parities demand exact height equality, so
@@ -780,10 +783,11 @@ def _answer_heights(
     it, even levels accept any answer at or above the threshold
     (target: the demand's own height), while odd levels additionally
     cap the answer at thr + w. When h(z) blocks the target, back off
-    to the largest height z admits, or to the threshold when z's
-    height is a limit and admits no largest. Lower candidates down to
-    the threshold stay admissible, which matters when the receiving
-    profile has no room at the target itself.
+    to the largest height z admits. When z's height is a limit it admits
+    no largest, and the answer goes to thr + below, which leaves each
+    link still to come a height one lower, down to the threshold. Lower
+    candidates down to the threshold stay admissible, which matters when
+    the receiving profile has no room at the target itself.
     """
     if hd < thr:
         if not hz >= hd + 1:
@@ -800,7 +804,7 @@ def _answer_heights(
     elif isinstance(hz, Ordinal) and hz.is_successor:
         top = min(want, hz.pred())
     elif isinstance(hz, Ordinal) and hz.is_limit:
-        top = thr
+        top = thr + below
     else:
         raise ExtensionError(f"cannot answer below p-image height {hz}")
     if not (thr <= top and hz >= top + 1):

@@ -240,33 +240,52 @@ class Fragment:
         for vec in itertools.product(range(self.p), repeat=self.rank):
             yield FragmentElement(self, vec)
 
-    def elements_stable(self) -> Iterator[FragmentElement]:
+    def elements_stable(self, start: int = 0) -> Iterator[FragmentElement]:
         """Enumeration in an order preserved by fragment extension: elements
         supported on the first m generators come before any element that
         touches generator m. Lazy: refuses only when about to yield element
-        number DEFAULT_BOUND + 1, so a prefix of a large fragment is cheap."""
-        yield self.zero()
-        left = DEFAULT_BOUND - 1
-        for top in range(self.rank):
-            pad = (0,) * (self.rank - top - 1)
-            for head in itertools.product(range(self.p), repeat=top):
-                for last in range(1, self.p):
-                    if not left:
-                        raise BoundExceeded(
-                            f"fragment size {self.size} exceeds {DEFAULT_BOUND}"
-                        )
-                    left -= 1
-                    yield FragmentElement(self, head + (last,) + pad)
+        number DEFAULT_BOUND + 1, so a prefix of a large fragment is cheap.
+
+        Each element is decoded from its index k, so the enumeration can
+        begin at `start`. For k >= 1 the last supported generator is top,
+        the largest with p^top <= k, and divmod(k - p^top, p - 1) gives the
+        earlier coefficients (base p, generator 0 most significant) and the
+        last one less 1."""
+        p, k = self.p, start
+        if k == 0:
+            yield self.zero()
+            k = 1
+        top, base = 0, 1  # base = p^top, the index of the first element touching top
+        while base * p <= k:
+            top, base = top + 1, base * p
+        while k < self.size:
+            if k >= DEFAULT_BOUND:
+                raise BoundExceeded(f"fragment size {self.size} exceeds {DEFAULT_BOUND}")
+            if k == base * p:
+                top, base = top + 1, base * p
+            head, last = divmod(k - base, p - 1)
+            vec = [0] * self.rank
+            vec[top] = last + 1
+            for i in range(top - 1, -1, -1):
+                head, vec[i] = divmod(head, p)
+            k += 1
+            yield FragmentElement(self, tuple(vec))
 
     def first_elements(self, n: int) -> list[FragmentElement]:
-        """The first n elements of ``elements_stable``, as a fresh list."""
+        """The first n elements of ``elements_stable``, as a fresh list.
+
+        The memo grows from where the last call stopped, so listing the
+        prefixes n = 1, 2, 3, ... in turn enumerates each element once: a
+        call costs one new element per step of n plus the copy of the
+        answer. No generator is kept between calls, since its frame would
+        hold the fragment in a reference cycle."""
         if n > self.size:
             raise BoundExceeded(
                 f"asked for {n} elements of a fragment of size {self.size}"
             )
         memo = self._stable_prefix
         if len(memo) < n:
-            memo[:] = itertools.islice(self.elements_stable(), n)
+            memo.extend(itertools.islice(self.elements_stable(len(memo)), n - len(memo)))
         return memo[:n]
 
     @functools.cached_property
@@ -799,11 +818,15 @@ def _is_inclusion(A, abar, B, bbar) -> bool:
     its restriction to <abar> or the inverse of its restriction to <bbar>.
     Two trees answer False: their order count lists no pairs anyway.
     Entries of other fragments and tuples of unequal length answer False
-    too, leaving the refusal to the pair tower.
+    too, leaving the refusal to the pair tower. Equal tuples in one
+    fragment, as an alpha letter and its extension cut to its length, answer
+    at once: tuple ``==`` tries identity first.
     """
     if isinstance(A, GroupTree) and isinstance(B, GroupTree):
         return False
     fa, fb = _as_fragment(A), _as_fragment(B)
+    if fa is fb and abar == bbar:
+        return {x.fragment for x in abar} <= {fa}
     if fa.rank > fb.rank:
         fa, abar, fb, bbar = fb, bbar, fa, abar
     if len(abar) != len(bbar) or not fa.is_prefix_of(fb):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import itertools
 import weakref
 
@@ -279,24 +280,40 @@ class TestMemoizedCoverage:
             for s in strings:
                 assert system.p_violations(s) == p_violations_reference(s)
 
-    def test_quiet_run_enumerates_each_prefix_once(self, monkeypatch):
-        # the finished 24-step run is scanned once; each fragment's stable
-        # prefix is enumerated once however often coverage is counted
-        yields = 0
+    @pytest.fixture
+    def stable_yields(self, monkeypatch):
+        """A one-entry list: how many elements ``elements_stable`` has
+        yielded since the fixture was set up."""
+        count = [0]
         stable = Fragment.elements_stable
 
-        def counting(self):
-            nonlocal yields
-            for x in stable(self):
-                yields += 1
+        def counting(self, *args):
+            for x in stable(self, *args):
+                count[0] += 1
                 yield x
 
         monkeypatch.setattr(Fragment, "elements_stable", counting)
+        return count
+
+    def test_quiet_run_enumerates_each_prefix_once(self, stable_yields):
+        # the finished 24-step run is scanned once; each fragment's stable
+        # prefix is enumerated once however often coverage is counted
         alpha = parse_ordinal("w*2")
         system = AlphaSystem(alpha, canonical_cofinal(alpha))
         q = instruction_from_g(InstructionSource({0: None}), 0)
         assert len(find_run(system, q, 24).letters()) == 25
-        assert yields <= 600
+        assert stable_yields[0] <= 600
+
+    def test_a_long_quiet_run_enumerates_linearly_many_elements(self, stable_yields):
+        # each step lists one more element of the stable order: the memo
+        # grows from where it stopped, so over the run each fragment's
+        # prefix is enumerated once (restarting it at every step yields
+        # 18,528 elements here)
+        alpha = parse_ordinal("w*2")
+        system = AlphaSystem(alpha, canonical_cofinal(alpha))
+        q = instruction_from_g(InstructionSource({0: None}), 0)
+        assert len(find_run(system, q, 192).letters()) == 193
+        assert stable_yields[0] <= 3 * 192
 
     def test_letter_memos_die_with_the_letter(self, quiet_run):
         ell = quiet_run.letters()[-1]
@@ -488,6 +505,23 @@ class TestFindRun:
         run = find_run(system, instruction_from_g(InstructionSource({0: None}), 0), 24)
         assert len(run.letters()) == 25 and set(run.bits()) == {0}
         assert towers == []
+
+    @pytest.mark.parametrize(
+        "alpha, switch, digest",
+        [
+            ("w*2", None, "4892ae016aab7e47"),
+            ("w*2", 5, "3eee60934e0cac1b"),
+            ("w^2", None, "4892ae016aab7e47"),
+        ],
+    )
+    def test_96_step_runs_print_the_recorded_text(self, alpha, switch, digest):
+        # recorded before letters were covered past the last letter's
+        # cover: a cover that skips or reorders an element changes the text
+        a = parse_ordinal(alpha)
+        system = AlphaSystem(a, canonical_cofinal(a))
+        q = instruction_from_g(InstructionSource({0: switch}), 0)
+        text = run_to_text(find_run(system, q, 96))
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
     def test_zero_steps(self, sys2):
         run = find_run(sys2, lambda s: 0, 0)

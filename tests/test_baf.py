@@ -586,12 +586,15 @@ class TestWitnessDigest:
     """The maps find_embedding returns, not only its verdicts, over a
     seeded corpus: random p = 2 trees with 1-7 non-root nodes and p = 3
     trees with 1-5, each into itself and into a second tree of its size,
-    with 0-2 pins matched by order and height, at both `onto` values. The
-    digest was recorded before forced pin elements were read off a
-    triangular basis instead of the listed pinned subgroup, which must
-    not change which map the search finds."""
+    with 0-2 pins matched by order and height, at both `onto` values. A
+    query is skipped when some pin has no match in the second tree, since
+    `matched_entry` then falls back to the source element itself. The
+    digest pins the search's maps on this corpus alone; its earlier value,
+    which also took in 106 calls with such a foreign pin, was recorded
+    before forced pin elements were read off a triangular basis instead of
+    the listed pinned subgroup."""
 
-    DIGEST = "d61e66af3d7df4d6"
+    DIGEST = "9b717a73635e2bce"
 
     def test_maps_match_the_recorded_digest(self):
         rng = random.Random("witness-digest")
@@ -605,6 +608,8 @@ class TestWitnessDigest:
                     k = rng.randint(0, 2)
                     abar = tuple(random_element(rng, src) for _ in range(k))
                     bbar = tuple(matched_entry(rng, dst, x) for x in abar)
+                    if any(y.fragment is not dst.fragment for y in bbar):
+                        continue  # no match turned up in dst, only x itself
                     for onto in (False, True):
                         f = find_embedding(src, abar, dst, bbar, onto=onto)
                         if f is not None:
@@ -1228,6 +1233,45 @@ class TestAnswerHeights:
     def test_descent_below_a_limit_resumes_at_the_threshold(self):
         assert list(_answer_heights(W2, INFINITY, OMEGA, 0)) == [W2, OMEGA]
 
+    def test_a_limit_p_image_leaves_room_for_the_links_below(self):
+        # two links still to come under the answer: it goes two steps
+        # above the threshold, and lower candidates stay admissible
+        assert list(_answer_heights(W2 + 1, W2, OMEGA, 0, 2)) == [OMEGA + 2, OMEGA + 1, OMEGA]
+        assert list(_answer_heights(OMEGA, OMEGA, nat(0), 1, 1)) == [nat(1), nat(0)]
+
+
+class TestChainDemands:
+    """A demand whose p-power chain passes through a limit height: in B,
+    d1 at w+2 with p*d1 = 0, d2 at w with p*d2 = d1, d3 at 0 with p*d3 =
+    d2, demanded alone over the empty tuple."""
+
+    def case(self):
+        P = make_G_hat(W2, SEQ2, 0)
+        A, B = canonical_fragment(P, 2), canonical_fragment(P, 2)
+        B, d1 = B.create_element(B.zero(), OMEGA + 2)
+        B, d2 = B.create_element(d1, OMEGA)
+        B, d3 = B.create_element(d2, nat(0))
+        return A, B, d3
+
+    @pytest.mark.parametrize(
+        "beta, eta, heights",
+        [
+            (2, 1, [OMEGA, nat(1), nat(0)]),
+            (3, 1, [OMEGA, nat(1), nat(0)]),
+            (3, 2, [OMEGA + 2, OMEGA, nat(0)]),
+            (4, 3, [OMEGA + 2, OMEGA, nat(0)]),
+        ],
+    )
+    def test_a_limit_link_leaves_room_for_the_rest_of_the_chain(self, beta, eta, heights):
+        # at eta = 1, c2 answers d2 under c1 at w, a limit; at the
+        # threshold 0 it left d3's answer no height below it, and the
+        # extension refused. Higher levels answer at the demand heights.
+        A, B, d3 = self.case()
+        assert relation(A, (), B, (), beta)
+        res = extend_tuple(A, (), B, (), beta, eta, [d3])
+        assert [r.height for r in res.records] == heights
+        assert check_extension(B, nat(eta), res) == []
+
 
 class TestExtendExplicit:
     def test_finds_images_in_a_tree_group(self):
@@ -1506,7 +1550,7 @@ def extend_tuple_by_rebuild(A, abar, B, bbar, beta, eta, dbar, check_hypothesis=
     thr = omega_times(delta)
     records = []
 
-    def adjoin(e) -> None:
+    def adjoin(e, below) -> None:
         nonlocal grown, cur_a, fmap
         best = None
         for s in sorted(B.fragment.subgroup(cur_b), key=lambda s: s.coeffs):
@@ -1517,7 +1561,7 @@ def extend_tuple_by_rebuild(A, abar, B, bbar, beta, eta, dbar, check_hypothesis=
         z = fmap[w]
         c = gamma_c = None
         refusals = []
-        for gamma in _answer_heights(best.height(), z.height(), thr, parity):
+        for gamma in _answer_heights(best.height(), z.height(), thr, parity, below):
             if isinstance(grown, ProfiledGroup):
                 try:
                     grown, c = create_by_rebuild(grown, z, gamma)
@@ -1547,9 +1591,9 @@ def extend_tuple_by_rebuild(A, abar, B, bbar, beta, eta, dbar, check_hypothesis=
         while x not in fmap:
             stack.append(x)
             x = x.times_p()
-        for e in reversed(stack):
-            if e not in fmap:
-                adjoin(e)
+        for below in range(len(stack) - 1, -1, -1):
+            if stack[below] not in fmap:
+                adjoin(stack[below], below)
     right = tuple(cur_a[: len(abar)]) + tuple(fmap[d] for d in demands)
     return ExtendResult(grown, bbar[: len(abar)] + demands, right, tuple(records))
 

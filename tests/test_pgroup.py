@@ -620,6 +620,16 @@ class TestGeneratedIsoTupleRoute:
         with pytest.raises(ValueError):
             z2.subgroup([z4.gen(0)])
 
+    def test_equal_tuples_of_another_fragment_are_no_inclusion(self):
+        # the shortcut for equal tuples in one fragment still refuses
+        # entries that live elsewhere
+        z2, z4 = self._z2_z4()
+        b = z4.gen_named("b")
+        assert _is_inclusion(z4, (b,), z4, (b,))
+        assert not _is_inclusion(z2, (b,), z2, (b,))
+        with pytest.raises(ValueError):
+            _generated_iso_exists(z2, (b,), z2, (b,))
+
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_inclusion_route_matches_the_element_pair_route(self, data):
@@ -629,7 +639,7 @@ class TestGeneratedIsoTupleRoute:
         ext = data.draw(extended_fragments(f, 2))
         abar = [data.draw(fragment_elements(f)) for _ in range(data.draw(st.integers(0, 3)))]
         moved = [ext.migrate(x) for x in abar]
-        cases = [(f, abar, ext, moved), (ext, moved, f, abar)]
+        cases = [(f, abar, ext, moved), (ext, moved, f, abar), (f, abar, f, list(abar))]
         if abar:
             i = data.draw(st.integers(0, len(abar) - 1))
             other = data.draw(fragment_elements(ext).filter(lambda y: y != moved[i]))
