@@ -28,8 +28,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from random import Random
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -40,8 +39,6 @@ from .pgroup import _require_prime
 from .ulm import make_G_hat
 
 Level = int | Ordinal
-
-_COEFFS = operator.attrgetter("coeffs")
 
 SentenceCode = tuple  # ("lin", ((position, coeff), ...), "eq" | "ne")
 
@@ -54,11 +51,16 @@ class Letter:
     and that none repeats, a small constant per image. Since the images
     share that one fragment, the image set holds their coefficient tuples,
     which hash as plain int tuples, not through ``FragmentElement``'s
-    dataclass hash."""
+    dataclass hash.
+
+    ``_covers`` is a count k such that the list is known to hold the first
+    k elements of the fragment in the stable order: ``_cover_letter`` sets
+    it on the letters it builds, and every other letter has 0."""
 
     j: int
     images: tuple[FragmentElement, ...]
     group: ProfiledGroup
+    _covers: int = field(default=0, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.j < 0:
@@ -78,8 +80,8 @@ class Letter:
     def uncovered(self, i: int) -> int:
         """How many of the first i elements of the fragment, in the stable
         enumeration order, the list misses."""
-        first = map(_COEFFS, self.group.fragment.first_elements(i))
-        return i - len(self._image_set.intersection(first))
+        first = self.group.fragment.first_elements(i)
+        return i - len(self._image_set.intersection(x.coeffs for x in first))
 
     def __len__(self) -> int:
         return len(self.images)
@@ -371,14 +373,14 @@ def _cover_letter(sys: AlphaSystem, letter: Letter, i: int) -> Letter:
     fragment itself is too small. Appending never disturbs the prefix, so
     every relation into the original letter carries over.
 
-    The letter built here records the i it covers. A letter that records k
-    is scanned past its first k elements only, so a step of ``find_run``
-    checks one new element, and copies the list into the new letter. A
-    letter from elsewhere (``extend_tuple``, a caller), or one whose group
-    had to grow, is scanned from the start."""
+    The letter built here records the i it covers (``Letter._covers``). A
+    letter that records k is scanned past its first k elements only, so a
+    step of ``find_run`` checks one new element, and copies the list into
+    the new letter. A letter from elsewhere (``extend_tuple``, a caller),
+    or one whose group had to grow, is scanned from the start."""
     group = letter.group
     images = list(letter.images)
-    known, have = letter.__dict__.get("_covers", 0), letter._image_set
+    known, have = letter._covers, letter._image_set
     while group.fragment.size < i:
         group, _ = group.create_element(group.zero(), ZERO)
         images = [group.fragment.migrate(x) for x in images]
@@ -389,7 +391,7 @@ def _cover_letter(sys: AlphaSystem, letter: Letter, i: int) -> Letter:
         if e.coeffs not in have:
             images.append(e)
     out = Letter(letter.j, tuple(images), group)
-    out.__dict__["_covers"] = max(i, known)
+    object.__setattr__(out, "_covers", max(i, known))
     return out
 
 
@@ -510,9 +512,9 @@ def find_run(
     size of what ``run_to_text`` prints for it: the cover scans one new
     element (``_cover_letter``), the new letter checks and keys its images
     once (``Letter``), and its relation to the last letter is an inclusion
-    answered by one tuple comparison. The steps where the fragment grows
-    and the flip step cost more, and the validation lists each letter's
-    stable prefix once more.
+    checked entry by entry (``pgroup._is_inclusion``). The steps where the
+    fragment grows and the flip step cost more, and the validation lists
+    each letter's stable prefix once more.
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")

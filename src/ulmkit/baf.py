@@ -771,7 +771,7 @@ def extend_tuple(
 
 
 def _answer_heights(
-    hd: Ordinal, hz: HeightValue, thr: Ordinal, parity: int, below: int = 0
+    hd: Ordinal, hz: HeightValue, thr: Ordinal, parity: int, below: int
 ) -> Iterator[Ordinal]:
     """Admissible h(c) values for an answer with p*c = z, best first, for
     a demand of height hd at the level with threshold thr and parity, with

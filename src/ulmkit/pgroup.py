@@ -818,15 +818,11 @@ def _is_inclusion(A, abar, B, bbar) -> bool:
     its restriction to <abar> or the inverse of its restriction to <bbar>.
     Two trees answer False: their order count lists no pairs anyway.
     Entries of other fragments and tuples of unequal length answer False
-    too, leaving the refusal to the pair tower. Equal tuples in one
-    fragment, as an alpha letter and its extension cut to its length, answer
-    at once: tuple ``==`` tries identity first.
+    too, leaving the refusal to the pair tower.
     """
     if isinstance(A, GroupTree) and isinstance(B, GroupTree):
         return False
     fa, fb = _as_fragment(A), _as_fragment(B)
-    if fa is fb and abar == bbar:
-        return {x.fragment for x in abar} <= {fa}
     if fa.rank > fb.rank:
         fa, abar, fb, bbar = fb, bbar, fa, abar
     if len(abar) != len(bbar) or not fa.is_prefix_of(fb):

@@ -324,6 +324,22 @@ class TestMemoizedCoverage:
         gc.collect()
         assert ref() is None
 
+    def test_a_cover_past_the_recorded_one_builds_the_same_letter(self, sys2, quiet_run):
+        # each step's letter records the i it covers; the next cover scans
+        # past it and must build what a scan from the start builds (a
+        # letter made elsewhere records 0, and the count plays no part in
+        # equality)
+        import ulmkit.alpha
+
+        letters = quiet_run.letters()
+        assert [ell._covers for ell in letters] == [0, 1, 2, 3, 4]
+        ell = letters[3]
+        copy = Letter(ell.j, ell.images, ell.group)
+        assert copy._covers == 0 and copy == ell and hash(copy) == hash(ell)
+        for start in (ell, copy):
+            grown = ulmkit.alpha._cover_letter(sys2, start, 4)
+            assert grown == letters[4] and grown._covers == 4
+
 
 class TestInstructionSource:
     def test_spec_forms(self):

@@ -1219,19 +1219,19 @@ class TestExtendGrowable:
 
 
 class TestAnswerHeights:
-    # (hd, hz, thr, parity) -> candidates, best first, at the threshold w
+    # (hd, hz, thr, parity, below) -> candidates, best first, at the threshold w
     def test_successor_p_image_backs_off_below_it(self):
-        assert list(_answer_heights(OMEGA + 3, OMEGA + 2, OMEGA, 0)) == [OMEGA + 1, OMEGA]
+        assert list(_answer_heights(OMEGA + 3, OMEGA + 2, OMEGA, 0, 0)) == [OMEGA + 1, OMEGA]
 
     def test_limit_p_image_height_falls_to_the_threshold(self):
-        assert list(_answer_heights(W2 + 1, W2, OMEGA, 0)) == [OMEGA]
+        assert list(_answer_heights(W2 + 1, W2, OMEGA, 0, 0)) == [OMEGA]
 
     def test_no_room_above_the_threshold_raises(self):
         with pytest.raises(ExtensionError, match="no admissible answer height"):
-            list(_answer_heights(OMEGA + 1, OMEGA, OMEGA, 0))
+            list(_answer_heights(OMEGA + 1, OMEGA, OMEGA, 0, 0))
 
     def test_descent_below_a_limit_resumes_at_the_threshold(self):
-        assert list(_answer_heights(W2, INFINITY, OMEGA, 0)) == [W2, OMEGA]
+        assert list(_answer_heights(W2, INFINITY, OMEGA, 0, 0)) == [W2, OMEGA]
 
     def test_a_limit_p_image_leaves_room_for_the_links_below(self):
         # two links still to come under the answer: it goes two steps

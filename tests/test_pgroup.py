@@ -621,8 +621,8 @@ class TestGeneratedIsoTupleRoute:
             z2.subgroup([z4.gen(0)])
 
     def test_equal_tuples_of_another_fragment_are_no_inclusion(self):
-        # the shortcut for equal tuples in one fragment still refuses
-        # entries that live elsewhere
+        # equal tuples in one fragment are an inclusion only when their
+        # entries live in that fragment
         z2, z4 = self._z2_z4()
         b = z4.gen_named("b")
         assert _is_inclusion(z4, (b,), z4, (b,))
